@@ -16,7 +16,6 @@
 #include "common/thread_annotations.h"
 #include "common/trace.h"
 #include "io/file.h"
-#include "io/overlap.h"
 
 namespace pregelix {
 
@@ -77,7 +76,6 @@ class BufferCache {
 
   size_t page_size() const { return page_size_; }
   size_t capacity_pages() const { return capacity_pages_; }
-  WorkerMetrics* metrics() const { return metrics_; }
 
   /// Attaches observability sinks (a cache is per simulated worker, so the
   /// worker id becomes the label). The access methods built on this cache
@@ -91,20 +89,6 @@ class BufferCache {
   Tracer* tracer() const { return tracer_; }
   MetricsRegistry* registry() const { return registry_; }
   int worker_id() const { return worker_; }
-
-  /// Enables sequential read-ahead (DESIGN.md §19): a cache miss that
-  /// extends a forward scan schedules the file's next page on the prefetch
-  /// pool, and the following miss consumes the prefetched bytes instead of
-  /// reading synchronously. One request in flight per file; the prefetched
-  /// page rides the elevator seek model like the sync read it replaces.
-  /// The runtime must outlive every Pin/Close on this cache — callers that
-  /// destroy it earlier must DetachOverlap() first.
-  void SetOverlap(OverlapRuntime* overlap) { overlap_ = overlap; }
-
-  /// Settles every in-flight read-ahead and detaches the overlap runtime
-  /// (the cache reverts to synchronous reads). For owners whose runtime
-  /// dies before the cache.
-  void DetachOverlap();
 
   /// Publishes hit/miss/eviction/writeback counts into `registry` as
   /// pregelix.buffer.* gauges labeled with this cache's worker id.
@@ -163,16 +147,6 @@ class BufferCache {
     bool in_lru = false;
   };
 
-  /// One in-flight sequential read-ahead. Heap-allocated so its address is
-  /// stable under files_ reallocation while the prefetch closure writes
-  /// into `buf` from the pool thread.
-  struct ReadAhead {
-    PrefetchPool::Slot slot;
-    std::string buf;
-    PageId page = 0;
-    bool valid = false;  ///< a request is queued/running/ready on the pool
-  };
-
   struct FileEntry {
     std::unique_ptr<RandomAccessFile> file;
     uint32_t num_pages = 0;
@@ -180,7 +154,6 @@ class BufferCache {
     std::string path;
     PageId last_miss_page = 0;  ///< elevator-model seek tracking
     bool touched = false;
-    std::unique_ptr<ReadAhead> ahead;  ///< lazily created when overlap is on
   };
 
   static uint64_t Key(int file_id, PageId page) {
@@ -195,11 +168,6 @@ class BufferCache {
   Status PinExistingOrLoadLocked(int file_id, PageId page, bool load,
                                  PageHandle* out) REQUIRES(mutex_);
   void TouchLocked(int slot) REQUIRES(mutex_);
-  /// Awaits the file's in-flight read-ahead (if any) and discards it.
-  /// Await, not Cancel: the background read always completes, so the disk
-  /// and overlap byte counters stay deterministic regardless of pool
-  /// timing. Returns the abandoned request's status.
-  Status SettleReadAheadLocked(FileEntry& entry) REQUIRES(mutex_);
 
   const size_t page_size_;
   const size_t capacity_pages_;
@@ -207,7 +175,6 @@ class BufferCache {
   Tracer* tracer_ = nullptr;
   MetricsRegistry* registry_ = nullptr;
   int worker_ = 0;
-  OverlapRuntime* overlap_ = nullptr;
 
   mutable Mutex mutex_{"buffer_cache", LockRank::kBufferCache};
   std::vector<Slot> slots_ GUARDED_BY(mutex_);

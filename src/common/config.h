@@ -10,12 +10,6 @@ namespace pregelix {
 class Tracer;
 class MetricsRegistry;
 
-/// I/O / compute overlap (DESIGN.md §19). kAuto is the default and enables
-/// the overlap runtime (double-buffered run reads, async write-behind,
-/// eager shuffle-driven group-by); kOff forces the phase-serial pipeline
-/// (the benchmark baseline and a safety hatch).
-enum class OverlapMode { kOff, kOn, kAuto };
-
 /// Configuration of the simulated shared-nothing cluster.
 ///
 /// One ClusterConfig describes a cluster of `num_workers` worker "machines",
@@ -40,13 +34,6 @@ struct ClusterConfig {
   size_t sort_memory_frames = 0;    ///< 0 = derive as worker_ram/16 / frame
   size_t groupby_memory_bytes = 0;  ///< 0 = derive as worker_ram/16
   size_t channel_capacity_frames = 16;
-
-  /// I/O / compute overlap. kAuto (default) turns the overlap runtime on;
-  /// kOff is the strictly phase-serial baseline.
-  OverlapMode overlap = OverlapMode::kAuto;
-  /// Byte budget of the async write-behind queue (pending, not-yet-written
-  /// blocks). 0 = derive as worker_ram/16 (min 256 KB).
-  size_t writebehind_budget_bytes = 0;
 
   std::string temp_root;  ///< scratch root; must be set by the caller
   uint64_t seed = 42;
@@ -74,16 +61,8 @@ struct ClusterConfig {
       c.groupby_memory_bytes = c.worker_ram_bytes / 16;
       if (c.groupby_memory_bytes < 64 * 1024) c.groupby_memory_bytes = 64 * 1024;
     }
-    if (c.writebehind_budget_bytes == 0) {
-      c.writebehind_budget_bytes = c.worker_ram_bytes / 16;
-      if (c.writebehind_budget_bytes < 256 * 1024) {
-        c.writebehind_budget_bytes = 256 * 1024;
-      }
-    }
     return c;
   }
-
-  bool overlap_enabled() const { return overlap != OverlapMode::kOff; }
 
   /// Total simulated cluster RAM; figures plot dataset size relative to this.
   size_t aggregate_ram_bytes() const {

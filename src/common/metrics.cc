@@ -13,14 +13,6 @@ double SimulatedWorkerSeconds(const MetricsSnapshot& delta,
   double t = cpu + disk;
   t += static_cast<double>(delta.disk_seeks) * params.seek_sec;
   t += static_cast<double>(delta.net_bytes) / params.net_bytes_per_sec;
-  // Overlap credit (DESIGN.md §19): bytes the overlap runtime moved on a
-  // background thread proceed concurrently with compute, so up to the CPU
-  // time of the window (and never more than the disk time itself) is
-  // hidden. With the overlap runtime off, overlap_io_bytes is 0 and this is
-  // the strict phase-serial sum.
-  const double overlapped =
-      static_cast<double>(delta.overlap_io_bytes) / params.disk_bytes_per_sec;
-  t -= std::min(overlapped, std::min(cpu, disk));
   return t;
 }
 

@@ -14,9 +14,7 @@ struct MetricsSnapshot {
   uint64_t disk_write_bytes = 0;  ///< sequential write volume
   uint64_t disk_seeks = 0;        ///< random I/Os (cold index probes)
   uint64_t net_bytes = 0;         ///< bytes crossing worker boundaries
-  /// Disk bytes (a subset of disk_read/write_bytes) moved by the overlap
-  /// runtime's background threads — I/O that can hide behind compute. The
-  /// cost model credits up to the CPU time back (DESIGN.md §19).
+  /// Inert: perfbench/perfbench.cc still reads it; always 0.
   uint64_t overlap_io_bytes = 0;
 
   MetricsSnapshot operator-(const MetricsSnapshot& o) const {
@@ -26,7 +24,6 @@ struct MetricsSnapshot {
     d.disk_write_bytes = disk_write_bytes - o.disk_write_bytes;
     d.disk_seeks = disk_seeks - o.disk_seeks;
     d.net_bytes = net_bytes - o.net_bytes;
-    d.overlap_io_bytes = overlap_io_bytes - o.overlap_io_bytes;
     return d;
   }
   MetricsSnapshot& operator+=(const MetricsSnapshot& o) {
@@ -35,7 +32,6 @@ struct MetricsSnapshot {
     disk_write_bytes += o.disk_write_bytes;
     disk_seeks += o.disk_seeks;
     net_bytes += o.net_bytes;
-    overlap_io_bytes += o.overlap_io_bytes;
     return *this;
   }
 };
@@ -61,9 +57,6 @@ class WorkerMetrics {
   }
   void AddSeeks(uint64_t n) { disk_seeks_.fetch_add(n, std::memory_order_relaxed); }
   void AddNet(uint64_t n) { net_bytes_.fetch_add(n, std::memory_order_relaxed); }
-  void AddOverlapIo(uint64_t n) {
-    overlap_io_bytes_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   MetricsSnapshot Snapshot() const {
     MetricsSnapshot s;
@@ -72,7 +65,6 @@ class WorkerMetrics {
     s.disk_write_bytes = disk_write_bytes_.load(std::memory_order_relaxed);
     s.disk_seeks = disk_seeks_.load(std::memory_order_relaxed);
     s.net_bytes = net_bytes_.load(std::memory_order_relaxed);
-    s.overlap_io_bytes = overlap_io_bytes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -82,7 +74,6 @@ class WorkerMetrics {
     disk_write_bytes_.store(0, std::memory_order_relaxed);
     disk_seeks_.store(0, std::memory_order_relaxed);
     net_bytes_.store(0, std::memory_order_relaxed);
-    overlap_io_bytes_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -91,7 +82,6 @@ class WorkerMetrics {
   std::atomic<uint64_t> disk_write_bytes_{0};
   std::atomic<uint64_t> disk_seeks_{0};
   std::atomic<uint64_t> net_bytes_{0};
-  std::atomic<uint64_t> overlap_io_bytes_{0};
 };
 
 /// Hardware rates of the simulated cluster node (DESIGN.md Section 7). The

@@ -23,8 +23,6 @@ std::string WorkerKey(int worker) {
       return "driver";
     case TimeLedger::kServerWorker:
       return "server";
-    case TimeLedger::kOverlapWorker:
-      return "overlap";
     default:
       return std::to_string(worker);
   }
@@ -84,17 +82,6 @@ int64_t TimeLedgerSnapshot::attributed_ns() const {
   int64_t sum = 0;
   for (int64_t v : category_ns) sum += v;
   return sum;
-}
-
-std::map<std::string, int64_t> TimeLedgerSnapshot::ByLabel(
-    TimeCategory c) const {
-  std::map<std::string, int64_t> out;
-  for (const Cell& cell : cells) {
-    if (cell.label.empty()) continue;
-    const int64_t v = cell.ns[static_cast<int>(c)];
-    if (v != 0) out[cell.label] += v;
-  }
-  return out;
 }
 
 namespace ledger_internal {
@@ -222,9 +209,8 @@ void TimeLedger::Reattribute(TimeCategory to, uint64_t ns) {
   const size_t cur =
       static_cast<size_t>(r->current.load(std::memory_order_relaxed));
   if (cur == static_cast<size_t>(to)) return;
-  // Signed accumulators: overlapping reattributions (a contended cv
-  // reacquisition inside a measured overlap wait) may transiently drive a
-  // bucket negative; the sum — and so conservation — is untouched.
+  // Signed accumulators: a reattribution may transiently drive a bucket
+  // negative; the sum — and so conservation — is untouched.
   r->acc[cur].fetch_sub(static_cast<int64_t>(ns), std::memory_order_relaxed);
   r->acc[static_cast<size_t>(to)].fetch_add(static_cast<int64_t>(ns),
                                             std::memory_order_relaxed);
@@ -425,16 +411,6 @@ void TimeLedger::WritePrometheus(std::ostream& os) const {
     os << "pregelix_lock_wait_seconds_total{lock=\"" << snap.locks[i].name
        << "\"} ";
     AppendSeconds(os, snap.locks[i].ns);
-    os << '\n';
-  }
-  const std::map<std::string, int64_t> io_wait =
-      snap.ByLabel(TimeCategory::kIoWait);
-  os << "# HELP pregelix_io_wait_seconds_total Overlap I/O wait by operator "
-        "(the ledger io_wait bucket, per-operator).\n"
-        "# TYPE pregelix_io_wait_seconds_total counter\n";
-  for (const auto& [label, ns] : io_wait) {
-    os << "pregelix_io_wait_seconds_total{operator=\"" << label << "\"} ";
-    AppendSeconds(os, ns);
     os << '\n';
   }
 }

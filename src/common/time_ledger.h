@@ -32,11 +32,10 @@
 // subsequent time to the new one; leaving resumes the parent. Nested scopes
 // therefore suspend their parent — no nanosecond is ever double-counted.
 // `Reattribute` moves already-elapsed (and already-measured) nanoseconds
-// from the current category into another one; the run-file layer uses it to
-// move measured overlap waits into `io_wait` so the ledger bucket equals
-// PR 9's per-operator `io_wait_ns` exactly. `ChargeLockWait` is called by
-// `pregelix::Mutex` on every *contended* acquisition and both reclassifies
-// the blocked interval as `lock_wait` and feeds a per-lock-name table.
+// from the current category into another one. `ChargeLockWait` is called by
+// `pregelix::Mutex` on every *contended* acquisition and uses it to
+// reclassify the blocked interval as `lock_wait`, and also feeds a
+// per-lock-name table.
 //
 // The ledger's own internals use only std:: primitives (a raw std::mutex
 // for the thread registry, atomics everywhere else) — never a
@@ -67,7 +66,7 @@ enum class TimeCategory : int {
   kBarrierWait,   ///< driver waiting on the superstep join barrier
   kIoRead,        ///< foreground file reads (pread / buffered read)
   kIoWrite,       ///< foreground file writes (append / pwrite / flush)
-  kIoWait,        ///< uncovered overlap waits (absorbs PR 9's io_wait_ns)
+  kIoWait,        ///< no producer; kept because perfbench/perfbench.cc reads it
   kLockWait,      ///< contended pregelix::Mutex acquisitions
   kCheckpoint,    ///< driver-side checkpoint/recovery bookkeeping
   kServe,         ///< observability-server request handling
@@ -116,9 +115,6 @@ struct TimeLedgerSnapshot {
   int64_t ns(TimeCategory c) const {
     return category_ns[static_cast<int>(c)];
   }
-  /// Σ of one category over cells whose label is non-empty, by label
-  /// (the per-operator io_wait export).
-  std::map<std::string, int64_t> ByLabel(TimeCategory c) const;
 };
 
 /// Process-wide time ledger. All mutation goes through the static
@@ -128,7 +124,7 @@ class TimeLedger {
   /// Pseudo-worker ids for threads that are not simulated-cluster workers.
   static constexpr int kDriverWorker = -1;
   static constexpr int kServerWorker = -2;
-  static constexpr int kOverlapWorker = -3;
+  static constexpr int kOverlapWorker = -3;  ///< inert: perfbench reads it
 
   TimeLedger();
   ~TimeLedger();
@@ -152,11 +148,9 @@ class TimeLedger {
   static bool CurrentThreadAttached();
 
   /// Moves `ns` already-elapsed nanoseconds from the current category into
-  /// `to`. Used where a wait was *measured* by other means (the overlap
-  /// layer's wait counters) so two accountings of the same interval agree
-  /// to the nanosecond. When the current category is already `to`, or the
-  /// thread sits in a shuffle/checkpoint wait that claims its own I/O, the
-  /// caller is expected to skip the call.
+  /// `to`. Used where a wait was *measured* by other means (a contended
+  /// mutex's blocked interval) so two accountings of the same interval
+  /// agree to the nanosecond.
   static void Reattribute(TimeCategory to, uint64_t ns);
 
   /// Called by pregelix::Mutex for a contended acquisition that blocked
@@ -190,9 +184,8 @@ class TimeLedger {
   /// input format.
   void WriteCollapsed(std::ostream& os) const;
   /// Prometheus text exposition appended after the registry's:
-  /// `pregelix_time_seconds_total{category,worker}`,
-  /// `pregelix_lock_wait_seconds_total{lock}` (top-k by wait time), and
-  /// `pregelix_io_wait_seconds_total{operator}`.
+  /// `pregelix_time_seconds_total{category,worker}` and
+  /// `pregelix_lock_wait_seconds_total{lock}` (top-k by wait time).
   void WritePrometheus(std::ostream& os) const;
 
   /// Drops all folded time, lock rows, and residue counters (tests).

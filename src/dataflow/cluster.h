@@ -14,9 +14,10 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/trace.h"
-#include "io/overlap.h"
 
 namespace pregelix {
+
+struct OverlapRuntime;  // dataflow/ops/sort.h
 
 /// The simulated shared-nothing cluster (DESIGN.md substitution #1).
 ///
@@ -29,7 +30,6 @@ namespace pregelix {
 class SimulatedCluster {
  public:
   explicit SimulatedCluster(const ClusterConfig& config);
-  ~SimulatedCluster();
 
   SimulatedCluster(const SimulatedCluster&) = delete;
   SimulatedCluster& operator=(const SimulatedCluster&) = delete;
@@ -63,12 +63,8 @@ class SimulatedCluster {
   Tracer* tracer() const { return tracer_; }
   MetricsRegistry* registry() const { return registry_; }
 
-  /// The overlap runtime (DESIGN.md §19): prefetch + write-behind worker
-  /// threads shared by every job on this cluster. Null when the cluster was
-  /// configured with OverlapMode::kOff — callers pass the pointer through
-  /// to run files / channels / the LSM, all of which treat null as
-  /// "strictly synchronous I/O".
-  OverlapRuntime* overlap() const { return overlap_.get(); }
+  /// Inert: perfbench/perfbench.cc still calls it; always null.
+  OverlapRuntime* overlap() const { return nullptr; }
 
   /// Publishes per-worker counters (cost-model meters and buffer-cache
   /// hit/miss/eviction/writeback) into the registry as labeled gauges.
@@ -106,9 +102,6 @@ class SimulatedCluster {
   mutable Mutex workers_mutex_{"cluster", LockRank::kCluster};
   std::vector<std::unique_ptr<Worker>> workers_ GUARDED_BY(workers_mutex_);
   std::atomic<uint64_t> next_file_id_{0};
-  /// Declared last: destroyed first, so its worker threads (which touch
-  /// worker files and metrics) stop before the workers they serve die.
-  std::unique_ptr<OverlapRuntime> overlap_;
 };
 
 }  // namespace pregelix

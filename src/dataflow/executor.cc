@@ -339,8 +339,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
           cc.channels[static_cast<size_t>(s) * num_dst + d] =
               std::make_unique<FrameChannel>(
                   config.channel_capacity_frames, policy, spill,
-                  &cluster.metrics(src_worker), &abort, /*num_senders=*/1,
-                  cluster.overlap());
+                  &cluster.metrics(src_worker), &abort, /*num_senders=*/1);
         }
       }
     } else {
@@ -361,8 +360,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         if (c.kind == ConnectorKind::kOneToOne) senders = 1;
         cc.channels[d] = std::make_unique<FrameChannel>(
             config.channel_capacity_frames, policy, spill,
-            &cluster.metrics(dst_worker), &abort, senders,
-            cluster.overlap());
+            &cluster.metrics(dst_worker), &abort, senders);
       }
     }
   }
@@ -395,7 +393,6 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
       PREGELIX_CHECK(EnsureDir(ctx->scratch_dir));
       ctx->config = &config;
       ctx->runtime_context = runtime_context;
-      ctx->overlap = cluster.overlap();
       if (profile != nullptr) {
         ctx->profile = profile->slot(static_cast<int>(oi), p);
       }
@@ -488,8 +485,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
                           &first_error]() {
       // Time ledger (DESIGN.md §20): the whole task thread is attributed,
       // base category compute, labeled with the operator name so the
-      // category×operator hierarchy (and the per-operator io_wait family)
-      // can be rebuilt from the cells.
+      // category×operator hierarchy can be rebuilt from the cells.
       TimeLedger::AttachCurrentThread(task.ctx->worker, TimeCategory::kCompute,
                                       spec.ops()[task.op].descriptor->name());
       Status s;

@@ -19,16 +19,11 @@ namespace {
 /// Sequential cursor over one run file.
 class RunCursor {
  public:
-  RunCursor(std::string path, int field_count, WorkerMetrics* metrics,
-            OverlapRuntime* overlap)
-      : path_(std::move(path)),
-        accessor_(field_count),
-        metrics_(metrics),
-        overlap_(overlap) {}
+  RunCursor(std::string path, int field_count, WorkerMetrics* metrics)
+      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
 
   Status Init() {
-    PREGELIX_RETURN_NOT_OK(
-        RunFileReader::Open(path_, metrics_, overlap_, &reader_));
+    PREGELIX_RETURN_NOT_OK(RunFileReader::Open(path_, metrics_, &reader_));
     return Advance();
   }
 
@@ -49,11 +44,6 @@ class RunCursor {
   void Discard() {
     reader_.reset();
     DeleteFileIfExists(path_);
-  }
-
-  /// Foreground ns spent blocked on prefetched refills (DESIGN.md §19).
-  uint64_t io_wait_ns() const {
-    return reader_ != nullptr ? reader_->io_wait_ns() : 0;
   }
 
  private:
@@ -81,7 +71,6 @@ class RunCursor {
   int index_ = 0;
   bool valid_ = false;
   WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_;
 };
 
 /// Tournament loser tree over the run cursors, keyed on the 8-byte
@@ -241,10 +230,8 @@ namespace internal_sort {
 // RunWriter
 
 RunWriter::RunWriter(const SortConfig& config, const std::string& path)
-    : appender_(config.frame_size, config.field_count),
-      path_(path),
-      config_(&config) {
-  open_status_ = RunFileWriter::Open(path, config.metrics, config.overlap, &file_);
+    : appender_(config.frame_size, config.field_count), path_(path) {
+  open_status_ = RunFileWriter::Open(path, config.metrics, &file_);
 }
 
 Status RunWriter::Append(std::span<const Slice> fields) {
@@ -267,11 +254,7 @@ Status RunWriter::Finish() {
     PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
     appender_.Reset();
   }
-  Status s = file_->Finish();
-  if (config_->profile != nullptr) {
-    config_->profile->AddIoWait(file_->io_wait_ns());
-  }
-  return s;
+  return file_->Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
       std::vector<std::unique_ptr<RunCursor>> cursors;
       for (size_t i = start; i < end; ++i) {
         cursors.push_back(std::make_unique<RunCursor>(
-            run_paths[i], config.field_count, config.metrics, config.overlap));
+            run_paths[i], config.field_count, config.metrics));
         PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
       }
       const std::string out_path = config.scratch_prefix + "-merge-" +
@@ -305,12 +288,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
           config.metrics,
           [&](std::span<const Slice> fields) { return writer.Append(fields); }));
       PREGELIX_RETURN_NOT_OK(writer.Finish());
-      for (auto& cursor : cursors) {
-        if (config.profile != nullptr) {
-          config.profile->AddIoWait(cursor->io_wait_ns());
-        }
-        cursor->Discard();
-      }
+      for (auto& cursor : cursors) cursor->Discard();
       next_paths.push_back(out_path);
     }
     run_paths = std::move(next_paths);
@@ -319,41 +297,17 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
   std::vector<std::unique_ptr<RunCursor>> cursors;
   for (const std::string& path : run_paths) {
     cursors.push_back(std::make_unique<RunCursor>(path, config.field_count,
-                                                  config.metrics,
-                                                  config.overlap));
+                                                  config.metrics));
     PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
   }
   PREGELIX_RETURN_NOT_OK(MergeCursors(cursors, config.key_field, combiner,
                                       /*apply_finish=*/true, config.metrics,
                                       emit));
-  for (auto& cursor : cursors) {
-    if (config.profile != nullptr) {
-      config.profile->AddIoWait(cursor->io_wait_ns());
-    }
-    cursor->Discard();
-  }
+  for (auto& cursor : cursors) cursor->Discard();
   return Status::OK();
 }
 
 }  // namespace internal_sort
-
-namespace {
-
-/// Eager-ship profitability (DESIGN.md §19): a drained batch ships straight
-/// downstream only when in-batch combining was heavy — at most half as many
-/// distinct groups as tuples absorbed. Heavy in-batch combining means a
-/// key's duplicates arrive clustered, so the batch already collapsed them
-/// and the cross-batch run merge has little left to earn; the spill's
-/// write and read-back are then pure overhead. A batch that barely combined
-/// implies its keys recur *across* batches — only the run merge can
-/// collapse those, so shipping such a batch would re-send nearly every
-/// duplicate over the wire. Depends only on batch content, so the decision
-/// is deterministic across runs and recovery.
-bool EagerShipProfitable(size_t groups, size_t tuples) {
-  return groups * 2 <= tuples;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ExternalSortGrouper
@@ -387,21 +341,7 @@ Status ExternalSortGrouper::Add(std::span<const Slice> fields) {
   const size_t tuple_size = 4u * n + data;
   if (!entries_.empty() &&
       BatchBytes() + tuple_size > config_.memory_budget_bytes) {
-    if (eager_sink_ && last_flush_tuples_ > 0 &&
-        EagerShipProfitable(last_flush_groups_, last_flush_tuples_)) {
-      // Eager shuffle (§19): the previous flush combined heavily, so this
-      // batch's groups are expected near-final — ship the sorted,
-      // pre-combined batch downstream now instead of parking it in a run
-      // file. No final transform; the receiving group-by folds the partials
-      // and applies it once. Poorly-combining batches keep spilling so
-      // cross-batch duplicates are merged before they reach the wire. The
-      // previous flush's ratio stands in for this one's (message mixes
-      // shift slowly within a superstep) so the decision costs nothing;
-      // the first flush always spills.
-      PREGELIX_RETURN_NOT_OK(DrainBatchSorted(eager_sink_));
-    } else {
-      PREGELIX_RETURN_NOT_OK(SpillBatch());
-    }
+    PREGELIX_RETURN_NOT_OK(SpillBatch());
   }
   // Encode the tuple straight into the pool — no temporary string.
   const size_t offset = pool_.size();
@@ -469,13 +409,10 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
                                              : TimeCategory::kSort);
   const int field_count = config_.field_count;
   const bool norm_decides = batch_key_size_ >= 0;
-  const size_t tuples = entries_.size();
-  size_t groups = 0;
   std::vector<Slice> fields;
   if (combiner_.valid()) {
     size_t i = 0;
     while (i < entries_.size()) {
-      ++groups;
       const Slice key = EntryKey(entries_[i]);
       Slice payload = TupleFieldFromRaw(
           Slice(pool_.data() + entries_[i].offset, entries_[i].size), 2, 1);
@@ -503,13 +440,6 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
       }
       PREGELIX_RETURN_NOT_OK(fn(fields));
     }
-    groups = tuples;
-  }
-  if (tuples > 0) {
-    // Remembered for the next eager-ship decision: the group/tuple counts
-    // fall out of the drain loop for free, so the gate costs no extra pass.
-    last_flush_groups_ = groups;
-    last_flush_tuples_ = tuples;
   }
   entries_.clear();
   pool_.clear();
@@ -543,19 +473,6 @@ Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
   finished_ = true;
   if (config_.profile != nullptr) {
     config_.profile->UpdateMemHwm(BatchBytes());
-  }
-  if (eager_sink_) {
-    // The remainder is one more partial batch for the downstream group-by,
-    // which re-combines and applies the final transform once; batches that
-    // combined poorly sit in run files and are merged across batches here.
-    // (Eager mode requires a transform-free combiner: the run merge below
-    // would otherwise finish accumulators the downstream still folds.)
-    PREGELIX_CHECK(!combiner_.valid() || !combiner_.finish);
-    PREGELIX_RETURN_NOT_OK(DrainBatchSorted(emit));
-    if (run_paths_.empty()) return Status::OK();
-    std::vector<std::string> runs = std::move(run_paths_);
-    run_paths_.clear();
-    return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
   }
   if (run_paths_.empty()) {
     // Fully in-memory: a single sorted drain, applying the final transform.
@@ -616,7 +533,6 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
   PREGELIX_CHECK(!finished_);
   const Slice key = fields[0];
   const Slice payload = fields[1];
-  ++tuples_since_drain_;
   if (slots_.empty()) GrowSlots();
   const uint64_t h = SliceHash{}(key);
   const size_t mask = slots_.size() - 1;
@@ -656,19 +572,7 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
   if (groups_.size() * 4 >= slots_.size() * 3) GrowSlots();
   if (config_.metrics != nullptr) config_.metrics->AddCpuOps(1);
   if (TableBytes() > config_.memory_budget_bytes) {
-    if (eager_sink_ &&
-        EagerShipProfitable(groups_.size(), tuples_since_drain_)) {
-      // Eager shuffle (§19): the table combined heavily — its accumulators
-      // already collapsed the duplicates, which evidently cluster locally —
-      // so stream the sorted partials downstream instead of parking them in
-      // a run file. A poorly-combining table spills as usual: its keys
-      // recur across drains, and only the run merge collapses those before
-      // they reach the wire. (Unlike the sort grouper, the counts here are
-      // live table state, so the current drain decides for itself.)
-      PREGELIX_RETURN_NOT_OK(EmitTable(eager_sink_));
-    } else {
-      PREGELIX_RETURN_NOT_OK(SpillTable());
-    }
+    PREGELIX_RETURN_NOT_OK(SpillTable());
   }
   return Status::OK();
 }
@@ -724,15 +628,10 @@ Status HashSortGrouper::SpillTable() {
     config_.profile->AddSpill(writer.bytes_written());
   }
   run_paths_.push_back(path);
-  ReleaseTable();
-  return Status::OK();
-}
-
-void HashSortGrouper::ReleaseTable() {
-  // Draining means the table outgrew the budget. TableBytes() charges
+  // Spilling means the table outgrew the budget. TableBytes() charges
   // capacities, so the memory must actually be released here — a cleared
   // table that keeps its high-water capacity would sit at the budget
-  // ceiling forever and degrade into draining a one-group batch per Add.
+  // ceiling forever and degrade into spilling a one-group run per Add.
   groups_.clear();
   groups_.shrink_to_fit();
   key_arena_.clear();
@@ -741,27 +640,6 @@ void HashSortGrouper::ReleaseTable() {
   slots_.shrink_to_fit();
   acc_bytes_ = 0;
   uniform_key_size_ = -1;
-  tuples_since_drain_ = 0;
-}
-
-Status HashSortGrouper::EmitTable(const TupleEmitFn& emit) {
-  if (groups_.empty()) return Status::OK();
-  ScopedTimeCategory group_by(TimeCategory::kGroupBy);
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(TableBytes());
-  }
-  std::vector<uint32_t> order;
-  SortedOrder(&order);
-  if (config_.metrics != nullptr) {
-    config_.metrics->AddCpuOps(order.size());
-  }
-  // Partial accumulators ship as-is — no final transform; the downstream
-  // group-by re-combines and finishes each key once.
-  for (uint32_t g : order) {
-    const Slice out[2] = {GroupKey(groups_[g]), Slice(groups_[g].acc)};
-    PREGELIX_RETURN_NOT_OK(emit(out));
-  }
-  ReleaseTable();
   return Status::OK();
 }
 
@@ -770,19 +648,6 @@ Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
   finished_ = true;
   if (config_.profile != nullptr) {
     config_.profile->UpdateMemHwm(TableBytes());
-  }
-  if (eager_sink_) {
-    // The remainder streams out as one more partial table; the downstream
-    // group-by re-combines and applies the final transform once. Drains
-    // that combined poorly sit in run files and are merged across drains
-    // here (eager mode requires a transform-free combiner — see the sort
-    // grouper's Finish).
-    PREGELIX_CHECK(!combiner_.finish);
-    PREGELIX_RETURN_NOT_OK(EmitTable(emit));
-    if (run_paths_.empty()) return Status::OK();
-    std::vector<std::string> runs = std::move(run_paths_);
-    run_paths_.clear();
-    return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
   }
   if (run_paths_.empty()) {
     ScopedTimeCategory group_by(TimeCategory::kGroupBy);

@@ -19,6 +19,18 @@ namespace pregelix {
 
 struct OperatorProfile;  // dataflow/plan_profile.h
 
+/// Inert: perfbench/perfbench.cc still reads these names; drop them when the
+/// benchmark next changes. Every counter is 0.
+struct OverlapRuntime {
+  struct Counters {
+    uint64_t hits() const { return 0; }
+    uint64_t wasted() const { return 0; }
+    uint64_t stall_count() const { return 0; }
+  };
+  Counters prefetch() const { return {}; }
+  Counters writebehind() const { return {}; }
+};
+
 /// Streaming consumer of sorted output: called once per tuple, in key order.
 using TupleEmitFn = std::function<Status(std::span<const Slice> fields)>;
 
@@ -51,12 +63,9 @@ struct SortConfig {
   int merge_fanin = 16;
   /// Plan-profile slot of the driving operator clone (null = unprofiled).
   /// The groupers record their memory high-water mark at spill/finish
-  /// boundaries, each spilled run's byte volume, and foreground ns blocked
-  /// on overlapped run-file I/O into it.
+  /// boundaries and each spilled run's byte volume into it.
   OperatorProfile* profile = nullptr;
-  /// Overlap runtime for run-file I/O (DESIGN.md §19): spills go through
-  /// the write-behind queue and merge refills are prefetched. Null means
-  /// strictly synchronous runs.
+  /// Inert: perfbench/perfbench.cc still sets it; nothing reads it.
   OverlapRuntime* overlap = nullptr;
 };
 
@@ -80,26 +89,11 @@ class ExternalSortGrouper {
   /// The instance is exhausted afterwards.
   Status Finish(const TupleEmitFn& emit);
 
-  /// Eager shuffle mode (DESIGN.md §19): when a sink is set, a budget
-  /// overflow whose previous batch combined heavily (distinct keys at most
-  /// half the tuples — duplicates cluster locally, so a cross-batch run
-  /// merge would have little left to collapse) drains the sorted,
-  /// pre-combined batch straight to the sink instead of spilling a run
-  /// file; poorly-combining batches keep spilling so cross-batch
-  /// duplicates are still merged before they reach the wire. Finish streams
-  /// the remainder (and merges any spilled runs) without the combiner's
-  /// final transform — the downstream group-by re-combines the partial
-  /// groups and applies the transform once. A key may therefore be emitted
-  /// once per drained batch. Must be set before the first Add; Finish must
-  /// then be called with this same sink.
-  void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
-
   int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
 
  private:
   Status SpillBatch();
-  /// Sorts the in-memory batch, feeds it (combined if configured) to fn,
-  /// and records the batch's group/tuple counts for the eager-ship gate.
+  /// Sorts the in-memory batch and feeds it (combined if configured) to fn.
   Status DrainBatchSorted(const TupleEmitFn& fn);
   /// Sorts entries_ by key (norm-prefix fast path); charges the sort's CPU.
   void SortBatch();
@@ -126,13 +120,6 @@ class ExternalSortGrouper {
   std::vector<Entry> entries_;
   std::vector<std::string> run_paths_;
   std::string acc_;  ///< reused accumulator buffer for combined drains
-  TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
-  /// The last drained batch's size (tuples in, distinct groups out): the
-  /// in-batch combining ratio the next eager-ship decision keys off. Falls
-  /// out of the drain loop for free; zero tuples = no flush yet, so the
-  /// first overflow spills.
-  uint64_t last_flush_groups_ = 0;
-  uint64_t last_flush_tuples_ = 0;
   /// Key width of the current batch when every key so far has one width
   /// ≤ 8 bytes (the cached norm prefix is then injective and the batch
   /// sort/group loops run on the entry strip alone); -1 = empty batch,
@@ -163,13 +150,6 @@ class HashSortGrouper {
   Status Add(std::span<const Slice> fields);
   Status Finish(const TupleEmitFn& emit);
 
-  /// Eager shuffle mode: a budget overflow whose table combined heavily
-  /// (groups at most half the tuples absorbed) streams the sorted partial
-  /// accumulators to `sink` instead of spilling; poorly-combining tables
-  /// keep spilling. See ExternalSortGrouper::SetEagerSink for the full
-  /// contract.
-  void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
-
   int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
 
  private:
@@ -191,10 +171,6 @@ class HashSortGrouper {
   /// Sorted-by-key view of groups_ (indices), using the cached norm keys.
   void SortedOrder(std::vector<uint32_t>* order) const;
   Status SpillTable();
-  /// Eager drain: sorted (key, partial-acc) stream to `emit`, then release.
-  Status EmitTable(const TupleEmitFn& emit);
-  /// Frees the table's memory after a spill or eager drain.
-  void ReleaseTable();
 
   SortConfig config_;
   GroupCombiner combiner_;
@@ -203,10 +179,6 @@ class HashSortGrouper {
   std::vector<uint32_t> slots_;  ///< open addressing; group index + 1, 0 empty
   int64_t acc_bytes_ = 0;        ///< signed sum of acc sizes (steps may shrink)
   std::vector<std::string> run_paths_;
-  TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
-  /// Tuples absorbed since the table was last drained; with groups_.size()
-  /// this is the in-table combining ratio the eager-ship decision keys off.
-  uint64_t tuples_since_drain_ = 0;
   /// One key width ≤ 8 across the table makes the cached norms distinct
   /// (keys are deduped), so the spill sort runs over a contiguous
   /// (norm, index) strip; -1 = empty, -2 = mixed or long keys.
@@ -261,7 +233,6 @@ class RunWriter {
   FrameTupleAppender appender_;
   std::unique_ptr<RunFileWriter> file_;
   std::string path_;
-  const SortConfig* config_;
   Status open_status_;
   uint64_t bytes_written_ = 0;
 };

@@ -93,7 +93,6 @@ OperatorStats& OperatorStats::operator+=(const OperatorStats& o) {
   mem_hwm_bytes = std::max(mem_hwm_bytes, o.mem_hwm_bytes);
   spill_count += o.spill_count;
   spill_bytes += o.spill_bytes;
-  io_wait_ns += o.io_wait_ns;
   return *this;
 }
 
@@ -110,7 +109,6 @@ OperatorStats SnapshotProfile(const OperatorProfile& p) {
   s.mem_hwm_bytes = p.mem_hwm_bytes.load(std::memory_order_relaxed);
   s.spill_count = p.spill_count.load(std::memory_order_relaxed);
   s.spill_bytes = p.spill_bytes.load(std::memory_order_relaxed);
-  s.io_wait_ns = p.io_wait_ns.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -439,7 +437,6 @@ void PlanProfile::RenderTree(std::ostream& os) const {
        << "x) · mem hwm " << HumanBytes(t.mem_hwm_bytes) << " · spills "
        << t.spill_count;
     if (t.spill_count > 0) os << " (" << HumanBytes(t.spill_bytes) << ")";
-    if (t.io_wait_ns > 0) os << " · io wait " << HumanNs(t.io_wait_ns);
     os << "\n";
   };
 
@@ -515,10 +512,7 @@ void PlanProfile::WriteJson(std::ostream& os, bool include_timing) const {
          << ",\"mem_hwm_bytes\":" << s.mem_hwm_bytes
          << ",\"spill_count\":" << s.spill_count
          << ",\"spill_bytes\":" << s.spill_bytes;
-      if (include_timing) {
-        os << ",\"wall_ns\":" << s.wall_ns
-           << ",\"io_wait_ns\":" << s.io_wait_ns;
-      }
+      if (include_timing) os << ",\"wall_ns\":" << s.wall_ns;
     };
     os << ",";
     stats_json(op.total);

@@ -42,18 +42,9 @@ struct OperatorProfile {
   std::atomic<uint64_t> mem_hwm_bytes{0};
   std::atomic<uint64_t> spill_count{0};
   std::atomic<uint64_t> spill_bytes{0};
-  /// Foreground ns this clone spent blocked on overlapped I/O (waiting for
-  /// a prefetched block or for the write-behind queue; DESIGN.md §19). The
-  /// overlap the pipeline recovered is wall_ns it did NOT spend here —
-  /// `pregelix explain` shows both, so a clone whose io_wait_ns stays near
-  /// its pre-overlap I/O time is one the pipeline failed to help.
-  std::atomic<uint64_t> io_wait_ns{0};
 
   void AddWall(uint64_t ns) {
     wall_ns.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void AddIoWait(uint64_t ns) {
-    io_wait_ns.fetch_add(ns, std::memory_order_relaxed);
   }
   void AddSpill(uint64_t bytes) {
     spill_count.fetch_add(1, std::memory_order_relaxed);
@@ -94,7 +85,6 @@ struct OperatorStats {
   uint64_t mem_hwm_bytes = 0;  ///< merged with max, not sum
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
-  uint64_t io_wait_ns = 0;  ///< foreground ns blocked on overlapped I/O
 
   OperatorStats& operator+=(const OperatorStats& o);
 };

@@ -19,16 +19,14 @@ namespace pregelix {
 class TupleRunWriter {
  public:
   TupleRunWriter(std::string path, size_t frame_size, int field_count,
-                 WorkerMetrics* metrics, OverlapRuntime* overlap = nullptr)
+                 WorkerMetrics* metrics)
       : path_(std::move(path)),
         metrics_(metrics),
-        overlap_(overlap),
         appender_(frame_size, field_count) {}
 
   Status Append(std::span<const Slice> fields) {
     if (file_ == nullptr) {
-      PREGELIX_RETURN_NOT_OK(
-          RunFileWriter::Open(path_, metrics_, overlap_, &file_));
+      PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(path_, metrics_, &file_));
     }
     if (!appender_.Append(fields)) {
       PREGELIX_RETURN_NOT_OK(file_->AppendBlock(appender_.FinalizeView()));
@@ -44,8 +42,7 @@ class TupleRunWriter {
   Status Finish() {
     if (file_ == nullptr) {
       // Create an empty run so readers see a valid (empty) relation.
-      PREGELIX_RETURN_NOT_OK(
-          RunFileWriter::Open(path_, metrics_, overlap_, &file_));
+      PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(path_, metrics_, &file_));
     }
     if (!appender_.empty()) {
       PREGELIX_RETURN_NOT_OK(file_->AppendBlock(appender_.FinalizeView()));
@@ -56,15 +53,10 @@ class TupleRunWriter {
 
   uint64_t count() const { return count_; }
   const std::string& path() const { return path_; }
-  /// Foreground ns spent blocked on the write-behind queue (DESIGN.md §19).
-  uint64_t io_wait_ns() const {
-    return file_ != nullptr ? file_->io_wait_ns() : 0;
-  }
 
  private:
   std::string path_;
   WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_;
   FrameTupleAppender appender_;
   std::unique_ptr<RunFileWriter> file_;
   uint64_t count_ = 0;
@@ -73,17 +65,13 @@ class TupleRunWriter {
 /// Tuple-granular cursor over a frame run file.
 class TupleRunReader {
  public:
-  TupleRunReader(std::string path, int field_count, WorkerMetrics* metrics,
-                 OverlapRuntime* overlap = nullptr)
-      : path_(std::move(path)),
-        accessor_(field_count),
-        metrics_(metrics),
-        overlap_(overlap) {}
+  TupleRunReader(std::string path, int field_count, WorkerMetrics* metrics)
+      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
 
   /// Opens and positions at the first tuple. A missing file yields an empty
   /// (immediately invalid) cursor.
   Status Init() {
-    Status s = RunFileReader::Open(path_, metrics_, overlap_, &reader_);
+    Status s = RunFileReader::Open(path_, metrics_, &reader_);
     if (!s.ok()) {
       valid_ = false;
       return Status::OK();
@@ -100,11 +88,6 @@ class TupleRunReader {
   }
 
   Slice field(int f) const { return accessor_.field(index_, f); }
-
-  /// Foreground ns spent blocked waiting for a prefetched frame (§19).
-  uint64_t io_wait_ns() const {
-    return reader_ != nullptr ? reader_->io_wait_ns() : 0;
-  }
 
  private:
   Status Advance() {
@@ -131,7 +114,6 @@ class TupleRunReader {
   int index_ = 0;
   bool valid_ = false;
   WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_ = nullptr;
 };
 
 }  // namespace pregelix

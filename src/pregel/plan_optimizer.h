@@ -65,8 +65,9 @@ struct OptimizerFeedback {
   /// Combine-op worker skew (max/median wall) from the plan profile; 1.0
   /// when unknown (profiling off).
   double groupby_skew = 1.0;
-  /// Combine-op input/output tuple counts from the plan profile; 0 when
-  /// unknown. Their ratio is the combiner reduction factor.
+  /// Combine-op input tuples (plan profile) and the combined messages it
+  /// wrote; 0 when unknown (profiling off). Their ratio is the combiner
+  /// reduction factor.
   uint64_t combine_tuples_in = 0;
   uint64_t combine_tuples_out = 0;
   /// The stall watchdog flagged this superstep while it ran.

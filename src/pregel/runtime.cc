@@ -374,8 +374,10 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
         for (const PlanOperatorProfile& op : stats.profile->ops()) {
           if (op.name == "combine-msgs") {
             fb.groupby_skew = op.skew;
+            // combine-msgs is a sink (its profile tuples_out stays 0): what
+            // it wrote are the superstep's combined messages.
             fb.combine_tuples_in = op.total.tuples_in;
-            fb.combine_tuples_out = op.total.tuples_out;
+            fb.combine_tuples_out = static_cast<uint64_t>(ctx->gs.messages);
           }
         }
       }
@@ -572,13 +574,6 @@ Status PregelixRuntime::WriteCheckpoint(JobRuntimeContext* ctx,
         manifest += "file " + f.name + " " + std::to_string(f.size) + " " +
                     std::to_string(f.checksum) + "\n";
       }
-    }
-    // Belt-and-suspenders drain (DESIGN.md §19): every snapshot writer
-    // already waited its own ticket in Finish(), but the MANIFEST is the
-    // checkpoint's commit point, so nothing may still sit in the
-    // write-behind queue when it lands.
-    if (cluster_->overlap() != nullptr) {
-      cluster_->overlap()->writebehind().Drain("checkpoint.manifest");
     }
     PREGELIX_RETURN_NOT_OK(fault::MaybeFail("pregel.checkpoint.manifest"));
     return dfs_->Write(dir + "/MANIFEST", manifest);

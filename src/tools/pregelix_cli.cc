@@ -78,16 +78,6 @@ void ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
                                      : VertexStorage::kBTree;
 }
 
-/// Parses --overlap=on|off|auto into the cluster config (DESIGN.md §19).
-/// kAuto (the default) currently enables the overlap runtime; kOff is the
-/// phase-serial baseline.
-void ApplyOverlapFlag(const Flags& flags, ClusterConfig* config) {
-  const std::string overlap = flags.Get("overlap", "auto");
-  config->overlap = overlap == "off"  ? OverlapMode::kOff
-                    : overlap == "on" ? OverlapMode::kOn
-                                      : OverlapMode::kAuto;
-}
-
 /// Builds the type-erased adapter for a typed vertex program; the deleter's
 /// capture keeps the typed program alive as long as the adapter.
 template <typename Program, typename... Args>
@@ -154,10 +144,6 @@ commands:
       --groupby=sort|hashsort|auto               (default sort)
       --connector=unmerged|merged|auto           (default unmerged)
       --storage=btree|lsm|auto                   (default btree)
-      --overlap=on|off|auto     overlapped superstep pipeline: prefetched run
-                                reads, write-behind spills/snapshots, eager
-                                shuffle group-by (auto = on; off = the
-                                phase-serial baseline)
                                 `auto` lets the feedback-driven plan
                                 optimizer re-choose per superstep (storage:
                                 once at admission)
@@ -197,8 +183,8 @@ commands:
       --profile-json=FILE       export the cumulative plan profile as JSON
                                 (timing-free: byte-identical across runs)
       --time-ledger             append the worker time-ledger rollup: category
-                                totals, per-operator time and io-wait, and the
-                                hottest contended locks (DESIGN.md section 20)
+                                totals, per-operator time, and the hottest
+                                contended locks (DESIGN.md section 20)
   verify     static plan verification without running anything (no --dfs or
              input graph needed): builds the load/superstep/dump/checkpoint/
              recovery plans the flags select and checks structure, declared
@@ -223,7 +209,7 @@ global flags:
 
 /// `explain --time-ledger`: where every attached engine-thread nanosecond
 /// went (DESIGN.md section 20) — category totals with shares, per-operator
-/// time and io-wait, the hottest contended locks, and the conservation
+/// time, the hottest contended locks, and the conservation
 /// residue. The same totals /profilez and the Prometheus exposition report.
 void PrintTimeLedger() {
   const TimeLedgerSnapshot snap = TimeLedger::Global().TakeSnapshot();
@@ -257,16 +243,10 @@ void PrintTimeLedger() {
     op_total[cell.label] += total;
   }
   if (!op_total.empty()) {
-    const std::map<std::string, int64_t> op_io_wait =
-        snap.ByLabel(TimeCategory::kIoWait);
-    printf("\n%-28s %12s %12s\n", "operator", "seconds", "io-wait-s");
+    printf("\n%-28s %12s\n", "operator", "seconds");
     for (const auto& [label, total_ns] : op_total) {
-      const auto it = op_io_wait.find(label);
-      printf("%-28s %12.6f %12.6f\n", label.c_str(),
-             static_cast<double>(total_ns) / 1e9,
-             it == op_io_wait.end()
-                 ? 0.0
-                 : static_cast<double>(it->second) / 1e9);
+      printf("%-28s %12.6f\n", label.c_str(),
+             static_cast<double>(total_ns) / 1e9);
     }
   }
 
@@ -458,7 +438,6 @@ Status VerifyCommand(const Flags& flags) {
   config.worker_ram_bytes =
       static_cast<size_t>(flags.GetInt("worker-ram-mb", 16)) << 20;
   config.temp_root = scratch.Sub("cluster");
-  ApplyOverlapFlag(flags, &config);
   SimulatedCluster cluster(config);
 
   PregelixJobConfig job;
@@ -491,7 +470,6 @@ Status RunCommand(const Flags& flags, bool explain) {
   config.worker_ram_bytes =
       static_cast<size_t>(flags.GetInt("worker-ram-mb", 16)) << 20;
   config.temp_root = scratch.Sub("cluster");
-  ApplyOverlapFlag(flags, &config);
   const std::string trace_out = flags.Get("trace-out");
   const std::string metrics_json = flags.Get("metrics-json");
   const std::string metrics_prom = flags.Get("metrics-prom");

@@ -551,5 +551,69 @@ TEST(AdaptiveEndToEndTest, CcUnderAutoFlipsJoinToLeftOuter) {
   }
 }
 
+// The combiner-reduction signal end to end: a job whose group-by sits on
+// sort (forced at superstep 1 here, where a spill demotion would leave it)
+// must be re-promoted to hash pre-aggregation once the combiner
+// demonstrably reduces with nothing spilling. On a complete graph every
+// vertex hears from all three sender partitions, so the receive-side
+// combine folds 3:1 — past the 2.0 re-promotion threshold.
+TEST(AdaptiveEndToEndTest, CombinerReductionRepromotesHashGroupBy) {
+  TempDir dir("adaptive-repromote");
+  DistributedFileSystem dfs(dir.Sub("dfs"));
+  constexpr int64_t kVertices = 48;
+  InMemoryGraph graph;
+  graph.adj.resize(kVertices);
+  for (int64_t v = 0; v < kVertices; ++v) {
+    for (int64_t u = 0; u < kVertices; ++u) {
+      if (u != v) graph.adj[v].push_back(u);
+    }
+  }
+  ASSERT_TRUE(WriteGraph(dfs, "complete", graph, 3).ok());
+
+  ClusterConfig config;
+  config.num_workers = 3;
+  config.temp_root = dir.Sub("cluster");
+  SimulatedCluster cluster(config);
+  PregelixRuntime runtime(&cluster, &dfs);
+
+  PregelixJobConfig job;
+  job.name = "pagerank-repromote";
+  job.input_dir = "complete";
+  job.output_dir = "out";
+  job.join = JoinStrategy::kFullOuter;
+  job.groupby = GroupByStrategy::kAuto;
+  job.groupby_connector = GroupByConnector::kUnmerged;
+
+  SetPlanDecisionOverrideForTesting([](int64_t superstep, PlanDecision* d) {
+    if (superstep != 1) return false;
+    d->groupby = GroupByStrategy::kSort;
+    return true;
+  });
+  PageRankProgram program(/*iterations=*/6);
+  PageRankProgram::Adapter adapter(&program);
+  JobResult result;
+  const Status s = runtime.Run(&adapter, job, &result);
+  SetPlanDecisionOverrideForTesting(nullptr);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  ASSERT_FALSE(result.plan_decisions.empty());
+  EXPECT_EQ(result.plan_decisions.front().plan.groupby,
+            GroupByStrategy::kSort);
+  const PlanDecisionRecord* promoted = nullptr;
+  for (const PlanDecisionRecord& r : result.plan_decisions) {
+    if (r.switched.find("groupby") != std::string::npos &&
+        r.plan.groupby == GroupByStrategy::kHashSort) {
+      promoted = &r;
+      break;
+    }
+  }
+  ASSERT_NE(promoted, nullptr)
+      << "sort group-by was never re-promoted although the combiner "
+         "folds 3:1 with no spills";
+  EXPECT_EQ(promoted->reason.rfind("reduction=", 0), 0u) << promoted->reason;
+  EXPECT_EQ(result.plan_decisions.back().plan.groupby,
+            GroupByStrategy::kHashSort);
+}
+
 }  // namespace
 }  // namespace pregelix

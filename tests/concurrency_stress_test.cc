@@ -204,106 +204,6 @@ TEST_F(ConcurrencyStressTest, JobsVsScrapesVsFaultReconfig) {
   EXPECT_EQ(pr_result.supersteps, 11);
 }
 
-TEST_F(ConcurrencyStressTest, OverlapPipelineVsScrapesVsFaultReconfig) {
-  // Overlap-pipeline stress (DESIGN.md §19): a 1-byte write-behind budget
-  // makes every enqueue against a non-empty queue take the stall path, so
-  // the prefetch pool and write-behind worker stay hot and contended for
-  // the whole job, while (1) a scraper hammers PublishMetrics — reading the
-  // pregelix.io.* gauges off the live counters — and (2) a reconfig thread
-  // flips the overlap fault points' armed state, pushing every background
-  // MaybeFail onto the fully locked injector path. Exercises the overlap
-  // locks (ranks 22/24) against the cluster lock, the metrics registry and
-  // the fault injector from all sides at once.
-  GraphStats stats;
-  ASSERT_TRUE(
-      GenerateBtcLike(dfs_, "input/overlap", 2, 200, 6.0, 7, &stats).ok());
-  InMemoryGraph graph;
-  ASSERT_TRUE(LoadGraph(dfs_, "input/overlap", &graph).ok());
-  const std::vector<double> expected = SsspRef(graph, 0);
-
-  ClusterConfig config = config_;
-  config.overlap = OverlapMode::kOn;
-  config.writebehind_budget_bytes = 1;
-  config.temp_root = dir_.Sub("cluster-overlap");
-  SimulatedCluster cluster(config);
-  PregelixRuntime runtime(&cluster, &dfs_);
-  ASSERT_NE(cluster.overlap(), nullptr);
-
-  std::atomic<bool> done{false};
-  std::atomic<int> scrape_rounds{0};
-
-  std::thread metrics_scraper([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      cluster.PublishMetrics();
-      std::ostringstream json;
-      MetricsRegistry::Global().WriteJson(json);
-      EXPECT_NE(json.str().find("pregelix.io.writebehind_queue_bytes"),
-                std::string::npos);
-      // Raw counter reads race the worker threads' updates (atomics).
-      (void)cluster.overlap()->prefetch().hits();
-      (void)cluster.overlap()->prefetch().wasted();
-      (void)cluster.overlap()->writebehind().queue_bytes();
-      (void)cluster.overlap()->writebehind().stall_count();
-      scrape_rounds.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-  });
-
-  // Arming flips any_armed(), so the prefetch/write-behind threads take the
-  // locked MaybeFail path at their injection sites; hit 2^60 never fires.
-  std::thread fault_reconfig([&] {
-    fault::FaultSpec spec;
-    spec.trigger = fault::Trigger::kNthHit;
-    spec.n = uint64_t{1} << 60;
-    while (!done.load(std::memory_order_relaxed)) {
-      fault::FaultInjector::Global().Arm("io.prefetch.read", spec);
-      fault::FaultInjector::Global().Arm("io.writebehind.flush", spec);
-      (void)fault::FaultInjector::Global().Stats("io.writebehind.flush");
-      fault::FaultInjector::Global().Disarm("io.prefetch.read");
-      fault::FaultInjector::Global().Disarm("io.writebehind.flush");
-      std::this_thread::yield();
-    }
-  });
-
-  // LSM storage routes component flushes through the write-behind queue on
-  // top of the run-file appends; the unmerged connector keeps the eager
-  // group-by sink in play.
-  SsspProgram sssp(0);
-  SsspProgram::Adapter adapter(&sssp);
-  PregelixJobConfig job;
-  job.name = "stress-overlap";
-  job.input_dir = "input/overlap";
-  job.output_dir = "output/overlap";
-  job.join = JoinStrategy::kFullOuter;
-  job.storage = VertexStorage::kLsmBTree;
-  job.groupby_connector = GroupByConnector::kUnmerged;
-  JobResult result;
-  Status s = runtime.Run(&adapter, job, &result);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-
-  done.store(true, std::memory_order_relaxed);
-  metrics_scraper.join();
-  fault_reconfig.join();
-
-  EXPECT_GT(scrape_rounds.load(), 0);
-  // The job really ran through the overlap pipeline, not the sync fallback.
-  EXPECT_GT(cluster.overlap()->prefetch().hits() +
-                cluster.overlap()->prefetch().misses(),
-            0u);
-  EXPECT_EQ(cluster.overlap()->writebehind().queue_bytes(), 0u);
-
-  // Contention must not have perturbed the computation.
-  auto output = ParseOutput(dfs_, "output/overlap");
-  ASSERT_EQ(output.size(), static_cast<size_t>(graph.num_vertices()));
-  for (auto& [vid, value] : output) {
-    if (expected[vid] < 0) {
-      EXPECT_EQ(value, "inf");
-    } else {
-      EXPECT_NEAR(std::stod(value), expected[vid], 1e-9) << "vid " << vid;
-    }
-  }
-}
-
 TEST_F(ConcurrencyStressTest, HistogramSnapshotsDuringConcurrentObserves) {
   // Regression stress for the Observe/count ordering: a snapshot that
   // reads count == n must see >= n bucket increments, so the percentile

@@ -154,11 +154,8 @@ class TortureTest : public ::testing::Test {
   }
 
   /// Runs one seeded crash schedule end to end and compares the recovered
-  /// output byte-for-byte against the undisturbed baseline. When
-  /// `point_override` is set every crash in the schedule is pinned to that
-  /// fault point instead of drawing one from kCrashPoints.
-  void RunSchedule(uint64_t seed, bool pagerank, const Plan& plan,
-                   const char* point_override = nullptr) {
+  /// output byte-for-byte against the undisturbed baseline.
+  void RunSchedule(uint64_t seed, bool pagerank, const Plan& plan) {
     SCOPED_TRACE("schedule seed " + std::to_string(seed) + " plan " +
                  PlanKey(plan));
     const std::map<std::string, std::string>& baseline =
@@ -182,9 +179,7 @@ class TortureTest : public ::testing::Test {
       spec.action = Action::kCrash;
       spec.scope_superstep =
           1 + static_cast<int64_t>(rnd.Uniform(superstep_range));
-      const char* point = point_override != nullptr
-                              ? point_override
-                              : kCrashPoints[rnd.Uniform(kNumCrashPoints)];
+      const char* point = kCrashPoints[rnd.Uniform(kNumCrashPoints)];
       FaultInjector::Global().Arm(point, spec);
       job.resume = i > 0;
       JobResult result;
@@ -342,44 +337,15 @@ TEST_F(TortureTest, PageRankSurvivesEightRandomizedCrashSchedules) {
   EXPECT_GE(crashes_fired_, 5) << "too few schedules crashed mid-run";
 }
 
-// Crash schedules pinned to the overlap pipeline's background fault points
-// (DESIGN.md §19). io.writebehind.flush fires on the write-behind worker —
-// inside async run-file appends and deferred LSM component flushes;
-// io.prefetch.read fires on the read-ahead pool. Both latch into their
-// ticket/slot and only surface at the next Await / WaitTicket / Drain
-// barrier, so these schedules prove a crash on a *background* thread
-// unwinds and recovers exactly like a foreground one. The LSM plans also
-// exercise the deferred-flush rollback: a component whose flush dies before
-// the CURRENT commit must vanish on recovery.
-TEST_F(TortureTest, BackgroundOverlapCrashesRecoverByteIdentically) {
-  const Plan plans[] = {
-      {JoinStrategy::kFullOuter, GroupByStrategy::kSort,
-       GroupByConnector::kUnmerged, VertexStorage::kLsmBTree},
-      {JoinStrategy::kLeftOuter, GroupByStrategy::kHashSort,
-       GroupByConnector::kMerged, VertexStorage::kLsmBTree},
-      {JoinStrategy::kFullOuter, GroupByStrategy::kHashSort,
-       GroupByConnector::kUnmerged, VertexStorage::kBTree},
-  };
-  const char* const kOverlapPoints[] = {"io.writebehind.flush",
-                                        "io.prefetch.read"};
-  for (uint64_t seed = 201; seed <= 208; ++seed) {
-    ASSERT_NO_FATAL_FAILURE(RunSchedule(seed, /*pagerank=*/false,
-                                        plans[(seed - 201) % 3],
-                                        kOverlapPoints[seed % 2]));
-  }
-  EXPECT_GE(crashes_fired_, 4) << "too few schedules crashed mid-run";
-}
-
-// A torn write-behind append: the fault truncates the block mid-flush on
-// the background worker and latches kIoError into the ticket. The per-file
-// drain barrier in RunFileWriter::Finish must surface it — a half-written
-// run must never be silently committed — so the job fails like any
-// synchronous I/O error, and a resume from the previous checkpoint is
-// byte-identical: the torn prefix that did reach disk is invisible after
-// recovery. Superstep 3 sits between checkpoints (interval 2) and runs no
-// checkpoint job of its own, so the scoped fire deterministically lands in
-// a superstep writer rather than inside the checkpoint's retry loop.
-TEST_F(TortureTest, TornWriteBehindSurfacesAtFinishAndResumesByteIdentically) {
+// A torn run-file append: the fault writes half of a buffered flush to disk
+// and fails it with kIoError. A half-written run must never be silently
+// committed, so the job fails like any other I/O error (not as a simulated
+// crash), and a resume from the previous checkpoint is byte-identical: the
+// torn prefix that did reach disk is invisible after recovery. Superstep 3
+// sits between checkpoints (interval 2) and runs no checkpoint job of its
+// own, and its superstep writers append long before the runtime's retried GS
+// write, so the single scoped fire deterministically tears a superstep run.
+TEST_F(TortureTest, TornRunFileAppendFailsTheJobAndResumesByteIdentically) {
   const Plan plan = {JoinStrategy::kFullOuter, GroupByStrategy::kSort,
                      GroupByConnector::kUnmerged, VertexStorage::kLsmBTree};
   const std::map<std::string, std::string>& baseline =
@@ -387,24 +353,27 @@ TEST_F(TortureTest, TornWriteBehindSurfacesAtFinishAndResumesByteIdentically) {
   ASSERT_FALSE(baseline.empty());
 
   PregelixJobConfig job;
-  job.name = "torn-writebehind";
-  job.job_id = "torn-writebehind";
+  job.name = "torn-append";
+  job.job_id = "torn-append";
   job.input_dir = "input";
-  job.output_dir = "out-torn-writebehind";
+  job.output_dir = "out-torn-append";
   job.checkpoint_interval = 2;
   FaultSpec spec;
   spec.action = Action::kTornWrite;
   spec.scope_superstep = 3;
   spec.max_fires = 1;
-  FaultInjector::Global().Arm("io.writebehind.flush", spec);
+  FaultInjector::Global().Arm("io.file.write", spec);
   JobResult result;
   Status s = RunOnce(/*pagerank=*/false, plan, job, &result);
-  const auto stats = FaultInjector::Global().Stats("io.writebehind.flush");
+  const auto stats = FaultInjector::Global().Stats("io.file.write");
   FaultInjector::Global().Reset();
   ASSERT_GE(stats.fires, 1u) << "the torn write never fired";
-  ASSERT_FALSE(s.ok()) << "a torn write-behind block went undetected";
+  ASSERT_FALSE(s.ok()) << "a torn run-file append went undetected";
   ASSERT_FALSE(s.IsAborted())
       << "torn write surfaced as a crash, not an I/O error: " << s.ToString();
+  // The tear hit a superstep operator's run, not the runtime's GS write.
+  EXPECT_NE(s.ToString().find("torn-append-superstep-3/"), std::string::npos)
+      << s.ToString();
 
   job.resume = true;
   s = RunOnce(/*pagerank=*/false, plan, job, &result);

@@ -15,13 +15,7 @@
 # experiment carries a finite adaptive/best-static ratio, and SSSP and
 # PageRank stay within the acceptance bar (DESIGN.md §17).
 #
-# With a sixth and seventh argument — the bench_overlap binary and its JSON
-# output path — it also runs the overlap-pipeline bench in FAST mode and
-# validates the artifact: every experiment carries a finite per-iteration
-# speedup >= 1.0 (the overlapped pipeline must never lose to phase-serial;
-# DESIGN.md §19).
-#
-# With an eighth and ninth argument — the bench_ledger binary and its JSON
+# With a sixth and seventh argument — the bench_ledger binary and its JSON
 # output path — it also runs the time-ledger overhead bench in FAST mode and
 # validates the artifact: every experiment's simulated-time delta between
 # ledger-on and ledger-off stays within the 2% gate and the ledger-on arm
@@ -29,15 +23,13 @@
 #
 # usage: bench_smoke.sh <bench_micro_dataflow binary> <output json> \
 #            [pregelix-cli] [bench_adaptive binary] [adaptive json] \
-#            [bench_overlap binary] [overlap json] \
 #            [bench_ledger binary] [ledger json]
 
 set -u
 
-if [ "$#" -lt 2 ] || [ "$#" -gt 9 ]; then
+if [ "$#" -lt 2 ] || [ "$#" -gt 7 ]; then
   echo "usage: $0 <bench-binary> <out.json> [pregelix-cli]" \
-       "[bench-adaptive] [adaptive.json] [bench-overlap] [overlap.json]" \
-       "[bench-ledger] [ledger.json]" >&2
+       "[bench-adaptive] [adaptive.json] [bench-ledger] [ledger.json]" >&2
   exit 2
 fi
 BIN="$1"
@@ -45,10 +37,8 @@ OUT="$2"
 CLI="${3:-}"
 ADAPTIVE_BIN="${4:-}"
 ADAPTIVE_OUT="${5:-}"
-OVERLAP_BIN="${6:-}"
-OVERLAP_OUT="${7:-}"
-LEDGER_BIN="${8:-}"
-LEDGER_OUT="${9:-}"
+LEDGER_BIN="${6:-}"
+LEDGER_OUT="${7:-}"
 
 # A tiny min_time runs each benchmark for a single iteration batch. (The
 # pinned google-benchmark predates the `--benchmark_min_time=1x` syntax.)
@@ -104,33 +94,6 @@ for required in ("sssp", "pagerank"):
         sys.exit(f"bench_smoke: adaptive JSON lacks a {required} experiment")
 print(f"bench_smoke: OK ({len(experiments)} adaptive experiments, "
       "ratios within the acceptance bar)")
-EOF
-fi
-
-# --- Optional: overlap-pipeline bench smoke ----------------------------------
-if [ -n "$OVERLAP_BIN" ] && [ -n "$OVERLAP_OUT" ]; then
-  PREGELIX_BENCH_OVERLAP_FAST=1 "$OVERLAP_BIN" "$OVERLAP_OUT" \
-      > /dev/null || {
-    echo "bench_smoke: $OVERLAP_BIN failed" >&2
-    exit 1
-  }
-  python3 - "$OVERLAP_OUT" <<'EOF' || exit 1
-import json, math, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-experiments = doc.get("experiments", [])
-if not experiments:
-    sys.exit("bench_smoke: no experiments in overlap JSON")
-for e in experiments:
-    for key in ("algorithm", "serial_iter_sim_seconds",
-                "overlapped_iter_sim_seconds", "speedup_iteration"):
-        if key not in e:
-            sys.exit(f"bench_smoke: overlap entry missing '{key}': {e}")
-    speedup = e["speedup_iteration"]
-    if not math.isfinite(speedup) or speedup < 1.0:
-        sys.exit(f"bench_smoke: overlap speedup {speedup} below 1.0 in {e}")
-print(f"bench_smoke: OK ({len(experiments)} overlap experiments, "
-      "speedups >= 1.0)")
 EOF
 fi
 

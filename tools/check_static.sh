@@ -23,7 +23,9 @@
 # Stages whose toolchain is absent (no clang / clang-tidy on the box) are
 # SKIPPED with a notice rather than failed, so the gate degrades on
 # gcc-only machines; CI images with clang run everything. Any stage that
-# runs and fails fails the script.
+# runs and fails fails the script. The last line of every run names the
+# stages that were checked and the stages that were NOT (skipped, or not
+# requested), so a green run on a gcc-only box says what it left out.
 
 set -u
 
@@ -41,11 +43,20 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 FAILED=0
-SKIPPED=0
+CHECKED=()
+UNCHECKED=()
+STAGE=""
 
-note()  { printf '\n== check-static: %s\n' "$*"; }
-skip()  { printf '   SKIPPED: %s\n' "$*"; SKIPPED=$((SKIPPED + 1)); }
-fail()  { printf '   FAILED: %s\n' "$*"; FAILED=$((FAILED + 1)); }
+# `stage NAME TITLE` opens a stage; each stage then ends in exactly one of
+# ok / fail (it ran: checked) or skip (it did not run: NOT checked).
+stage() { STAGE="$1"; printf '\n== check-static: %s\n' "$2"; }
+ok()    { [ -n "$*" ] && printf '   OK: %s\n' "$*"; CHECKED+=("$STAGE"); }
+skip()  { printf '   SKIPPED: %s\n' "$*"; UNCHECKED+=("$STAGE"); }
+fail() {
+  printf '   FAILED: %s\n' "$*"
+  FAILED=$((FAILED + 1))
+  CHECKED+=("$STAGE")
+}
 
 find_clang() {
   for c in clang++ clang++-18 clang++-17 clang++-16 clang++-15 clang++-14; do
@@ -61,7 +72,7 @@ find_tidy() {
 }
 
 # --- 1. Thread-safety analysis build ---------------------------------------
-note "thread-safety analysis build (-Wthread-safety -Werror)"
+stage thread-safety "thread-safety analysis build (-Wthread-safety -Werror)"
 CLANG="$(find_clang)"
 if [ -z "$CLANG" ]; then
   skip "no clang++ on PATH (gcc cannot run Clang Thread Safety Analysis)"
@@ -73,7 +84,7 @@ else
         > "$BUILD_TSA.configure.log" 2>&1 \
      && cmake --build "$BUILD_TSA" -j "$JOBS" > "$BUILD_TSA.build.log" 2>&1
   then
-    echo "   OK: thread-safety build clean"
+    ok "thread-safety build clean"
   else
     tail -n 40 "$BUILD_TSA.build.log" "$BUILD_TSA.configure.log" 2>/dev/null
     fail "thread-safety build (logs: $BUILD_TSA.*.log)"
@@ -81,7 +92,7 @@ else
 fi
 
 # --- 2. clang-tidy ----------------------------------------------------------
-note "clang-tidy over src/ (.clang-tidy at repo root)"
+stage clang-tidy "clang-tidy over src/ (.clang-tidy at repo root)"
 TIDY="$(find_tidy)"
 if [ -z "$TIDY" ]; then
   skip "no clang-tidy on PATH"
@@ -96,7 +107,7 @@ else
   else
     mapfile -t TIDY_SOURCES < <(find "$REPO/src" -name '*.cc' | sort)
     if "$TIDY" -p "$BUILD_CDB" --quiet "${TIDY_SOURCES[@]}"; then
-      echo "   OK: clang-tidy clean (${#TIDY_SOURCES[@]} files)"
+      ok "clang-tidy clean (${#TIDY_SOURCES[@]} files)"
     else
       fail "clang-tidy"
     fi
@@ -104,15 +115,16 @@ else
 fi
 
 # --- 3. DESIGN.md cross-check lints ----------------------------------------
-note "DESIGN.md cross-check lints (tools/lint_all.py)"
+stage lints "DESIGN.md cross-check lints (tools/lint_all.py)"
 if python3 "$REPO/tools/lint_all.py"; then
-  :
+  ok
 else
   fail "lint_all.py"
 fi
 
 # --- 3b. Static plan verification -------------------------------------------
-note "static plan verification (pregelix verify, DESIGN.md section 18)"
+stage plan-verify \
+  "static plan verification (pregelix verify, DESIGN.md section 18)"
 CLI_BIN="$REPO/build/src/tools/pregelix"
 if [ ! -x "$CLI_BIN" ]; then
   skip "no built pregelix CLI (build the default tree first)"
@@ -125,14 +137,14 @@ else
     --storage=lsm --configured-only \
     || VERIFY_OK=0
   if [ "$VERIFY_OK" = 1 ]; then
-    echo "   OK: example job plans verify clean"
+    ok "example job plans verify clean"
   else
     fail "pregelix verify"
   fi
 fi
 
 # --- 4. Bench smoke ---------------------------------------------------------
-note "bench smoke (kernels run, JSON output valid; server scrape)"
+stage bench-smoke "bench smoke (kernels run, JSON output valid; server scrape)"
 BENCH_BIN="$REPO/build/bench/bench_micro_dataflow"
 CLI_BIN="$REPO/build/src/tools/pregelix"
 if [ ! -x "$BENCH_BIN" ]; then
@@ -140,29 +152,32 @@ if [ ! -x "$BENCH_BIN" ]; then
 elif "$REPO/tools/bench_smoke.sh" "$BENCH_BIN" \
      "$REPO/build/BENCH_kernels.json" \
      "$([ -x "$CLI_BIN" ] && echo "$CLI_BIN")"; then
-  :
+  ok
 else
   fail "bench_smoke.sh"
 fi
 
 # --- 5. Optional: TSan suite ------------------------------------------------
 if [ "$RUN_TSAN" = 1 ]; then
-  note "ThreadSanitizer suite (PREGELIX_SANITIZE=thread, ctest -L tsan)"
+  stage tsan "ThreadSanitizer suite (PREGELIX_SANITIZE=thread, ctest -L tsan)"
   BUILD_TSAN="$REPO/build-tsan"
   if cmake -B "$BUILD_TSAN" -S "$REPO" -DPREGELIX_SANITIZE=thread \
         > "$BUILD_TSAN.configure.log" 2>&1 \
      && cmake --build "$BUILD_TSAN" -j "$JOBS" > "$BUILD_TSAN.build.log" 2>&1 \
      && (cd "$BUILD_TSAN" && ctest -L tsan --output-on-failure -j "$JOBS")
   then
-    echo "   OK: tsan suites clean"
+    ok "tsan suites clean"
   else
     fail "TSan suite (logs: $BUILD_TSAN.*.log)"
   fi
+else
+  UNCHECKED+=("tsan (not requested)")
 fi
 
 # --- 6. Optional: UBSan suite -----------------------------------------------
 if [ "$RUN_UBSAN" = 1 ]; then
-  note "UndefinedBehaviorSanitizer suite (PREGELIX_SANITIZE=undefined, ctest -L tier1)"
+  stage ubsan \
+    "UndefinedBehaviorSanitizer suite (PREGELIX_SANITIZE=undefined, ctest -L tier1)"
   BUILD_UBSAN="$REPO/build-ubsan"
   if cmake -B "$BUILD_UBSAN" -S "$REPO" -DPREGELIX_SANITIZE=undefined \
         > "$BUILD_UBSAN.configure.log" 2>&1 \
@@ -171,12 +186,16 @@ if [ "$RUN_UBSAN" = 1 ]; then
          && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
             ctest -L tier1 --output-on-failure -j "$JOBS")
   then
-    echo "   OK: ubsan suites clean"
+    ok "ubsan suites clean"
   else
     fail "UBSan suite (logs: $BUILD_UBSAN.*.log)"
   fi
+else
+  UNCHECKED+=("ubsan (not requested)")
 fi
 
 # --- Summary ---------------------------------------------------------------
-printf '\n== check-static: %d failed, %d skipped\n' "$FAILED" "$SKIPPED"
+join() { local IFS=,; echo "${*:-none}" | sed 's/,/, /g'; }
+printf '\n== check-static: %d failed; checked: %s; NOT checked: %s\n' \
+  "$FAILED" "$(join "${CHECKED[@]}")" "$(join "${UNCHECKED[@]}")"
 [ "$FAILED" = 0 ]
