@@ -101,6 +101,46 @@ void BM_BTreeFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeFullScan)->Unit(benchmark::kMillisecond);
 
+void BM_BTreeScanUpdateInPlace(benchmark::State& state) {
+  // The full-outer join's write-back: a scan that overwrites each current
+  // key with a same-length value.
+  BTreeFixture f(4096, 100000);
+  const std::string value(64, 'u');
+  for (auto _ : state) {
+    auto it = f.tree->NewIterator();
+    PREGELIX_CHECK(it->SeekToFirst().ok());
+    int64_t count = 0;
+    while (it->Valid()) {
+      PREGELIX_CHECK(f.tree->Upsert(it->key(), value).ok());
+      ++count;
+      PREGELIX_CHECK(it->Next().ok());
+    }
+    benchmark::DoNotOptimize(count);
+    state.SetItemsProcessed(state.items_processed() + count);
+  }
+}
+BENCHMARK(BM_BTreeScanUpdateInPlace)->Unit(benchmark::kMillisecond);
+
+void BM_BTreeSortedProbeSweep(benchmark::State& state) {
+  // The left-outer join's probe: Get then a same-length Upsert of every 4th
+  // key, in key order.
+  BTreeFixture f(4096, 100000);
+  const std::string update(64, 'p');
+  std::string value;
+  for (auto _ : state) {
+    int64_t count = 0;
+    for (int64_t vid = 0; vid < 100000; vid += 4) {
+      const std::string key = OrderedKeyI64(vid);
+      PREGELIX_CHECK(f.tree->Get(key, &value).ok());
+      PREGELIX_CHECK(f.tree->Upsert(key, update).ok());
+      ++count;
+    }
+    benchmark::DoNotOptimize(value);
+    state.SetItemsProcessed(state.items_processed() + count);
+  }
+}
+BENCHMARK(BM_BTreeSortedProbeSweep)->Unit(benchmark::kMillisecond);
+
 void BM_LsmUpsert(benchmark::State& state) {
   TempDir dir("micro-lsm");
   BufferCache cache(kPage, 4096, nullptr);

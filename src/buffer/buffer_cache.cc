@@ -53,6 +53,12 @@ BufferCache::BufferCache(size_t page_size, size_t capacity_pages,
       capacity_pages_(capacity_pages == 0 ? 1 : capacity_pages),
       metrics_(metrics) {
   slots_.resize(capacity_pages_);
+  // Hand out slot 0 first; slots allocate their page buffer on first use.
+  free_slots_.reserve(capacity_pages_);
+  for (size_t i = capacity_pages_; i-- > 0;) {
+    free_slots_.push_back(static_cast<int>(i));
+    slots_[i].lru_pos = off_lru_.insert(off_lru_.end(), static_cast<int>(i));
+  }
 }
 
 BufferCache::~BufferCache() {
@@ -94,31 +100,8 @@ Status BufferCache::OpenFile(const std::string& path, int* file_id) {
 Status BufferCache::CloseFile(int file_id) {
   MutexLock lock(&mutex_);
   PREGELIX_CHECK(file_id >= 0 && file_id < static_cast<int>(files_.size()));
-  FileEntry& entry = files_[file_id];
-  if (!entry.open) return Status::OK();
-  Status result;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
-    if (slot.valid && slot.file_id == file_id) {
-      PREGELIX_CHECK(slot.pin_count == 0)
-          << "closing file " << entry.path << " with pinned page "
-          << slot.page_id;
-      if (slot.dirty) {
-        Status s = WriteBackLocked(slot);
-        if (!s.ok() && result.ok()) result = s;
-      }
-      page_table_.erase(Key(file_id, slot.page_id));
-      if (slot.in_lru) {
-        lru_.erase(slot.lru_pos);
-        slot.in_lru = false;
-      }
-      slot.valid = false;
-      slot.file_id = -1;
-    }
-  }
-  entry.file.reset();
-  entry.open = false;
-  return result;
+  if (!files_[file_id].open) return Status::OK();
+  return DropFileLocked(file_id, /*write_back=*/true);
 }
 
 Status BufferCache::DeleteFile(int file_id) {
@@ -126,27 +109,36 @@ Status BufferCache::DeleteFile(int file_id) {
   {
     MutexLock lock(&mutex_);
     PREGELIX_CHECK(file_id >= 0 && file_id < static_cast<int>(files_.size()));
-    FileEntry& entry = files_[file_id];
-    if (!entry.open) return Status::OK();
-    path = entry.path;
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& slot = slots_[i];
-      if (slot.valid && slot.file_id == file_id) {
-        PREGELIX_CHECK(slot.pin_count == 0);
-        page_table_.erase(Key(file_id, slot.page_id));
-        if (slot.in_lru) {
-          lru_.erase(slot.lru_pos);
-          slot.in_lru = false;
-        }
-        slot.valid = false;
-        slot.file_id = -1;
-      }
-    }
-    entry.file.reset();
-    entry.open = false;
+    if (!files_[file_id].open) return Status::OK();
+    path = files_[file_id].path;
+    PREGELIX_RETURN_NOT_OK(DropFileLocked(file_id, /*write_back=*/false));
   }
   DeleteFileIfExists(path);
   return Status::OK();
+}
+
+Status BufferCache::DropFileLocked(int file_id, bool write_back) {
+  FileEntry& entry = files_[file_id];
+  Status result;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (!slot.valid || slot.file_id != file_id) continue;
+    PREGELIX_CHECK(slot.pin_count == 0)
+        << "closing file " << entry.path << " with pinned page "
+        << slot.page_id;
+    if (write_back && slot.dirty) {
+      Status s = WriteBackLocked(slot);
+      if (!s.ok() && result.ok()) result = s;
+    }
+    page_table_.erase(Key(file_id, slot.page_id));
+    TouchLocked(static_cast<int>(i));
+    slot.valid = false;
+    slot.file_id = -1;
+    free_slots_.push_back(static_cast<int>(i));
+  }
+  entry.file.reset();
+  entry.open = false;
+  return result;
 }
 
 uint32_t BufferCache::NumPages(int file_id) const {
@@ -158,7 +150,7 @@ uint32_t BufferCache::NumPages(int file_id) const {
 void BufferCache::TouchLocked(int slot_idx) {
   Slot& slot = slots_[slot_idx];
   if (slot.in_lru) {
-    lru_.erase(slot.lru_pos);
+    off_lru_.splice(off_lru_.end(), lru_, slot.lru_pos);
     slot.in_lru = false;
   }
 }
@@ -176,15 +168,15 @@ Status BufferCache::WriteBackLocked(Slot& slot) {
 }
 
 Status BufferCache::GetFreeSlotLocked(int* slot_out) {
-  // First: any never-used slot.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].valid && slots_[i].pin_count == 0) {
-      if (slots_[i].data.size() != page_size_) {
-        slots_[i].data.assign(page_size_, '\0');
-      }
-      *slot_out = static_cast<int>(i);
-      return Status::OK();
+  // First: a never-used or invalidated slot.
+  if (!free_slots_.empty()) {
+    const int free_slot = free_slots_.back();
+    free_slots_.pop_back();
+    if (slots_[free_slot].data.size() != page_size_) {
+      slots_[free_slot].data.assign(page_size_, '\0');
     }
+    *slot_out = free_slot;
+    return Status::OK();
   }
   // Otherwise evict the LRU unpinned page.
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("buffer.eviction"));
@@ -193,10 +185,9 @@ Status BufferCache::GetFreeSlotLocked(int* slot_out) {
         "buffer cache: all pages pinned (capacity " +
         std::to_string(capacity_pages_) + ")");
   }
-  int victim = lru_.front();
-  lru_.pop_front();
+  const int victim = lru_.front();
+  TouchLocked(victim);
   Slot& slot = slots_[victim];
-  slot.in_lru = false;
   PREGELIX_CHECK(slot.valid && slot.pin_count == 0);
   if (slot.dirty) {
     PREGELIX_RETURN_NOT_OK(WriteBackLocked(slot));
@@ -244,6 +235,7 @@ Status BufferCache::PinExistingOrLoadLocked(int file_id, PageId page,
       if (!s.ok()) {
         slot.valid = false;
         slot.pin_count = 0;
+        free_slots_.push_back(slot_idx);
         return s;
       }
     } else {
@@ -302,8 +294,7 @@ void BufferCache::Unpin(int slot_idx, bool dirty) {
   PREGELIX_CHECK(slot.valid && slot.pin_count > 0);
   if (dirty) slot.dirty = true;
   if (--slot.pin_count == 0) {
-    lru_.push_back(slot_idx);
-    slot.lru_pos = std::prev(lru_.end());
+    lru_.splice(lru_.end(), off_lru_, slot.lru_pos);
     slot.in_lru = true;
   }
 }

@@ -143,7 +143,7 @@ class BufferCache {
     int pin_count = 0;
     bool dirty = false;
     bool valid = false;
-    std::list<int>::iterator lru_pos;
+    std::list<int>::iterator lru_pos;  ///< this slot's node, for life
     bool in_lru = false;
   };
 
@@ -167,6 +167,9 @@ class BufferCache {
   Status WriteBackLocked(Slot& slot) REQUIRES(mutex_);
   Status PinExistingOrLoadLocked(int file_id, PageId page, bool load,
                                  PageHandle* out) REQUIRES(mutex_);
+  /// Drops every cached page of the file (writing dirty ones back first if
+  /// `write_back`) and closes it; the slots go back on the free stack.
+  Status DropFileLocked(int file_id, bool write_back) REQUIRES(mutex_);
   void TouchLocked(int slot) REQUIRES(mutex_);
 
   const size_t page_size_;
@@ -178,8 +181,13 @@ class BufferCache {
 
   mutable Mutex mutex_{"buffer_cache", LockRank::kBufferCache};
   std::vector<Slot> slots_ GUARDED_BY(mutex_);
-  /// Unpinned slots, least-recently-used first.
+  /// Unpinned slots, least-recently-used first. Each slot owns one list
+  /// node for life, spliced between `lru_` and `off_lru_` (pinned or free
+  /// slots), so pinning and unpinning allocate nothing.
   std::list<int> lru_ GUARDED_BY(mutex_);
+  std::list<int> off_lru_ GUARDED_BY(mutex_);
+  /// Slots holding no page; the next one handed out is at the back.
+  std::vector<int> free_slots_ GUARDED_BY(mutex_);
   std::unordered_map<uint64_t, int> page_table_ GUARDED_BY(mutex_);
   std::vector<FileEntry> files_ GUARDED_BY(mutex_);
   std::atomic<uint64_t> hits_{0};

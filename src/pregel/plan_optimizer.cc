@@ -46,7 +46,7 @@ JoinStrategy LegacyAdaptiveJoin(int64_t superstep, int64_t live_vertices,
   if (superstep <= 1) return JoinStrategy::kFullOuter;
   // Once the active frontier (live vertices plus combined messages) drops
   // below 1/5 of the graph, probing beats scanning...
-  const int64_t frontier = live_vertices + messages;
+  const int64_t frontier = Frontier(live_vertices, messages);
   if (frontier * 5 >= num_vertices) return JoinStrategy::kFullOuter;
   // ...unless the superstep is message-bound anyway: a sparse frontier with
   // heavy fanout (few destinations, large combined payloads) used to pick
@@ -102,7 +102,7 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
     const double ratio =
         fb.num_vertices <= 0
             ? 1.0
-            : static_cast<double>(fb.live_vertices + fb.messages) /
+            : static_cast<double>(Frontier(fb.live_vertices, fb.messages)) /
                   static_cast<double>(fb.num_vertices);
     const bool msg_dominant =
         static_cast<double>(fb.message_bytes) >=

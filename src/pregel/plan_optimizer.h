@@ -35,6 +35,14 @@ namespace pregelix {
 struct JobRuntimeContext;
 class MetricsRegistry;
 
+/// What a superstep leaves for the next one to activate: live vertices plus
+/// message receivers (a live receiver counts twice). The join decision
+/// divides it by |V|; unlike the live count it is non-zero whenever
+/// messages were sent.
+inline int64_t Frontier(int64_t live_vertices, int64_t messages) {
+  return live_vertices + messages;
+}
+
 /// The three per-superstep-switchable knobs, fully resolved (never an
 /// adaptive/auto value).
 struct PlanDecision {

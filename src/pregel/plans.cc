@@ -294,10 +294,9 @@ class ComputeDriver {
       PREGELIX_RETURN_NOT_OK(
           ApplyUpdate(vid_key_storage, vertex_exists, vertex_bytes,
                       output_.vertex_bytes));
-      ctx_->edges_delta.fetch_add(
-          VertexEdgeCount(Slice(output_.vertex_bytes)) -
-          (vertex_exists ? VertexEdgeCount(vertex_bytes) : 0));
-      if (!vertex_exists) ctx_->vertices_added.fetch_add(1);
+      edges_delta_ += VertexEdgeCount(Slice(output_.vertex_bytes)) -
+                      (vertex_exists ? VertexEdgeCount(vertex_bytes) : 0);
+      if (!vertex_exists) ++vertices_added_;
     } else if (vertex_exists &&
                VertexHalt(vertex_bytes) != output_.voted_halt) {
       std::string record = vertex_bytes.ToString();
@@ -335,6 +334,10 @@ class ComputeDriver {
 
   /// Flushes messages, contribution, pending updates, and the Vid loader.
   Status Finish() {
+    // One add per task instead of one per vertex on atomics shared by every
+    // compute clone; they are read only after the job completes.
+    ctx_->edges_delta.fetch_add(edges_delta_);
+    ctx_->vertices_added.fetch_add(vertices_added_);
     // Pending (deferred) Vertex updates: safe to apply now — the index scan
     // has completed.
     if (pending_any_) {
@@ -399,6 +402,8 @@ class ComputeDriver {
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
+  int64_t edges_delta_ = 0;
+  int64_t vertices_added_ = 0;
   Contribution contribution_;
   ComputeInput input_;
   ComputeOutput output_;

@@ -11,6 +11,7 @@
 #include "dataflow/plan_profile.h"
 #include "dfs/dfs.h"
 #include "pregel/job_config.h"
+#include "pregel/plan_optimizer.h"
 #include "pregel/program.h"
 #include "pregel/state.h"
 
@@ -24,6 +25,7 @@ struct SuperstepStats {
   double wall_seconds = 0;  ///< actual wall clock, sanity column
   int64_t live_vertices = 0;
   int64_t messages = 0;  ///< combined messages produced for the next step
+  int64_t frontier() const { return Frontier(live_vertices, messages); }
   /// Join plan executed (interesting under kAdaptive/kAuto).
   bool used_left_outer_join = false;
   /// Group-by strategy and connector executed (interesting under kAuto).

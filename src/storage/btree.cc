@@ -407,6 +407,15 @@ Status BTree::FindLeaf(const Slice& key, std::vector<PageId>* path_pages,
     char* p = page.data();
     if (Level(p) == 0) {
       *leaf = current;
+      const int n = NumEntries(p);
+      finger_version_ = n == 0 ? 0 : version_;
+      if (n > 0) {
+        const Slice first = CellKey(p, 0);
+        const Slice last = CellKey(p, n - 1);
+        finger_leaf_ = current;
+        finger_first_.assign(first.data(), first.size());
+        finger_last_.assign(last.data(), last.size());
+      }
       return Status::OK();
     }
     PREGELIX_CHECK(NumEntries(p) > 0) << "empty interior node";
@@ -431,8 +440,10 @@ Status BTree::FindLeaf(const Slice& key, std::vector<PageId>* path_pages,
 
 Status BTree::Get(const Slice& key, std::string* value) {
   if (probes_ != nullptr) probes_->Increment();
-  PageId leaf_id;
-  PREGELIX_RETURN_NOT_OK(FindLeaf(key, nullptr, &leaf_id));
+  PageId leaf_id = finger_leaf_;
+  if (!InFinger(key)) {
+    PREGELIX_RETURN_NOT_OK(FindLeaf(key, nullptr, &leaf_id));
+  }
   PageHandle page;
   PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &page));
   const char* p = page.data();
@@ -455,48 +466,56 @@ Status BTree::Upsert(const Slice& key, const Slice& value) {
   if (inserts_ != nullptr) inserts_->Increment();
   PREGELIX_CHECK(key.size() + 64 < cache_->page_size() / 4)
       << "key too large for page size";
+  // A key in the finger's range can only live in the finger leaf; the
+  // root-to-leaf path is then fetched only if the cell has to be inserted.
   std::vector<PageId> path;
-  PageId leaf_id;
-  PREGELIX_RETURN_NOT_OK(FindLeaf(key, &path, &leaf_id, /*lower_fence=*/true));
-
-  std::string payload;
-  bool overflow = false;
-  PREGELIX_RETURN_NOT_OK(EncodeLeafValue(value, &payload, &overflow));
-  const std::string cell = MakeLeafCell(key, payload, overflow);
+  PageId leaf_id = finger_leaf_;
+  if (!InFinger(key)) {
+    PREGELIX_RETURN_NOT_OK(
+        FindLeaf(key, &path, &leaf_id, /*lower_fence=*/true));
+  }
 
   PageHandle page;
   PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &page));
   char* p = page.data();
-  int pos = LowerBound(p, key);
+  const int pos = LowerBound(p, key);
   const bool exists = pos < NumEntries(p) && CellKey(p, pos) == key;
+  char* old_cell = exists ? p + SlotAt(p, pos) : nullptr;
+  char* old_payload = exists ? old_cell + 3 + key.size() : nullptr;
+  if (exists && old_cell[2] == 0 &&
+      DecodeFixed32(old_payload) == value.size()) {
+    // Fast path: a same-length inline value is overwritten in place
+    // (PageRank-style updates).
+    memcpy(old_payload + 4, value.data(), value.size());
+    page.MarkDirty();
+    return Status::OK();
+  }
 
+  std::string payload;
+  bool overflow = false;
+  PREGELIX_RETURN_NOT_OK(EncodeLeafValue(value, &payload, &overflow));
   if (exists) {
-    char* old_cell = p + SlotAt(p, pos);
-    const size_t old_size = LeafCellSize(old_cell);
-    const bool old_ovf = old_cell[2] != 0;
-    if (old_ovf) {
-      uint16_t klen;
-      memcpy(&klen, old_cell, 2);
-      PREGELIX_RETURN_NOT_OK(
-          FreeOverflowChain(Slice(old_cell + 3 + klen, 8)));
-    }
-    if (old_size == cell.size()) {
-      // Fast path: same-size in-place replacement (PageRank-style updates).
-      memcpy(old_cell, cell.data(), cell.size());
-      page.MarkDirty();
-      return Status::OK();
+    if (old_cell[2] != 0) {
+      PREGELIX_RETURN_NOT_OK(FreeOverflowChain(Slice(old_payload, 8)));
     }
     RemoveSlot(p, pos);
+    ++version_;
     --num_entries_;
     page.MarkDirty();
   }
   page.Release();
+  if (path.empty()) {
+    PREGELIX_RETURN_NOT_OK(
+        FindLeaf(key, &path, &leaf_id, /*lower_fence=*/true));
+  }
   ++num_entries_;
-  return InsertIntoLeaf(key, cell, path, leaf_id);
+  return InsertIntoLeaf(key, MakeLeafCell(key, payload, overflow), path,
+                        leaf_id);
 }
 
 Status BTree::InsertIntoLeaf(const Slice& key, const std::string& cell,
                              std::vector<PageId>& path, PageId leaf_id) {
+  ++version_;
   PageHandle page;
   PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &page));
   char* p = page.data();
@@ -692,6 +711,7 @@ Status BTree::Delete(const Slice& key) {
     PREGELIX_RETURN_NOT_OK(FreeOverflowChain(Slice(cell + 3 + klen, 8)));
   }
   RemoveSlot(p, pos);
+  ++version_;
   page.MarkDirty();
   --num_entries_;
   return Status::OK();
@@ -827,25 +847,28 @@ void BTree::DumpStructure() const {
 // ---------------------------------------------------------------------------
 // Iterator
 
+/// Keeps its current leaf pinned across Next/Seek and re-pins only when it
+/// follows the right-sibling link. key()/value() are the iterator's own
+/// copies: callers overwrite the current cell in place (same-size Upsert)
+/// while still reading the old record.
 class BTreeIterator : public IndexIterator {
  public:
   BTreeIterator(BTree* tree, BufferCache* cache, int file_id)
       : tree_(tree), cache_(cache), file_id_(file_id) {}
 
   Status SeekToFirst() override {
-    current_page_ = tree_->first_leaf_;
+    leaf_.Release();
+    PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, tree_->first_leaf_, &leaf_));
     slot_ = 0;
     return SkipToValid();
   }
 
   Status Seek(const Slice& target) override {
+    leaf_.Release();
     PageId leaf_id;
     PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
-    PageHandle page;
-    PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &page));
-    current_page_ = leaf_id;
-    slot_ = LowerBound(page.data(), target);
-    page.Release();
+    PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &leaf_));
+    slot_ = LowerBound(leaf_.data(), target);
     return SkipToValid();
   }
 
@@ -860,13 +883,12 @@ class BTreeIterator : public IndexIterator {
   Slice value() const override { return value_; }
 
  private:
-  /// Advances across empty leaves, loads the current entry into buffers.
+  /// Advances across empty leaves, loads the current entry into buffers;
+  /// releases the leaf once the scan runs off the last one.
   Status SkipToValid() {
     valid_ = false;
-    while (current_page_ != kInvalidPage) {
-      PageHandle page;
-      PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, current_page_, &page));
-      const char* p = page.data();
+    while (leaf_.valid()) {
+      const char* p = leaf_.data();
       if (slot_ < NumEntries(p)) {
         key_ = CellKey(p, slot_).ToString();
         const char* cell = p + SlotAt(p, slot_);
@@ -880,8 +902,13 @@ class BTreeIterator : public IndexIterator {
         valid_ = true;
         return Status::OK();
       }
-      current_page_ = RightSibling(p);
+      // Unpin before pinning the sibling, as a fresh pin per step would.
+      const PageId next = RightSibling(p);
+      leaf_.Release();
       slot_ = 0;
+      if (next != kInvalidPage) {
+        PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, next, &leaf_));
+      }
     }
     return Status::OK();
   }
@@ -889,7 +916,7 @@ class BTreeIterator : public IndexIterator {
   BTree* tree_;
   BufferCache* cache_;
   int file_id_;
-  PageId current_page_ = kInvalidPage;
+  PageHandle leaf_;
   int slot_ = 0;
   bool valid_ = false;
   std::string key_;
@@ -934,6 +961,7 @@ class BTreeBulkLoader : public IndexBulkLoader {
     AppendCell(p, NumEntries(p), cell);
     leaf_.MarkDirty();
     ++tree_->num_entries_;
+    ++tree_->version_;
     return Status::OK();
   }
 

@@ -26,7 +26,17 @@ namespace pregelix {
 /// with drastic size changes are steered to the LSM B-tree (paper
 /// Section 5.2).
 ///
-/// Not internally synchronized; one partition owns one tree.
+/// A *finger* remembers the leaf the last root-to-leaf descent reached and
+/// that leaf's first and last keys. Leaves hold disjoint, ordered key ranges
+/// and are never freed, so a key inside that range can only live in that
+/// leaf: `Get` and `Upsert` of such a key pin the leaf directly, as long as
+/// no cell was added or removed anywhere since (`version_`).
+///
+/// An iterator keeps its current leaf pinned; destroy it before the tree is
+/// destroyed or its file closed.
+///
+/// Not internally synchronized (even `Get` moves the finger); one partition
+/// owns one tree.
 class BTree : public OrderedIndex {
  public:
   /// Opens (or creates) a tree stored in `path` through `cache`.
@@ -72,7 +82,8 @@ class BTree : public OrderedIndex {
   Status SaveMeta();
 
   /// Descends from the root to the leaf that should hold `key`; fills
-  /// `path_pages` with the page ids along the way (root first).
+  /// `path_pages` with the page ids along the way (root first). Re-seats the
+  /// finger on that leaf.
   ///
   /// With `lower_fence` set (insert descent), any interior node whose first
   /// separator exceeds `key` gets that separator lowered to the -infinity
@@ -81,6 +92,13 @@ class BTree : public OrderedIndex {
   /// they insert new separators by key order.
   Status FindLeaf(const Slice& key, std::vector<PageId>* path_pages,
                   PageId* leaf, bool lower_fence = false);
+  /// True when `key` lies in the finger leaf's key range and no cell was
+  /// added or removed since the finger was seated.
+  bool InFinger(const Slice& key) const {
+    return finger_version_ == version_ &&
+           key.compare(Slice(finger_first_)) >= 0 &&
+           key.compare(Slice(finger_last_)) <= 0;
+  }
 
   Status InsertIntoLeaf(const Slice& key, const std::string& cell,
                         std::vector<PageId>& path, PageId leaf_id);
@@ -112,6 +130,13 @@ class BTree : public OrderedIndex {
   uint64_t num_entries_ = 0;
   int height_ = 1;
   bool destroyed_ = false;
+  /// Bumped by every insert, delete, split and bulk-load append; an
+  /// in-place overwrite of a value keeps it.
+  uint64_t version_ = 1;
+  uint64_t finger_version_ = 0;  ///< version_ at seating; 0 = no finger
+  PageId finger_leaf_ = 0;
+  std::string finger_first_;
+  std::string finger_last_;
 };
 
 }  // namespace pregelix

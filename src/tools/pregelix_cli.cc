@@ -295,18 +295,19 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
   }
 
   printf("\n== per-superstep rollup ==\n");
-  printf("%-10s %-5s %-9s %-9s %-10s %-10s %-10s %-14s %-9s %-7s\n",
+  printf("%-10s %-5s %-9s %-9s %-10s %-10s %-10s %-10s %-14s %-9s %-7s\n",
          "superstep", "join", "groupby", "connector", "wall-ms", "live",
-         "messages", "shuffled-bytes", "cache-hit", "spills");
+         "frontier", "messages", "shuffled-bytes", "cache-hit", "spills");
   for (const SuperstepStats& s : result.superstep_stats) {
     printf(
-        "%-10lld %-5s %-9s %-9s %-10.3f %-10lld %-10lld %-14llu %-9.1f "
-        "%-7llu\n",
+        "%-10lld %-5s %-9s %-9s %-10.3f %-10lld %-10lld %-10lld %-14llu "
+        "%-9.1f %-7llu\n",
         static_cast<long long>(s.superstep),
         s.used_left_outer_join ? "LOJ" : "FOJ",
         GroupByStrategyName(s.groupby_used),
         GroupByConnectorName(s.connector_used), s.wall_seconds * 1e3,
         static_cast<long long>(s.live_vertices),
+        static_cast<long long>(s.frontier()),
         static_cast<long long>(s.messages),
         static_cast<unsigned long long>(s.bytes_shuffled),
         s.cache_hit_ratio * 100.0,
@@ -609,13 +610,15 @@ Status RunCommand(const Flags& flags, bool explain) {
     }
   }
   if (flags.Has("stats")) {
-    printf("%-10s %-8s %-12s %-10s %-10s %-12s %-10s\n", "superstep", "join",
-           "sim-seconds", "live", "messages", "disk-bytes", "net-bytes");
+    printf("%-10s %-8s %-12s %-10s %-10s %-10s %-12s %-10s\n", "superstep",
+           "join", "sim-seconds", "live", "frontier", "messages",
+           "disk-bytes", "net-bytes");
     for (const SuperstepStats& s : result.superstep_stats) {
-      printf("%-10lld %-8s %-12.4f %-10lld %-10lld %-12llu %-10llu\n",
+      printf("%-10lld %-8s %-12.4f %-10lld %-10lld %-10lld %-12llu %-10llu\n",
              static_cast<long long>(s.superstep),
              s.used_left_outer_join ? "LOJ" : "FOJ", s.sim_seconds,
              static_cast<long long>(s.live_vertices),
+             static_cast<long long>(s.frontier()),
              static_cast<long long>(s.messages),
              static_cast<unsigned long long>(
                  s.cluster_delta.disk_read_bytes +

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -159,6 +160,75 @@ TEST_F(BTreeTest, RandomizedAgainstStdMap) {
   EXPECT_FALSE(it->Valid());
 }
 
+TEST_F(BTreeTest, FingerStaysCorrectAcrossResizesSplitsAndDeletes) {
+  // Every write descends to (or fingers) its key's leaf; a Get of a nearby
+  // key right after it probes that leaf's finger after whatever the write
+  // did: same-length, growing, shrinking or overflow-sized upserts, inserts
+  // that split the leaf, deletes. Only even vids are stored, so odd probes
+  // are absent keys inside the leaf's range; some probes land outside it.
+  auto tree = OpenTree("t");
+  std::map<std::string, std::string> model;
+  Random rnd(5);
+  int64_t vid = 0;
+  for (int op = 0; op < 30000; ++op) {
+    vid = rnd.Uniform(8) == 0
+              ? static_cast<int64_t>(rnd.Uniform(4000))
+              : std::clamp<int64_t>(
+                    vid + static_cast<int64_t>(rnd.Uniform(9)) - 4, 0, 3999);
+    const std::string key = OrderedKeyI64(vid & ~int64_t{1});
+    if (rnd.Uniform(6) == 0) {
+      ASSERT_TRUE(tree->Delete(key).ok());
+      model.erase(key);
+    } else {
+      auto found = model.find(key);
+      const size_t old_size = found == model.end() ? 0 : found->second.size();
+      size_t size;
+      switch (rnd.Uniform(8)) {
+        case 0:
+          size = 1 + rnd.Uniform(20);  // new size, usually shrinking
+          break;
+        case 1:
+          size = old_size + 1 + rnd.Uniform(40);  // growing
+          break;
+        case 2:
+          size = 1100 + rnd.Uniform(5000);  // overflow chain (> page / 4)
+          break;
+        default:
+          size = old_size == 0 ? 16 : old_size;  // same length
+          break;
+      }
+      const std::string value(size, static_cast<char>('a' + op % 26));
+      ASSERT_TRUE(tree->Upsert(key, value).ok());
+      model[key] = value;
+    }
+    const int64_t probe_vid = vid + static_cast<int64_t>(rnd.Uniform(33)) - 16;
+    const std::string probe = OrderedKeyI64(probe_vid);
+    std::string value;
+    Status s = tree->Get(probe, &value);
+    auto it = model.find(probe);
+    if (it == model.end()) {
+      ASSERT_TRUE(s.IsNotFound()) << "op " << op << " vid " << probe_vid;
+    } else {
+      ASSERT_TRUE(s.ok()) << "op " << op << " vid " << probe_vid << ": "
+                          << s.ToString();
+      ASSERT_EQ(value, it->second) << "op " << op << " vid " << probe_vid;
+    }
+  }
+  EXPECT_EQ(tree->num_entries(), model.size());
+  EXPECT_GT(tree->height(), 1);
+  Status cs = tree->CheckConsistency();
+  EXPECT_TRUE(cs.ok()) << cs.ToString();
+  auto it = tree->NewIterator();
+  ASSERT_TRUE(it->SeekToFirst().ok());
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key().ToString(), key);
+    EXPECT_EQ(it->value().ToString(), value);
+    ASSERT_TRUE(it->Next().ok());
+  }
+  EXPECT_FALSE(it->Valid());
+}
+
 TEST_F(BTreeTest, SeekPositionsAtLowerBound) {
   auto tree = OpenTree("t");
   for (int64_t vid = 0; vid < 100; vid += 10) {
@@ -292,6 +362,54 @@ TEST_F(BTreeTest, WorksWithTinyBufferCache) {
     EXPECT_EQ(value, std::string(100, 'a' + vid % 26));
   }
   EXPECT_GT(metrics.Snapshot().disk_read_bytes, 0u);
+}
+
+TEST_F(BTreeTest, ScanWithInPlaceUpdatesUnderTinyBufferCache) {
+  // The full-outer join's pattern: a live iterator overwrites its current
+  // key with a same-length value while a 24-page cache forces evictions
+  // (and write-backs) of the leaves around the one the iterator holds.
+  WorkerMetrics metrics;
+  BufferCache small_cache(4096, 24, &metrics);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&small_cache, dir_.path() + "/scan", &tree).ok());
+  const int64_t n = 20000;
+  auto loader = tree->NewBulkLoader();
+  for (int64_t vid = 0; vid < n; ++vid) {
+    ASSERT_TRUE(loader->Add(OrderedKeyI64(vid), std::string(100, 'a')).ok());
+  }
+  ASSERT_TRUE(loader->Finish().ok());
+  const uint64_t pins_before =
+      small_cache.hit_count() + small_cache.miss_count();
+  const uint64_t evictions_before = small_cache.eviction_count();
+  {
+    auto it = tree->NewIterator();
+    ASSERT_TRUE(it->SeekToFirst().ok());
+    int64_t expected = 0;
+    while (it->Valid()) {
+      ASSERT_EQ(DecodeOrderedI64(it->key().data()), expected);
+      const std::string updated(100, static_cast<char>('A' + expected % 26));
+      ASSERT_TRUE(tree->Upsert(it->key(), updated).ok());
+      // value() is the iterator's own copy: it still holds the old record.
+      EXPECT_EQ(it->value().ToString(), std::string(100, 'a'));
+      ASSERT_TRUE(it->Next().ok());
+      ++expected;
+    }
+    EXPECT_EQ(expected, n);
+  }
+  EXPECT_GT(small_cache.eviction_count(), evictions_before);
+  // About one pin per visited key: the iterator holds its leaf and the
+  // overwrite pins it through the finger; only the first key of each leaf
+  // descends from the root.
+  EXPECT_LT(small_cache.hit_count() + small_cache.miss_count() - pins_before,
+            static_cast<uint64_t>(n * 3 / 2));
+  std::string value;
+  for (int64_t vid = 0; vid < n; ++vid) {
+    ASSERT_TRUE(tree->Get(OrderedKeyI64(vid), &value).ok());
+    ASSERT_EQ(value, std::string(100, static_cast<char>('A' + vid % 26)))
+        << "vid " << vid;
+  }
+  Status cs = tree->CheckConsistency();
+  EXPECT_TRUE(cs.ok()) << cs.ToString();
 }
 
 struct BTreeSweepParam {

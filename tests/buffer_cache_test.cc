@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 #include "buffer/buffer_cache.h"
+#include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/temp_dir.h"
 
@@ -14,6 +16,19 @@ constexpr size_t kPage = 256;
 
 class BufferCacheTest : public ::testing::Test {
  protected:
+  /// Writes a file of `pages` pages through a throwaway cache.
+  void MakeFile(const std::string& path, int pages) {
+    BufferCache cache(kPage, 4, &metrics_);
+    int fid;
+    ASSERT_TRUE(cache.OpenFile(path, &fid).ok());
+    for (int i = 0; i < pages; ++i) {
+      PageHandle page;
+      ASSERT_TRUE(cache.AllocatePage(fid, &page).ok());
+      page.MarkDirty();
+    }
+    ASSERT_TRUE(cache.CloseFile(fid).ok());
+  }
+
   TempDir dir_{"bufcache-test"};
   WorkerMetrics metrics_;
 };
@@ -69,6 +84,97 @@ TEST_F(BufferCacheTest, PinnedPagesAreNotEvictable) {
             StatusCode::kResourceExhausted);
   a.Release();
   ASSERT_TRUE(cache.AllocatePage(fid, &c).ok());
+}
+
+TEST_F(BufferCacheTest, EvictsTheLeastRecentlyUnpinnedPage) {
+  MakeFile(dir_.path() + "/lru", 6);
+  BufferCache cache(kPage, 3, &metrics_);
+  int fid;
+  ASSERT_TRUE(cache.OpenFile(dir_.path() + "/lru", &fid).ok());
+  auto touch = [&](PageId page) {
+    PageHandle h;
+    ASSERT_TRUE(cache.Pin(fid, page, &h).ok());
+  };
+  // Re-pins the unpinned pages oldest first; each must hit. Touching them
+  // in LRU order leaves that order as it was.
+  auto expect_lru = [&](std::initializer_list<PageId> oldest_first) {
+    for (PageId page : oldest_first) {
+      const uint64_t misses = cache.miss_count();
+      touch(page);
+      EXPECT_EQ(cache.miss_count(), misses) << "page " << page;
+    }
+  };
+  touch(0);
+  touch(1);
+  touch(2);
+  expect_lru({0, 1, 2});
+  touch(0);
+  expect_lru({1, 2, 0});
+  PageHandle held;
+  ASSERT_TRUE(cache.Pin(fid, 1, &held).ok());
+  expect_lru({2, 0});
+  // With page 1 pinned, each miss must evict the head of the LRU list:
+  // 2, then 0, then (after 1 is unpinned behind 4) 3.
+  touch(3);
+  expect_lru({0, 3});
+  touch(4);
+  expect_lru({3, 4});
+  held.Release();
+  expect_lru({3, 4, 1});
+  touch(5);
+  expect_lru({4, 1, 5});
+  EXPECT_EQ(cache.eviction_count(), 3u);
+  EXPECT_EQ(cache.miss_count(), 6u);
+}
+
+TEST_F(BufferCacheTest, FreedSlotsAreReusedBeforeEvicting) {
+  for (const bool delete_file : {false, true}) {
+    SCOPED_TRACE(delete_file ? "DeleteFile" : "CloseFile");
+    BufferCache cache(kPage, 8, &metrics_);
+    int a, b, c;
+    ASSERT_TRUE(cache.OpenFile(dir_.path() + "/a", &a).ok());
+    ASSERT_TRUE(cache.OpenFile(dir_.path() + "/b", &b).ok());
+    ASSERT_TRUE(cache.OpenFile(dir_.path() + "/c", &c).ok());
+    auto allocate = [&](int fid, int pages) {
+      for (int i = 0; i < pages; ++i) {
+        PageHandle page;
+        ASSERT_TRUE(cache.AllocatePage(fid, &page).ok());
+      }
+    };
+    allocate(a, 8);
+    allocate(b, 3);  // cache full: evicts three of a's pages
+    EXPECT_EQ(cache.eviction_count(), 3u);
+    ASSERT_TRUE((delete_file ? cache.DeleteFile(b) : cache.CloseFile(b)).ok());
+    EXPECT_EQ(cache.pages_in_use(), 5u);
+    // The three freed slots absorb the next three misses.
+    allocate(c, 3);
+    EXPECT_EQ(cache.eviction_count(), 3u);
+    allocate(c, 1);
+    EXPECT_EQ(cache.eviction_count(), 4u);
+    ASSERT_TRUE(cache.DeleteFile(a).ok());
+    ASSERT_TRUE(cache.DeleteFile(c).ok());
+  }
+}
+
+TEST_F(BufferCacheTest, FailedLoadFreesItsSlot) {
+  MakeFile(dir_.path() + "/f", 3);
+  BufferCache cache(kPage, 2, &metrics_);
+  int fid;
+  ASSERT_TRUE(cache.OpenFile(dir_.path() + "/f", &fid).ok());
+  {
+    PageHandle page;
+    ASSERT_TRUE(cache.Pin(fid, 0, &page).ok());
+  }
+  fault::FaultSpec spec;
+  spec.max_fires = 1;
+  fault::FaultInjector::Global().Arm("io.file.read", spec);
+  PageHandle page;
+  EXPECT_FALSE(cache.Pin(fid, 1, &page).ok());
+  fault::FaultInjector::Global().Reset();
+  EXPECT_EQ(cache.pages_in_use(), 1u);
+  // The failed load's slot is free again: this miss evicts nothing.
+  ASSERT_TRUE(cache.Pin(fid, 2, &page).ok());
+  EXPECT_EQ(cache.eviction_count(), 0u);
 }
 
 TEST_F(BufferCacheTest, HitAndMissCounters) {

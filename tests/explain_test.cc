@@ -120,6 +120,26 @@ TEST(ExplainTest, ProfileCollectedWithPaperLabels) {
   EXPECT_NE(tree.str().find("critical path"), std::string::npos);
 }
 
+TEST(ExplainTest, FrontierIsNonZeroOnEverySuperstepThatSentMessages) {
+  // SSSP vertices vote to halt every superstep, so `live` reads 0 even
+  // while messages wake vertices for the next one; the frontier column the
+  // rollup and `run --stats` print counts them.
+  TestEnv run;
+  const JobResult result = run.Sssp();
+  ASSERT_GT(result.supersteps, 2);
+  int64_t messaging_steps = 0;
+  int64_t live_reads_zero = 0;
+  for (const SuperstepStats& s : result.superstep_stats) {
+    if (s.messages == 0) continue;
+    ++messaging_steps;
+    EXPECT_GT(s.frontier(), 0) << "superstep " << s.superstep;
+    EXPECT_GE(s.frontier(), s.messages) << "superstep " << s.superstep;
+    if (s.live_vertices == 0) ++live_reads_zero;
+  }
+  EXPECT_GT(messaging_steps, 1);
+  EXPECT_EQ(live_reads_zero, messaging_steps);
+}
+
 TEST(ExplainTest, TupleConservationAcrossEveryConnector) {
   TestEnv run;
   const JobResult result = run.Sssp(JoinStrategy::kAdaptive);

@@ -17,8 +17,8 @@
 #      plus an HTTP smoke of `pregelix serve` when the CLI is built
 #   5. --tsan: additionally build with PREGELIX_SANITIZE=thread and run the
 #      `tsan`-labeled ctest suites (tier-1 + concurrency_stress_test)
-#   6. --ubsan: additionally build with PREGELIX_SANITIZE=undefined and run
-#      the tier-1 ctest suites under UndefinedBehaviorSanitizer
+#   6. --asan: additionally build with PREGELIX_SANITIZE=address,undefined
+#      and run the tier-1 ctest suites under AddressSanitizer + UBSan
 #
 # Stages whose toolchain is absent (no clang / clang-tidy on the box) are
 # SKIPPED with a notice rather than failed, so the gate degrades on
@@ -32,12 +32,12 @@ set -u
 cd "$(dirname "$0")/.."
 REPO="$PWD"
 RUN_TSAN=0
-RUN_UBSAN=0
+RUN_ASAN=0
 for arg in "$@"; do
   case "$arg" in
     --tsan) RUN_TSAN=1 ;;
-    --ubsan) RUN_UBSAN=1 ;;
-    *) echo "usage: $0 [--tsan] [--ubsan]" >&2; exit 2 ;;
+    --asan) RUN_ASAN=1 ;;
+    *) echo "usage: $0 [--tsan] [--asan]" >&2; exit 2 ;;
   esac
 done
 
@@ -174,24 +174,24 @@ else
   UNCHECKED+=("tsan (not requested)")
 fi
 
-# --- 6. Optional: UBSan suite -----------------------------------------------
-if [ "$RUN_UBSAN" = 1 ]; then
-  stage ubsan \
-    "UndefinedBehaviorSanitizer suite (PREGELIX_SANITIZE=undefined, ctest -L tier1)"
-  BUILD_UBSAN="$REPO/build-ubsan"
-  if cmake -B "$BUILD_UBSAN" -S "$REPO" -DPREGELIX_SANITIZE=undefined \
-        > "$BUILD_UBSAN.configure.log" 2>&1 \
-     && cmake --build "$BUILD_UBSAN" -j "$JOBS" > "$BUILD_UBSAN.build.log" 2>&1 \
-     && (cd "$BUILD_UBSAN" \
+# --- 6. Optional: ASan + UBSan suite ---------------------------------------
+if [ "$RUN_ASAN" = 1 ]; then
+  stage asan \
+    "ASan + UBSan suite (PREGELIX_SANITIZE=address,undefined, ctest -L tier1)"
+  BUILD_ASAN="$REPO/build-asan"
+  if cmake -B "$BUILD_ASAN" -S "$REPO" -DPREGELIX_SANITIZE=address,undefined \
+        > "$BUILD_ASAN.configure.log" 2>&1 \
+     && cmake --build "$BUILD_ASAN" -j "$JOBS" > "$BUILD_ASAN.build.log" 2>&1 \
+     && (cd "$BUILD_ASAN" \
          && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
             ctest -L tier1 --output-on-failure -j "$JOBS")
   then
-    ok "ubsan suites clean"
+    ok "asan suites clean"
   else
-    fail "UBSan suite (logs: $BUILD_UBSAN.*.log)"
+    fail "ASan suite (logs: $BUILD_ASAN.*.log)"
   fi
 else
-  UNCHECKED+=("ubsan (not requested)")
+  UNCHECKED+=("asan (not requested)")
 fi
 
 # --- Summary ---------------------------------------------------------------
