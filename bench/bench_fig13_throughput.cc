@@ -50,6 +50,7 @@ double MeasureJph(Env& env, const Dataset& dataset, int concurrency) {
       PregelixJobConfig job;
       job.name = "jph";
       job.input_dir = dataset.dir;
+      job.groupby = GroupByStrategy::kSort;  // the paper's plan, as PregelixPlan
       JobResult result;
       Status s = runtime.Run(&adapter, job, &result);
       PREGELIX_CHECK(s.ok()) << s.ToString();

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the dataflow substrate: frame
-// encode/decode, the group-by family, external sorting, the k-way merge
-// (loser tree, varying fan-in), and the normalized-key comparison kernel.
+// encode/decode, the group-by family (sort, hash-sort, dense), external
+// sorting, the k-way merge (loser tree, varying fan-in), and the
+// normalized-key comparison kernel.
 // Supporting numbers for the operator choices of paper Sections 4 and
 // 5.3.1, and the before/after record in BENCH_kernels.json (DESIGN.md §13).
 //
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "common/logging.h"
@@ -33,6 +35,11 @@ GroupCombiner SumCombiner() {
     const double sum = DecodeDouble(acc->data()) + DecodeDouble(payload.data());
     acc->clear();
     PutDouble(acc, sum);
+  };
+  c.width = sizeof(double);
+  c.fold = [](char* acc, const char* in) {
+    const double sum = DecodeDouble(acc) + DecodeDouble(in);
+    std::memcpy(acc, &sum, sizeof(sum));
   };
   return c;
 }
@@ -72,7 +79,10 @@ void BM_FrameFieldAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameFieldAccess);
 
-void GroupByBench(benchmark::State& state, bool hash, int64_t distinct) {
+enum class GroupByMode { kSort, kHashSort, kDense };
+
+void GroupByBench(benchmark::State& state, GroupByMode mode,
+                  int64_t distinct) {
   TempDir dir("micro-gb");
   for (auto _ : state) {
     SortConfig config;
@@ -100,8 +110,12 @@ void GroupByBench(benchmark::State& state, bool hash, int64_t distinct) {
                          .ok());
       benchmark::DoNotOptimize(groups);
     };
-    if (hash) {
+    if (mode == GroupByMode::kHashSort) {
       HashSortGrouper grouper(config, SumCombiner());
+      feed(grouper);
+    } else if (mode == GroupByMode::kDense) {
+      DenseGrouper grouper(config, SumCombiner(), /*lo=*/0,
+                           static_cast<uint64_t>(distinct));
       feed(grouper);
     } else {
       ExternalSortGrouper grouper(config, SumCombiner());
@@ -112,25 +126,31 @@ void GroupByBench(benchmark::State& state, bool hash, int64_t distinct) {
 }
 
 void BM_SortGroupByFewGroups(benchmark::State& state) {
-  GroupByBench(state, /*hash=*/false, /*distinct=*/256);
+  GroupByBench(state, GroupByMode::kSort, /*distinct=*/256);
 }
 BENCHMARK(BM_SortGroupByFewGroups)->Unit(benchmark::kMillisecond);
 
 void BM_HashSortGroupByFewGroups(benchmark::State& state) {
   // The paper: HashSort wins when the number of groups is small.
-  GroupByBench(state, /*hash=*/true, /*distinct=*/256);
+  GroupByBench(state, GroupByMode::kHashSort, /*distinct=*/256);
 }
 BENCHMARK(BM_HashSortGroupByFewGroups)->Unit(benchmark::kMillisecond);
 
 void BM_SortGroupByManyGroups(benchmark::State& state) {
-  GroupByBench(state, /*hash=*/false, /*distinct=*/100000);
+  GroupByBench(state, GroupByMode::kSort, /*distinct=*/100000);
 }
 BENCHMARK(BM_SortGroupByManyGroups)->Unit(benchmark::kMillisecond);
 
 void BM_HashSortGroupByManyGroups(benchmark::State& state) {
-  GroupByBench(state, /*hash=*/true, /*distinct=*/100000);
+  GroupByBench(state, GroupByMode::kHashSort, /*distinct=*/100000);
 }
 BENCHMARK(BM_HashSortGroupByManyGroups)->Unit(benchmark::kMillisecond);
+
+void BM_DenseGroupByManyGroups(benchmark::State& state) {
+  // One slot per key of 0..99,999: the 812 KB array fits the 4 MB budget.
+  GroupByBench(state, GroupByMode::kDense, /*distinct=*/100000);
+}
+BENCHMARK(BM_DenseGroupByManyGroups)->Unit(benchmark::kMillisecond);
 
 void BM_ExternalSortSpilling(benchmark::State& state) {
   TempDir dir("micro-sort");

@@ -79,7 +79,8 @@ struct Outcome {
 };
 
 /// Physical plan knobs for a Pregelix run (defaults = the paper's default
-/// plan: full outer join, sort group-by, unmerged connector, B-tree).
+/// plan: full outer join, sort group-by, unmerged connector, B-tree; the
+/// figures do not run the dense group-by extension).
 struct PregelixPlan {
   JoinStrategy join = JoinStrategy::kFullOuter;
   GroupByStrategy groupby = GroupByStrategy::kSort;

@@ -1,6 +1,8 @@
 #include "dataflow/ops/sort.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 
 #include "common/fault_injection.h"
@@ -15,6 +17,14 @@
 namespace pregelix {
 
 namespace {
+
+/// Adds a grouper's counted tuple-ops to the worker's counter and clears
+/// them. The counter is shared by every task of the worker, so the groupers
+/// charge once per spill and Finish rather than once per tuple.
+void ChargeOps(WorkerMetrics* metrics, uint64_t* ops) {
+  if (metrics != nullptr) metrics->AddCpuOps(*ops);
+  *ops = 0;
+}
 
 /// Sequential cursor over one run file.
 class RunCursor {
@@ -365,7 +375,7 @@ Status ExternalSortGrouper::Add(std::span<const Slice> fields) {
   } else if (batch_key_size_ != key_size) {
     batch_key_size_ = -2;
   }
-  if (config_.metrics != nullptr) config_.metrics->AddCpuOps(1);
+  ++pending_ops_;
   return Status::OK();
 }
 
@@ -448,6 +458,7 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
 }
 
 Status ExternalSortGrouper::SpillBatch() {
+  ChargeOps(config_.metrics, &pending_ops_);
   TraceSpan span(config_.tracer, "sort.run_generation", trace_cat::kDataflow,
                  config_.worker, config_.metrics);
   span.AddArg("tuples", static_cast<int64_t>(entries_.size()));
@@ -471,6 +482,7 @@ Status ExternalSortGrouper::SpillBatch() {
 Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
   PREGELIX_CHECK(!finished_);
   finished_ = true;
+  ChargeOps(config_.metrics, &pending_ops_);
   if (config_.profile != nullptr) {
     config_.profile->UpdateMemHwm(BatchBytes());
   }
@@ -547,7 +559,7 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
       const int64_t before = static_cast<int64_t>(g.acc.size());
       combiner_.step(payload, &g.acc);
       acc_bytes_ += static_cast<int64_t>(g.acc.size()) - before;
-      if (config_.metrics != nullptr) config_.metrics->AddCpuOps(1);
+      ++pending_ops_;
       return Status::OK();
     }
     s = (s + 1) & mask;
@@ -570,7 +582,7 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
     uniform_key_size_ = -2;
   }
   if (groups_.size() * 4 >= slots_.size() * 3) GrowSlots();
-  if (config_.metrics != nullptr) config_.metrics->AddCpuOps(1);
+  ++pending_ops_;
   if (TableBytes() > config_.memory_budget_bytes) {
     PREGELIX_RETURN_NOT_OK(SpillTable());
   }
@@ -603,6 +615,7 @@ void HashSortGrouper::SortedOrder(std::vector<uint32_t>* order) const {
 }
 
 Status HashSortGrouper::SpillTable() {
+  ChargeOps(config_.metrics, &pending_ops_);
   if (groups_.empty()) return Status::OK();
   TraceSpan span(config_.tracer, "hashsort.run_generation",
                  trace_cat::kDataflow, config_.worker, config_.metrics);
@@ -646,6 +659,7 @@ Status HashSortGrouper::SpillTable() {
 Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
   PREGELIX_CHECK(!finished_);
   finished_ = true;
+  ChargeOps(config_.metrics, &pending_ops_);
   if (config_.profile != nullptr) {
     config_.profile->UpdateMemHwm(TableBytes());
   }
@@ -674,6 +688,106 @@ Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
 }
 
 // ---------------------------------------------------------------------------
+// DenseGrouper
+
+DenseGrouper::DenseGrouper(const SortConfig& config, GroupCombiner combiner,
+                           int64_t lo, uint64_t slots)
+    : config_(config),
+      combiner_(std::move(combiner)),
+      lo_(lo),
+      slots_(slots),
+      width_(combiner_.width),
+      // Uninitialized: a slot is read only after its presence bit is set.
+      acc_(std::make_unique_for_overwrite<char[]>(slots * combiner_.width)),
+      present_((slots + 63) / 64, 0) {
+  PREGELIX_CHECK(combiner_.valid() && width_ > 0 && combiner_.fold)
+      << "dense group-by requires a fixed-width combiner";
+  PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0);
+}
+
+Status DenseGrouper::Add(std::span<const Slice> fields) {
+  PREGELIX_CHECK(!finished_);
+  const Slice key = fields[0];
+  const Slice payload = fields[1];
+  if (key.size() != 8 || payload.size() != width_) {
+    return Status::InvalidArgument(
+        "dense group-by takes 8-byte keys and " + std::to_string(width_) +
+        "-byte payloads, got " + std::to_string(key.size()) + " and " +
+        std::to_string(payload.size()));
+  }
+  // Unsigned: a key below lo wraps past every slot, and nothing overflows.
+  const uint64_t slot = static_cast<uint64_t>(DecodeOrderedI64(key.data())) -
+                        static_cast<uint64_t>(lo_);
+  if (slot >= slots_) {
+    if (overflow_ == nullptr) {
+      SortConfig overflow = config_;
+      const uint64_t used = ArrayBytes(slots_, width_);
+      overflow.memory_budget_bytes =
+          config_.memory_budget_bytes > used + config_.frame_size
+              ? config_.memory_budget_bytes - used
+              : config_.frame_size;
+      overflow_ = std::make_unique<ExternalSortGrouper>(overflow, combiner_);
+    }
+    return overflow_->Add(fields);
+  }
+  char* acc = acc_.get() + slot * width_;
+  uint64_t& word = present_[slot / 64];
+  const uint64_t bit = uint64_t{1} << (slot % 64);
+  if ((word & bit) != 0) {
+    combiner_.fold(acc, payload.data());
+  } else {
+    std::memcpy(acc, payload.data(), width_);
+    word |= bit;
+  }
+  ++pending_ops_;
+  return Status::OK();
+}
+
+Status DenseGrouper::EmitSlots(const TupleEmitFn& emit) {
+  ScopedTimeCategory group_by(TimeCategory::kGroupBy);
+  char key[8] = {};
+  std::string finished_acc;
+  for (size_t w = 0; w < present_.size(); ++w) {
+    for (uint64_t bits = present_[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t slot = w * 64 + std::countr_zero(bits);
+      EncodeOrderedI64(key, static_cast<int64_t>(static_cast<uint64_t>(lo_) +
+                                                 slot));
+      Slice payload(acc_.get() + slot * width_, width_);
+      if (combiner_.finish) {
+        finished_acc.assign(payload.data(), payload.size());
+        combiner_.finish(&finished_acc);
+        payload = Slice(finished_acc);
+      }
+      const Slice out[2] = {Slice(key, sizeof(key)), payload};
+      PREGELIX_RETURN_NOT_OK(emit(out));
+    }
+  }
+  return Status::OK();
+}
+
+Status DenseGrouper::Finish(const TupleEmitFn& emit) {
+  PREGELIX_CHECK(!finished_);
+  finished_ = true;
+  ChargeOps(config_.metrics, &pending_ops_);
+  if (config_.profile != nullptr) {
+    config_.profile->UpdateMemHwm(ArrayBytes(slots_, width_));
+  }
+  if (overflow_ == nullptr) return EmitSlots(emit);
+  // The overflow holds only keys outside the range: the slots go out just
+  // before its first key above the range.
+  bool slots_emitted = false;
+  PREGELIX_RETURN_NOT_OK(
+      overflow_->Finish([&](std::span<const Slice> fields) -> Status {
+        if (!slots_emitted && DecodeOrderedI64(fields[0].data()) >= lo_) {
+          slots_emitted = true;
+          PREGELIX_RETURN_NOT_OK(EmitSlots(emit));
+        }
+        return emit(fields);
+      }));
+  return slots_emitted ? Status::OK() : EmitSlots(emit);
+}
+
+// ---------------------------------------------------------------------------
 // PreclusteredGrouper
 
 PreclusteredGrouper::PreclusteredGrouper(GroupCombiner combiner,
@@ -684,7 +798,7 @@ PreclusteredGrouper::PreclusteredGrouper(GroupCombiner combiner,
 
 Status PreclusteredGrouper::Add(const Slice& key, const Slice& payload,
                                 const TupleEmitFn& emit) {
-  if (metrics_ != nullptr) metrics_->AddCpuOps(1);
+  ++pending_ops_;
   if (has_group_ && key == Slice(current_key_)) {
     combiner_.step(payload, &acc_);
     return Status::OK();
@@ -706,6 +820,7 @@ Status PreclusteredGrouper::EmitCurrent(const TupleEmitFn& emit) {
 }
 
 Status PreclusteredGrouper::Finish(const TupleEmitFn& emit) {
+  ChargeOps(metrics_, &pending_ops_);
   Status s = EmitCurrent(emit);
   has_group_ = false;
   return s;

@@ -46,6 +46,13 @@ struct GroupCombiner {
   std::function<void(const Slice& payload, std::string* acc)> step;
   /// Optional final transform of the accumulator before emission.
   std::function<void(std::string* acc)> finish;
+  /// Payload and accumulator width in bytes when every payload has one
+  /// fixed width and `init` copies it; 0 = variable width. Only fixed-width
+  /// combiners run dense.
+  size_t width = 0;
+  /// Fixed-width fold (set iff width > 0): folds the `width` bytes at `in`
+  /// into the `width` bytes at `acc`, in place.
+  std::function<void(char* acc, const char* in)> fold;
 
   bool valid() const { return static_cast<bool>(init) && static_cast<bool>(step); }
 };
@@ -69,6 +76,21 @@ struct SortConfig {
   OverlapRuntime* overlap = nullptr;
 };
 
+/// A group-by (or, without a combiner, a sort) over tuples that arrive in
+/// any key order: Add them all, then Finish streams the result in key order.
+/// The superstep plans pick one implementation per superstep.
+class Grouper {
+ public:
+  Grouper() = default;
+  Grouper(const Grouper&) = delete;
+  Grouper& operator=(const Grouper&) = delete;
+  virtual ~Grouper() = default;
+  virtual Status Add(std::span<const Slice> fields) = 0;
+  /// Streams everything added to `emit` in key order, one combined tuple per
+  /// key when combining. The instance is exhausted afterwards.
+  virtual Status Finish(const TupleEmitFn& emit) = 0;
+};
+
 /// External sort with optional early aggregation (paper Section 4
 /// "sort-based group-by": the combine function is pushed into both the
 /// in-memory sort phase and the merge phase).
@@ -78,16 +100,15 @@ struct SortConfig {
 /// combiner (field_count must be 2, key_field 0) it is the sort-based
 /// group-by: runs are written pre-combined and merging combines across runs,
 /// so spill volume shrinks with the combining factor.
-class ExternalSortGrouper {
+class ExternalSortGrouper final : public Grouper {
  public:
   ExternalSortGrouper(const SortConfig& config, GroupCombiner combiner = {});
-  ~ExternalSortGrouper();
+  ~ExternalSortGrouper() override;
 
-  Status Add(std::span<const Slice> fields);
+  Status Add(std::span<const Slice> fields) override;
 
   /// Sorts/merges everything added and streams it to `emit` in key order.
-  /// The instance is exhausted afterwards.
-  Status Finish(const TupleEmitFn& emit);
+  Status Finish(const TupleEmitFn& emit) override;
 
   int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
 
@@ -103,6 +124,7 @@ class ExternalSortGrouper {
 
   SortConfig config_;
   GroupCombiner combiner_;
+  uint64_t pending_ops_ = 0;  ///< Add's tuple-ops, charged at spill/Finish
 
   // In-memory batch: raw tuple bytes in a pool, one entry per tuple carrying
   // the tuple's (offset, size) plus its normalized key prefix, cached at Add
@@ -142,13 +164,13 @@ class ExternalSortGrouper {
 /// string's inline buffer). Memory is accounted from the real footprint of
 /// the arena, the group and slot arrays, and a signed running total of
 /// accumulator bytes (a combiner step may shrink its accumulator).
-class HashSortGrouper {
+class HashSortGrouper final : public Grouper {
  public:
   HashSortGrouper(const SortConfig& config, GroupCombiner combiner);
-  ~HashSortGrouper();
+  ~HashSortGrouper() override;
 
-  Status Add(std::span<const Slice> fields);
-  Status Finish(const TupleEmitFn& emit);
+  Status Add(std::span<const Slice> fields) override;
+  Status Finish(const TupleEmitFn& emit) override;
 
   int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
 
@@ -174,6 +196,7 @@ class HashSortGrouper {
 
   SortConfig config_;
   GroupCombiner combiner_;
+  uint64_t pending_ops_ = 0;     ///< Add's tuple-ops, charged at spill/Finish
   std::string key_arena_;        ///< group keys, back to back
   std::vector<Group> groups_;    ///< insertion order
   std::vector<uint32_t> slots_;  ///< open addressing; group index + 1, 0 empty
@@ -184,6 +207,49 @@ class HashSortGrouper {
   /// (norm, index) strip; -1 = empty, -2 = mixed or long keys.
   int64_t uniform_key_size_ = -1;
   uint64_t next_run_id_ = 0;
+  bool finished_ = false;
+};
+
+/// Direct-addressed group-by for fixed-width combiners, an extension beside
+/// the paper's sort and hash-sort group-bys (a combined mailbox in the
+/// style of iPregel): one `width`-byte accumulator slot
+/// per key of the vid range [lo, lo + slots) plus a presence bitmap. Add
+/// decodes the 8-byte OrderedKeyI64 key and copies the payload into an
+/// empty slot or folds it into a filled one; Finish walks the bitmap and
+/// emits the slots in slot order, which is key order. Nothing is sorted or
+/// spilled. A key outside the range (a vertex created after load) goes to
+/// an overflow ExternalSortGrouper, built on first use with whatever budget
+/// the array leaves; Finish emits its keys below the range, the slots, then
+/// its keys above the range.
+class DenseGrouper final : public Grouper {
+ public:
+  /// `combiner.width` must be > 0.
+  DenseGrouper(const SortConfig& config, GroupCombiner combiner, int64_t lo,
+               uint64_t slots);
+
+  /// A key that is not 8 bytes or a payload that is not `width` bytes
+  /// returns InvalidArgument.
+  Status Add(std::span<const Slice> fields) override;
+  Status Finish(const TupleEmitFn& emit) override;
+
+  /// Bytes of the slot array plus the presence bitmap: what `slots` slots
+  /// of `width` bytes take out of the group-by budget.
+  static uint64_t ArrayBytes(uint64_t slots, size_t width) {
+    return slots * width + (slots + 63) / 64 * 8;
+  }
+
+ private:
+  Status EmitSlots(const TupleEmitFn& emit);
+
+  SortConfig config_;
+  GroupCombiner combiner_;
+  const int64_t lo_;
+  const uint64_t slots_;
+  const size_t width_;
+  std::unique_ptr<char[]> acc_;    ///< slots × width; only present slots set
+  std::vector<uint64_t> present_;  ///< bit s set = slot s holds a value
+  std::unique_ptr<ExternalSortGrouper> overflow_;
+  uint64_t pending_ops_ = 0;  ///< Add's tuple-ops, charged at Finish
   bool finished_ = false;
 };
 
@@ -204,6 +270,7 @@ class PreclusteredGrouper {
 
   GroupCombiner combiner_;
   WorkerMetrics* metrics_;
+  uint64_t pending_ops_ = 0;  ///< Add's tuple-ops, charged at Finish
   // Group-key and accumulator buffers are assigned into, never replaced, so
   // a steady stream of groups reuses their capacity instead of allocating.
   std::string current_key_;

@@ -34,6 +34,11 @@ enum class GroupByStrategy {
   kSort,      ///< sort-based group-by at sender and receiver
   kHashSort,  ///< hash pre-aggregation with sorted runs
   kAuto,      ///< per-superstep choice by the PlanOptimizer
+  /// EXTENSION: one combined mailbox slot per vid, folded on arrival
+  /// (DenseGrouper). Runs only when the combiner has a fixed width and the
+  /// loaded vid range fits the group-by budget; otherwise the superstep
+  /// runs kSort.
+  kDense,
 };
 
 enum class GroupByConnector {
@@ -64,7 +69,7 @@ struct PregelixJobConfig {
   std::string output_dir;
 
   JoinStrategy join = JoinStrategy::kFullOuter;
-  GroupByStrategy groupby = GroupByStrategy::kSort;
+  GroupByStrategy groupby = GroupByStrategy::kDense;
   GroupByConnector groupby_connector = GroupByConnector::kUnmerged;
   VertexStorage storage = VertexStorage::kBTree;
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/event_journal.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "dataflow/ops/sort.h"
 #include "dataflow/plan_verifier.h"
 #include "pregel/plans.h"
 #include "pregel/state.h"
@@ -24,6 +26,34 @@ std::string FormatRatio(const char* tag, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%s=%.3f", tag, v);
   return buf;
+}
+
+/// Whether the kDense group-by can run this superstep: the combiner has a
+/// fixed width, and one slot per vid of the loaded range, with its presence
+/// bit, fits the group-by budget beside one frame. Sets ctx->dense_lo and
+/// ctx->dense_slots when it can.
+bool DenseMailboxFits(JobRuntimeContext* ctx) {
+  if (ctx->program == nullptr || ctx->cluster == nullptr) return false;
+  const size_t width = ctx->program->MsgCombiner().width;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (const PartitionState& p : ctx->partitions) {
+    lo = std::min(lo, p.min_vid);
+    hi = std::max(hi, p.max_vid);
+  }
+  if (width == 0 || lo > hi) return false;
+  const ClusterConfig& config = ctx->cluster->config();
+  if (config.groupby_memory_bytes <= config.frame_size) return false;
+  const uint64_t room = config.groupby_memory_bytes - config.frame_size;
+  // hi - lo in unsigned arithmetic cannot overflow; the first test bounds
+  // slots so that ArrayBytes cannot either.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span >= room / width) return false;
+  const uint64_t slots = span + 1;
+  if (DenseGrouper::ArrayBytes(slots, width) > room) return false;
+  ctx->dense_lo = lo;
+  ctx->dense_slots = slots;
+  return true;
 }
 
 }  // namespace
@@ -260,6 +290,10 @@ PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
   if (ctx->plan_pinned && ctx->pinned_superstep == ctx->current_superstep) {
     d = ctx->pinned_plan;
   }
+  // kDense falls back to sort where its slot array does not apply.
+  if (d.groupby == GroupByStrategy::kDense && !DenseMailboxFits(ctx)) {
+    d.groupby = GroupByStrategy::kSort;
+  }
   ctx->current_join = d.join;
   ctx->current_groupby = d.groupby;
   ctx->current_connector = d.connector;
@@ -436,6 +470,8 @@ const char* GroupByStrategyName(GroupByStrategy groupby) {
       return "hashsort";
     case GroupByStrategy::kAuto:
       return "auto";
+    case GroupByStrategy::kDense:
+      return "dense";
   }
   return "?";
 }

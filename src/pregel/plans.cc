@@ -1,6 +1,7 @@
 #include "pregel/plans.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,6 +78,25 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
   config.worker = task.worker;
   config.profile = task.profile;
   return config;
+}
+
+/// The message group-by the superstep resolved (ctx->current_groupby), for
+/// the send-side pre-combine and the unmerged receive side.
+std::unique_ptr<Grouper> MakeMessageGrouper(JobRuntimeContext* ctx,
+                                            TaskContext& task,
+                                            const std::string& tag) {
+  const SortConfig config = MakeSortConfig(ctx, task, tag);
+  GroupCombiner combiner = ctx->program->MsgCombiner();
+  switch (ctx->current_groupby) {
+    case GroupByStrategy::kDense:
+      return std::make_unique<DenseGrouper>(config, std::move(combiner),
+                                            ctx->dense_lo, ctx->dense_slots);
+    case GroupByStrategy::kHashSort:
+      return std::make_unique<HashSortGrouper>(config, std::move(combiner));
+    default:
+      return std::make_unique<ExternalSortGrouper>(config,
+                                                   std::move(combiner));
+  }
 }
 
 /// Per-partition global-state contribution tuple payload
@@ -196,6 +216,8 @@ Status RunLoadOp(JobRuntimeContext* ctx, TaskContext& task) {
   }
   std::string last_key;
   int64_t vertices = 0, edges = 0;
+  int64_t min_vid = std::numeric_limits<int64_t>::max();
+  int64_t max_vid = std::numeric_limits<int64_t>::min();
   PREGELIX_RETURN_NOT_OK(
       sorter.Finish([&](std::span<const Slice> fields) -> Status {
         if (!last_key.empty() && Slice(last_key) == fields[0]) {
@@ -209,6 +231,9 @@ Status RunLoadOp(JobRuntimeContext* ctx, TaskContext& task) {
         }
         ++vertices;
         edges += VertexEdgeCount(fields[1]);
+        const int64_t vid = DecodeOrderedI64(fields[0].data());
+        min_vid = std::min(min_vid, vid);
+        max_vid = std::max(max_vid, vid);
         return Status::OK();
       }));
   PREGELIX_RETURN_NOT_OK(loader->Finish());
@@ -217,6 +242,8 @@ Status RunLoadOp(JobRuntimeContext* ctx, TaskContext& task) {
   }
   state.vertices = vertices;
   state.edges = edges;
+  state.min_vid = min_vid;
+  state.max_vid = max_vid;
   state.msg_path.clear();
   state.vid_extra_path.clear();
   return Status::OK();
@@ -240,15 +267,7 @@ class ComputeDriver {
                  task.config->frame_size, 2, task.metrics) {
     contribution_.aggregate = agg_hooks_.initial;
     contribution_.has_aggregate = agg_hooks_.valid();
-    const GroupCombiner combiner = ctx->program->MsgCombiner();
-    SortConfig gconf = MakeSortConfig(ctx, task, "sendgb");
-    if (ctx->current_groupby == GroupByStrategy::kHashSort) {
-      hash_grouper_ =
-          std::make_unique<HashSortGrouper>(gconf, combiner);
-    } else {
-      sort_grouper_ =
-          std::make_unique<ExternalSortGrouper>(gconf, combiner);
-    }
+    grouper_ = MakeMessageGrouper(ctx, task, "sendgb");
   }
 
   Status Init() {
@@ -277,16 +296,14 @@ class ComputeDriver {
     input_.num_edges = ctx_->gs.num_edges;
     output_.Clear();
     PREGELIX_RETURN_NOT_OK(ctx_->program->Compute(input_, &output_));
-    task_.metrics->AddCpuOps(1 + output_.messages.size());
+    CountOps(1 + output_.messages.size());
 
     // D3: messages into the sender-side pre-combine.
     const std::string vid_key_storage = OrderedKeyI64(vid);
     for (const auto& [dst, msg_payload] : output_.messages) {
       const std::string dst_key = OrderedKeyI64(dst);
       const Slice fields[2] = {Slice(dst_key), Slice(msg_payload)};
-      PREGELIX_RETURN_NOT_OK(hash_grouper_ != nullptr
-                                 ? hash_grouper_->Add(fields)
-                                 : sort_grouper_->Add(fields));
+      PREGELIX_RETURN_NOT_OK(grouper_->Add(fields));
     }
 
     // D2: vertex update (fused mini-operator).
@@ -332,12 +349,17 @@ class ComputeDriver {
     return Status::OK();
   }
 
+  /// Counts tuple-ops of this compute task (the UDF calls, plus the join's
+  /// scan and probe work); Finish charges them.
+  void CountOps(uint64_t ops) { cpu_ops_ += ops; }
+
   /// Flushes messages, contribution, pending updates, and the Vid loader.
   Status Finish() {
-    // One add per task instead of one per vertex on atomics shared by every
-    // compute clone; they are read only after the job completes.
+    // One add per task instead of one per vertex on counters shared by every
+    // task of the worker; they are read only after the job completes.
     ctx_->edges_delta.fetch_add(edges_delta_);
     ctx_->vertices_added.fetch_add(vertices_added_);
+    task_.metrics->AddCpuOps(cpu_ops_);
     // Pending (deferred) Vertex updates: safe to apply now — the index scan
     // has completed.
     if (pending_any_) {
@@ -356,9 +378,7 @@ class ComputeDriver {
     auto emit = [&](std::span<const Slice> fields) {
       return task_.output(0).Append(fields);
     };
-    PREGELIX_RETURN_NOT_OK(hash_grouper_ != nullptr
-                               ? hash_grouper_->Finish(emit)
-                               : sort_grouper_->Finish(emit));
+    PREGELIX_RETURN_NOT_OK(grouper_->Finish(emit));
     // Contribution tuple (m-to-one).
     const std::string key = OrderedKeyI64(task_.partition);
     const std::string payload = contribution_.Encode();
@@ -397,13 +417,13 @@ class ComputeDriver {
   const bool defer_updates_;
   GlobalAggHooks agg_hooks_;
 
-  std::unique_ptr<ExternalSortGrouper> sort_grouper_;
-  std::unique_ptr<HashSortGrouper> hash_grouper_;
+  std::unique_ptr<Grouper> grouper_;
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
   int64_t edges_delta_ = 0;
   int64_t vertices_added_ = 0;
+  uint64_t cpu_ops_ = 0;
   Contribution contribution_;
   ComputeInput input_;
   ComputeOutput output_;
@@ -452,7 +472,7 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
         PREGELIX_RETURN_NOT_OK(
             driver.Process(vid, true, record, false, Slice()));
       } else {
-        task.metrics->AddCpuOps(1);  // scanned and filtered
+        driver.CountOps(1);  // scanned and filtered
       }
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     }
@@ -511,7 +531,7 @@ Status RunComputeLeftOuter(JobRuntimeContext* ctx, TaskContext& task) {
     // results" — paper Section 7.5), versus 1 op/row for the merge scan.
     const int64_t vid = DecodeOrderedI64(key.data());
     Status probe = state.vertex_index->Get(Slice(key), &probe_value);
-    task.metrics->AddCpuOps(4);
+    driver.CountOps(4);
     if (probe.IsNotFound()) {
       if (has_msg) {
         PREGELIX_RETURN_NOT_OK(
@@ -547,14 +567,13 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
     payload_bytes += fields[1].size();
     return writer.Append(fields);
   };
-  const GroupCombiner combiner = ctx->program->MsgCombiner();
   FrameTupleAccessor acc(2);
   std::string frame;
 
   if (ctx->current_connector == GroupByConnector::kMerged) {
     // The merging connector already delivers a key-sorted stream: one-pass
     // preclustered group-by.
-    PreclusteredGrouper grouper(combiner, task.metrics);
+    PreclusteredGrouper grouper(ctx->program->MsgCombiner(), task.metrics);
     while (task.input(0).Next(&frame)) {
       acc.Reset(Slice(frame));
       for (int t = 0; t < acc.tuple_count(); ++t) {
@@ -563,27 +582,17 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
       }
     }
     PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
-  } else if (ctx->current_groupby == GroupByStrategy::kHashSort) {
-    HashSortGrouper grouper(MakeSortConfig(ctx, task, "recvgb"), combiner);
-    while (task.input(0).Next(&frame)) {
-      acc.Reset(Slice(frame));
-      for (int t = 0; t < acc.tuple_count(); ++t) {
-        const Slice fields[2] = {acc.field(t, 0), acc.field(t, 1)};
-        PREGELIX_RETURN_NOT_OK(grouper.Add(fields));
-      }
-    }
-    PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
   } else {
-    ExternalSortGrouper grouper(MakeSortConfig(ctx, task, "recvgb"),
-                                combiner);
+    // Frames in arrival order; the grouper folds them in that order.
+    std::unique_ptr<Grouper> grouper = MakeMessageGrouper(ctx, task, "recvgb");
     while (task.input(0).Next(&frame)) {
       acc.Reset(Slice(frame));
       for (int t = 0; t < acc.tuple_count(); ++t) {
         const Slice fields[2] = {acc.field(t, 0), acc.field(t, 1)};
-        PREGELIX_RETURN_NOT_OK(grouper.Add(fields));
+        PREGELIX_RETURN_NOT_OK(grouper->Add(fields));
       }
     }
-    PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
+    PREGELIX_RETURN_NOT_OK(grouper->Finish(emit));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
   state.next_msg_path = path;
@@ -855,6 +864,8 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
     loader = static_cast<LsmBTree*>(state.vertex_index.get())->NewBulkLoader();
   }
   int64_t vertices = 0, edges = 0;
+  int64_t min_vid = std::numeric_limits<int64_t>::max();
+  int64_t max_vid = std::numeric_limits<int64_t>::min();
   {
     TupleRunReader reader(ctx->dfs->Resolve(dir + "/vertex" + suffix), 2,
                           task.metrics);
@@ -863,12 +874,17 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
       PREGELIX_RETURN_NOT_OK(loader->Add(reader.field(0), reader.field(1)));
       ++vertices;
       edges += VertexEdgeCount(reader.field(1));
+      const int64_t vid = DecodeOrderedI64(reader.field(0).data());
+      min_vid = std::min(min_vid, vid);
+      max_vid = std::max(max_vid, vid);
       PREGELIX_RETURN_NOT_OK(reader.Next());
     }
   }
   PREGELIX_RETURN_NOT_OK(loader->Finish());
   state.vertices = vertices;
   state.edges = edges;
+  state.min_vid = min_vid;
+  state.max_vid = max_vid;
 
   // Restore the local Msg run.
   const std::string msg_path =

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/event_journal.h"
@@ -12,6 +13,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/retry.h"
+#include "common/serde.h"
 #include "common/temp_dir.h"
 #include "common/time_ledger.h"
 #include "common/trace.h"
@@ -810,6 +812,8 @@ Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
     std::unique_ptr<IndexIterator> it = state.vertex_index->NewIterator();
     PREGELIX_RETURN_NOT_OK(it->SeekToFirst());
     int64_t vertices = 0, edges = 0;
+    int64_t min_vid = std::numeric_limits<int64_t>::max();
+    int64_t max_vid = std::numeric_limits<int64_t>::min();
     while (it->Valid()) {
       if (VertexHalt(it->value())) {
         std::string record = it->value().ToString();
@@ -821,6 +825,9 @@ Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
       }
       ++vertices;
       edges += VertexEdgeCount(it->value());
+      const int64_t vid = DecodeOrderedI64(it->key().data());
+      min_vid = std::min(min_vid, vid);
+      max_vid = std::max(max_vid, vid);
       PREGELIX_RETURN_NOT_OK(it->Next());
     }
     it.reset();
@@ -833,6 +840,8 @@ Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
     }
     state.vertices = vertices;
     state.edges = edges;
+    state.min_vid = min_vid;
+    state.max_vid = max_vid;
   }
 
   GlobalState gs;

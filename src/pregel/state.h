@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,6 +65,12 @@ struct PartitionState {
   // Exact vertex/edge bookkeeping (set by load, adjusted by resolve).
   int64_t vertices = 0;
   int64_t edges = 0;
+  /// Smallest and largest vid of the last full pass over Vertex (load,
+  /// recovery, pipelined-job handoff); min > max while none has run.
+  /// Vertex creation does not widen them: the dense group-by sends keys
+  /// outside the range to its overflow.
+  int64_t min_vid = std::numeric_limits<int64_t>::max();
+  int64_t max_vid = std::numeric_limits<int64_t>::min();
 
   /// Snapshot files this partition contributed to the checkpoint in flight;
   /// the driver folds them into the checkpoint MANIFEST (the commit record
@@ -98,6 +105,10 @@ struct JobRuntimeContext {
   GroupByConnector current_connector = GroupByConnector::kUnmerged;
   /// Resolved once at job admission (before load); never kAuto.
   VertexStorage current_storage = VertexStorage::kBTree;
+  /// Slot range of the kDense group-by, [dense_lo, dense_lo + dense_slots):
+  /// the loaded vids of all partitions. Set with current_groupby.
+  int64_t dense_lo = 0;
+  uint64_t dense_slots = 0;
 
   /// Feedback-driven chooser for kAuto knobs; null for static/kAdaptive
   /// jobs. Owned here so operator lambdas and the driver share one

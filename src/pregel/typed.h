@@ -1,8 +1,10 @@
 #ifndef PREGELIX_PREGEL_TYPED_H_
 #define PREGELIX_PREGEL_TYPED_H_
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -337,14 +339,28 @@ class TypedProgramAdapter : public PregelProgram {
     c.init = [](const Slice& payload, std::string* acc) {
       acc->assign(payload.data(), payload.size());
     };
-    c.step = [program](const Slice& payload, std::string* acc) {
-      M accumulator{}, incoming{};
-      PREGELIX_CHECK(DeserializeValue(Slice(*acc), &accumulator));
-      PREGELIX_CHECK(DeserializeValue(payload, &incoming));
-      program->Combine(&accumulator, incoming);
-      acc->clear();
-      Serde<M>::Write(accumulator, acc);
-    };
+    if constexpr (kFixedWidthMessage) {
+      // Serde<M> writes exactly sizeof(M) bytes: the combiner folds the
+      // bytes in place, and the dense group-by can run on it.
+      c.width = sizeof(M);
+      c.fold = [program](char* acc, const char* in) {
+        FoldMessage(*program, acc, in);
+      };
+      c.step = [program](const Slice& payload, std::string* acc) {
+        PREGELIX_CHECK(payload.size() == sizeof(M)) << "bad message width";
+        acc->resize(sizeof(M));
+        FoldMessage(*program, acc->data(), payload.data());
+      };
+    } else {
+      c.step = [program](const Slice& payload, std::string* acc) {
+        M accumulator{}, incoming{};
+        PREGELIX_CHECK(DeserializeValue(Slice(*acc), &accumulator));
+        PREGELIX_CHECK(DeserializeValue(payload, &incoming));
+        program->Combine(&accumulator, incoming);
+        acc->clear();
+        Serde<M>::Write(accumulator, acc);
+      };
+    }
     return c;
   }
 
@@ -376,6 +392,18 @@ class TypedProgramAdapter : public PregelProgram {
   bool MutatesGraph() const override { return program_->mutates_graph(); }
 
  private:
+  static constexpr bool kFixedWidthMessage =
+      std::is_trivially_copyable_v<M> && !std::is_empty_v<M>;
+
+  /// The program's Combine on the raw bytes of two messages.
+  static void FoldMessage(const Program& program, char* acc, const char* in) {
+    M accumulator{}, incoming{};
+    std::memcpy(&accumulator, acc, sizeof(M));
+    std::memcpy(&incoming, in, sizeof(M));
+    program.Combine(&accumulator, incoming);
+    std::memcpy(acc, &accumulator, sizeof(M));
+  }
+
   Program* program_;
 };
 

@@ -64,10 +64,11 @@ void ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
               : join == "adaptive" ? JoinStrategy::kAdaptive
               : join == "auto"     ? JoinStrategy::kAuto
                                    : JoinStrategy::kFullOuter;
-  const std::string groupby = flags.Get("groupby", "sort");
-  job->groupby = groupby == "hashsort" ? GroupByStrategy::kHashSort
-                 : groupby == "auto"   ? GroupByStrategy::kAuto
-                                       : GroupByStrategy::kSort;
+  const std::string groupby = flags.Get("groupby", "dense");
+  job->groupby = groupby == "sort"       ? GroupByStrategy::kSort
+                 : groupby == "hashsort" ? GroupByStrategy::kHashSort
+                 : groupby == "auto"     ? GroupByStrategy::kAuto
+                                         : GroupByStrategy::kDense;
   const std::string connector = flags.Get("connector", "unmerged");
   job->groupby_connector = connector == "merged" ? GroupByConnector::kMerged
                            : connector == "auto" ? GroupByConnector::kAuto
@@ -141,12 +142,14 @@ commands:
       --workers=N               simulated worker machines (default 4)
       --worker-ram-mb=M         simulated RAM per worker (default 16)
       --join=fullouter|leftouter|adaptive|auto   (default fullouter)
-      --groupby=sort|hashsort|auto               (default sort)
+      --groupby=dense|sort|hashsort|auto         (default dense)
       --connector=unmerged|merged|auto           (default unmerged)
       --storage=btree|lsm|auto                   (default btree)
                                 `auto` lets the feedback-driven plan
                                 optimizer re-choose per superstep (storage:
-                                once at admission)
+                                once at admission); `dense` runs sort where
+                                the combiner is variable-width or the vid
+                                range does not fit the group-by budget
       --source=ID               source vertex (sssp/reachability/bfs-tree)
       --iterations=K            PageRank iterations (default 10)
       --checkpoint-interval=K   checkpoint every K supersteps (default off)

@@ -1,5 +1,5 @@
-// Randomized differential sweep (ISSUE: fault suite): every physical plan
-// in the 2x2x2x2 matrix (join x group-by x connector x storage) runs SSSP
+// Randomized differential sweep: every physical plan in the 2x3x2x2 matrix
+// (join x group-by x connector x storage) runs SSSP
 // and CC on a seeded BTC-like graph and PageRank on a seeded webmap-like
 // graph, and every dumped tuple is checked against the single-threaded
 // `ref_algos` golden results. The graphs are pseudo-random but seeded, so a
@@ -95,6 +95,15 @@ class DifferentialSweepTest : public ::testing::TestWithParam<PlanParam> {
     JobResult result;
     Status s = runtime.Run(program, job, &result);
     ASSERT_TRUE(s.ok()) << s.ToString();
+    // Every message type here is fixed-width and the mailbox fits this
+    // budget, so a dense hint runs dense on every superstep.
+    if (groupby == GroupByStrategy::kDense) {
+      ASSERT_FALSE(result.superstep_stats.empty());
+      for (const SuperstepStats& stats : result.superstep_stats) {
+        EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
+            << "superstep " << stats.superstep;
+      }
+    }
 
     std::vector<std::string> names;
     ASSERT_TRUE(dfs_->List(job.output_dir, &names).ok());
@@ -174,7 +183,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllSixteenPlans, DifferentialSweepTest,
     ::testing::Combine(
         ::testing::Values(JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter),
-        ::testing::Values(GroupByStrategy::kSort, GroupByStrategy::kHashSort),
+        ::testing::Values(GroupByStrategy::kSort, GroupByStrategy::kHashSort,
+                          GroupByStrategy::kDense),
         ::testing::Values(GroupByConnector::kUnmerged,
                           GroupByConnector::kMerged),
         ::testing::Values(VertexStorage::kBTree, VertexStorage::kLsmBTree)));

@@ -19,7 +19,8 @@ namespace {
 
 /// Every physical plan must compute the same answer: 2 join strategies x
 /// 2 group-by algorithms x 2 group-by connectors x 2 vertex storages = the
-/// sixteen tailored executions of paper Section 5.8.
+/// sixteen tailored executions of paper Section 5.8, plus the dense
+/// group-by extension on the group-by axis.
 using PlanParam =
     std::tuple<JoinStrategy, GroupByStrategy, GroupByConnector, VertexStorage>;
 
@@ -52,20 +53,16 @@ TempDir* PlanMatrixTest::dir_ = nullptr;
 DistributedFileSystem* PlanMatrixTest::dfs_ = nullptr;
 std::vector<double>* PlanMatrixTest::expected_ = nullptr;
 
-TEST_P(PlanMatrixTest, SsspIdenticalAcrossPhysicalPlans) {
-  const auto [join, groupby, connector, storage] = GetParam();
-
-  ClusterConfig config;
-  config.num_workers = 3;
-  config.worker_ram_bytes = 8u << 20;
-  config.frame_size = 4 * 1024;
-  config.temp_root = dir_->Sub(
-      "cluster-" + std::to_string(static_cast<int>(join)) +
-      std::to_string(static_cast<int>(groupby)) +
-      std::to_string(static_cast<int>(connector)) +
-      std::to_string(static_cast<int>(storage)));
+/// Runs SSSP from vertex 0 twice under one plan (the second run dumps to
+/// `out_dir`) and checks the dump against the reference. `result` is the
+/// second run's.
+void RunSsspAndCheck(const PlanParam& plan, const ClusterConfig& config,
+                     DistributedFileSystem* dfs,
+                     const std::vector<double>& expected,
+                     const std::string& out_dir, JobResult* result) {
+  const auto [join, groupby, connector, storage] = plan;
   SimulatedCluster cluster(config);
-  PregelixRuntime runtime(&cluster, dfs_);
+  PregelixRuntime runtime(&cluster, dfs);
 
   SsspProgram program(0);
   SsspProgram::Adapter adapter(&program);
@@ -76,28 +73,21 @@ TEST_P(PlanMatrixTest, SsspIdenticalAcrossPhysicalPlans) {
   job.groupby = groupby;
   job.groupby_connector = connector;
   job.storage = storage;
-  JobResult result;
-  Status s = runtime.Run(&adapter, job, &result);
+  Status s = runtime.Run(&adapter, job, result);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   // Validate against the reference via the final vertex values read through
   // a fresh dump job (separate output dir per plan).
-  const std::string out_dir =
-      "out-" + std::to_string(static_cast<int>(join)) +
-      std::to_string(static_cast<int>(groupby)) +
-      std::to_string(static_cast<int>(connector)) +
-      std::to_string(static_cast<int>(storage));
   job.output_dir = out_dir;
-  JobResult result2;
-  s = runtime.Run(&adapter, job, &result2);
+  s = runtime.Run(&adapter, job, result);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   std::vector<std::string> names;
-  ASSERT_TRUE(dfs_->List(out_dir, &names).ok());
+  ASSERT_TRUE(dfs->List(out_dir, &names).ok());
   int64_t seen = 0;
   for (const std::string& name : names) {
     std::string contents;
-    ASSERT_TRUE(dfs_->Read(out_dir + "/" + name, &contents).ok());
+    ASSERT_TRUE(dfs->Read(out_dir + "/" + name, &contents).ok());
     std::istringstream lines(contents);
     std::string line;
     while (std::getline(lines, line)) {
@@ -106,24 +96,75 @@ TEST_P(PlanMatrixTest, SsspIdenticalAcrossPhysicalPlans) {
       int64_t vid;
       std::string value;
       fields >> vid >> value;
-      ASSERT_LT(static_cast<size_t>(vid), expected_->size());
-      if ((*expected_)[vid] < 0) {
+      ASSERT_LT(static_cast<size_t>(vid), expected.size());
+      if (expected[vid] < 0) {
         EXPECT_EQ(value, "inf") << "vid " << vid;
       } else {
-        EXPECT_NEAR(std::stod(value), (*expected_)[vid], 1e-9)
-            << "vid " << vid;
+        EXPECT_NEAR(std::stod(value), expected[vid], 1e-9) << "vid " << vid;
       }
       ++seen;
     }
   }
-  EXPECT_EQ(seen, static_cast<int64_t>(expected_->size()));
+  EXPECT_EQ(seen, static_cast<int64_t>(expected.size()));
+}
+
+std::string PlanKey(const PlanParam& plan) {
+  const auto [join, groupby, connector, storage] = plan;
+  return std::to_string(static_cast<int>(join)) +
+         std::to_string(static_cast<int>(groupby)) +
+         std::to_string(static_cast<int>(connector)) +
+         std::to_string(static_cast<int>(storage));
+}
+
+TEST_P(PlanMatrixTest, SsspIdenticalAcrossPhysicalPlans) {
+  ClusterConfig config;
+  config.num_workers = 3;
+  config.worker_ram_bytes = 8u << 20;
+  config.frame_size = 4 * 1024;
+  config.temp_root = dir_->Sub("cluster-" + PlanKey(GetParam()));
+  JobResult result;
+  ASSERT_NO_FATAL_FAILURE(RunSsspAndCheck(GetParam(), config, dfs_,
+                                          *expected_,
+                                          "out-" + PlanKey(GetParam()),
+                                          &result));
+  // At this budget the dense mailbox fits: the dense rows run dense.
+  if (std::get<1>(GetParam()) == GroupByStrategy::kDense) {
+    ASSERT_FALSE(result.superstep_stats.empty());
+    for (const SuperstepStats& stats : result.superstep_stats) {
+      EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
+          << "superstep " << stats.superstep;
+    }
+  }
+}
+
+// A group-by budget too small for one slot per vid: the dense hint falls
+// back to the sort group-by on every superstep, with the same answer.
+TEST_F(PlanMatrixTest, DenseFallsBackToSortWhenTheMailboxDoesNotFit) {
+  ClusterConfig config;
+  config.num_workers = 3;
+  config.worker_ram_bytes = 8u << 20;
+  config.frame_size = 4 * 1024;
+  // One frame plus 2 KB: room for about 250 of the 500 vids' slots.
+  config.groupby_memory_bytes = config.frame_size + 2 * 1024;
+  config.temp_root = dir_->Sub("cluster-small-budget");
+  const PlanParam plan{JoinStrategy::kFullOuter, GroupByStrategy::kDense,
+                       GroupByConnector::kUnmerged, VertexStorage::kBTree};
+  JobResult result;
+  ASSERT_NO_FATAL_FAILURE(RunSsspAndCheck(plan, config, dfs_, *expected_,
+                                          "out-small-budget", &result));
+  ASSERT_FALSE(result.superstep_stats.empty());
+  for (const SuperstepStats& stats : result.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kSort)
+        << "superstep " << stats.superstep;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSixteenPlans, PlanMatrixTest,
     ::testing::Combine(
         ::testing::Values(JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter),
-        ::testing::Values(GroupByStrategy::kSort, GroupByStrategy::kHashSort),
+        ::testing::Values(GroupByStrategy::kSort, GroupByStrategy::kHashSort,
+                          GroupByStrategy::kDense),
         ::testing::Values(GroupByConnector::kUnmerged,
                           GroupByConnector::kMerged),
         ::testing::Values(VertexStorage::kBTree, VertexStorage::kLsmBTree)));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -39,6 +40,39 @@ std::map<int64_t, std::string> ParseOutput(const DistributedFileSystem& dfs,
   return out;
 }
 
+/// Sums int64 messages into the vertex value, and sends messages to vids
+/// far outside the loaded range 0..n-1: in superstep 1 every vertex v sends
+/// v to v + 1, to v + 1000 and to -v - 1000, creating vertices on both sides
+/// of the range; in superstep 2 every vertex created that way forwards its
+/// sum to vid + 5000, creating more.
+class SpreadBeyondRangeProgram
+    : public TypedVertexProgram<int64_t, Empty, int64_t> {
+ public:
+  using Adapter = TypedProgramAdapter<int64_t, Empty, int64_t>;
+
+  void Compute(VertexT& vertex, MessageIterator<int64_t>& messages) override {
+    int64_t sum = 0;
+    while (messages.HasNext()) sum += messages.Next();
+    vertex.set_value(vertex.value() + sum);
+    if (vertex.superstep() == 1) {
+      vertex.SendMessage(vertex.id() + 1, vertex.id());
+      vertex.SendMessage(vertex.id() + 1000, vertex.id());
+      vertex.SendMessage(-vertex.id() - 1000, vertex.id());
+    } else if (vertex.superstep() == 2 &&
+               (vertex.id() < 0 || vertex.id() >= 1000)) {
+      vertex.SendMessage(vertex.id() + 5000, sum);
+    }
+    vertex.VoteToHalt();
+  }
+  bool has_combiner() const override { return true; }
+  void Combine(int64_t* acc, const int64_t& incoming) const override {
+    *acc += incoming;
+  }
+  std::string FormatValue(int64_t, const int64_t& value) const override {
+    return std::to_string(value);
+  }
+};
+
 class PregelRuntimeTest : public ::testing::Test {
  protected:
   PregelRuntimeTest() : dfs_(dir_.Sub("dfs")) {
@@ -60,6 +94,28 @@ class PregelRuntimeTest : public ::testing::Test {
   void MakeDirected(int64_t n, const std::string& dir) {
     GraphStats stats;
     ASSERT_TRUE(GenerateWebmapLike(dfs_, dir, 3, n, 5.0, 42, &stats).ok());
+  }
+
+  /// Runs `program` on `input` under `groupby` and returns the dumped part
+  /// files, name -> bytes.
+  std::map<std::string, std::string> RunAndDump(PregelProgram* program,
+                                                const std::string& input,
+                                                GroupByStrategy groupby,
+                                                JobResult* result) {
+    PregelixJobConfig job;
+    job.name = "dump";
+    job.input_dir = input;
+    job.output_dir = "output/" + input + "-" + GroupByStrategyName(groupby);
+    job.groupby = groupby;
+    const Status s = runtime_->Run(program, job, result);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::map<std::string, std::string> files;
+    std::vector<std::string> names;
+    EXPECT_TRUE(dfs_.List(job.output_dir, &names).ok());
+    for (const std::string& name : names) {
+      EXPECT_TRUE(dfs_.Read(job.output_dir + "/" + name, &files[name]).ok());
+    }
+    return files;
   }
 
   TempDir dir_{"pregel-test"};
@@ -213,6 +269,63 @@ TEST_F(PregelRuntimeTest, StatsTrackLiveVerticesAndMessages) {
   // Final superstep produced no messages; job halted.
   EXPECT_EQ(result.superstep_stats.back().messages, 0);
   EXPECT_TRUE(result.final_gs.halt);
+}
+
+// Messages to vids outside the loaded range go through the dense group-by's
+// overflow on both the send and the receive side; the dump must match the
+// sort group-by's byte for byte.
+TEST_F(PregelRuntimeTest, DenseGroupByMatchesSortForVerticesCreatedOutsideTheRange) {
+  MakeUndirected(300, "input/spread");
+  SpreadBeyondRangeProgram program;
+  SpreadBeyondRangeProgram::Adapter adapter(&program);
+  JobResult dense, sorted;
+  const auto dense_files =
+      RunAndDump(&adapter, "input/spread", GroupByStrategy::kDense, &dense);
+  const auto sort_files =
+      RunAndDump(&adapter, "input/spread", GroupByStrategy::kSort, &sorted);
+  ASSERT_FALSE(dense_files.empty());
+  EXPECT_TRUE(dense_files == sort_files);
+  // 300 loaded; 601 created in superstep 1 (vertex 300 among them) and
+  // 600 more in superstep 2.
+  EXPECT_EQ(dense.final_gs.num_vertices, 1501);
+  ASSERT_FALSE(dense.superstep_stats.empty());
+  for (const SuperstepStats& stats : dense.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
+        << "superstep " << stats.superstep;
+  }
+}
+
+// Vids at both ends of int64: the range has 2^64 - 1 slots, so the dense
+// hint must fall back to sort (computing the span without signed overflow,
+// which UBSan checks) and produce the sort plan's bytes.
+TEST_F(PregelRuntimeTest, DenseGroupByFallsBackForAnExtremeVidRange) {
+  const int64_t lo = std::numeric_limits<int64_t>::min() + 1;
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  // An undirected path lo - -5 - 0 - 7 - hi, over two part files.
+  const std::string a = std::to_string(lo), b = std::to_string(hi);
+  ASSERT_TRUE(dfs_.Write("input/extreme/part-0",
+                         a + " -5\n-5 " + a + " 0\n0 -5 7\n").ok());
+  ASSERT_TRUE(dfs_.Write("input/extreme/part-1", "7 0 " + b + "\n" + b + " 7\n")
+                  .ok());
+  ConnectedComponentsProgram program;
+  ConnectedComponentsProgram::Adapter adapter(&program);
+  JobResult dense, sorted;
+  const auto dense_files =
+      RunAndDump(&adapter, "input/extreme", GroupByStrategy::kDense, &dense);
+  const auto sort_files =
+      RunAndDump(&adapter, "input/extreme", GroupByStrategy::kSort, &sorted);
+  ASSERT_FALSE(dense_files.empty());
+  EXPECT_TRUE(dense_files == sort_files);
+  ASSERT_FALSE(dense.superstep_stats.empty());
+  for (const SuperstepStats& stats : dense.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kSort)
+        << "superstep " << stats.superstep;
+  }
+  auto output = ParseOutput(dfs_, "output/input/extreme-dense");
+  ASSERT_EQ(output.size(), 5u);
+  for (const auto& [vid, label] : output) {
+    EXPECT_EQ(label, a) << "vid " << vid;
+  }
 }
 
 }  // namespace

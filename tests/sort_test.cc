@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <new>
 #include <string>
@@ -76,6 +77,33 @@ GroupCombiner ListCombiner() {
     acc->append(payload.data(), payload.size());
   };
   return c;
+}
+
+/// Sum combiner over 8-byte integer payloads, with the fixed-width fold the
+/// dense group-by needs.
+GroupCombiner SumI64Combiner() {
+  GroupCombiner c;
+  c.width = 8;
+  c.fold = [](char* acc, const char* in) {
+    EncodeFixed64(acc, DecodeFixed64(acc) + DecodeFixed64(in));
+  };
+  c.init = [](const Slice& payload, std::string* acc) {
+    acc->assign(payload.data(), payload.size());
+  };
+  c.step = [fold = c.fold](const Slice& payload, std::string* acc) {
+    fold(acc->data(), payload.data());
+  };
+  return c;
+}
+
+/// Everything a grouper emits, as (key, payload) byte strings in order.
+using EmittedTuples = std::vector<std::pair<std::string, std::string>>;
+
+Status CollectInto(Grouper& grouper, EmittedTuples* out) {
+  return grouper.Finish([out](std::span<const Slice> fields) {
+    out->emplace_back(fields[0].ToString(), fields[1].ToString());
+    return Status::OK();
+  });
 }
 
 /// Wraps one message as a single-item sequence for ListCombiner.
@@ -549,6 +577,114 @@ TEST_F(SortTest, HashSortHitPathDoesNotAllocate) {
   }
   const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "hit path allocated";
+}
+
+// The dense group-by folds in-range keys into its slot array and sends the
+// rest (below the range, above it, negative, extreme) to its overflow sort,
+// which spills at this budget. Whatever the mix, it must emit the very
+// tuples the sort group-by emits, in the same order.
+TEST_F(SortTest, DenseGrouperMatchesSortGrouperAcrossRangeAndOverflow) {
+  constexpr int64_t kLo = -50;
+  constexpr uint64_t kSlots = 200;
+  const size_t budget = 4096;
+  DenseGrouper dense(MakeConfig(budget), SumI64Combiner(), kLo, kSlots);
+  SortConfig sort_config = MakeConfig(budget);
+  sort_config.scratch_prefix = dir_.path() + "/reference";
+  ExternalSortGrouper sorted(sort_config, SumI64Combiner());
+  Random rnd(31);
+  const int kTuples = 5000;
+  int overflow_keys = 0;
+  for (int i = 0; i < kTuples; ++i) {
+    int64_t vid = static_cast<int64_t>(rnd.Uniform(700)) - 300;
+    if (i % 997 == 0) {
+      vid = i % 2 == 0 ? std::numeric_limits<int64_t>::min() + 1
+                       : std::numeric_limits<int64_t>::max();
+    }
+    if (vid < kLo || vid >= kLo + static_cast<int64_t>(kSlots)) {
+      ++overflow_keys;
+    }
+    const std::string k = OrderedKeyI64(vid);
+    std::string payload;
+    PutFixed64(&payload, rnd.Next());
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    ASSERT_TRUE(dense.Add(t).ok());
+    ASSERT_TRUE(sorted.Add(t).ok());
+  }
+  ASSERT_GT(overflow_keys, kTuples / 2);
+  EmittedTuples dense_out, sort_out;
+  ASSERT_TRUE(CollectInto(dense, &dense_out).ok());
+  ASSERT_TRUE(CollectInto(sorted, &sort_out).ok());
+  ASSERT_FALSE(sort_out.empty());
+  EXPECT_TRUE(dense_out == sort_out);
+}
+
+TEST_F(SortTest, DenseGrouperRejectsWrongWidthTuples) {
+  DenseGrouper grouper(MakeConfig(1 << 20), SumI64Combiner(), 0, 16);
+  const std::string key = OrderedKeyI64(3);
+  const Slice short_payload[2] = {Slice(key), Slice("four")};
+  const Status s = grouper.Add(short_payload);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  std::string payload;
+  PutFixed64(&payload, 1);
+  const Slice short_key[2] = {Slice("k"), Slice(payload)};
+  EXPECT_EQ(grouper.Add(short_key).code(), StatusCode::kInvalidArgument);
+  // The rejected tuples left nothing behind.
+  EmittedTuples out;
+  ASSERT_TRUE(CollectInto(grouper, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+// An in-range Add copies or folds into the preallocated slot array: no heap
+// allocation, not even for a key's first message. Its tuple-op goes on the
+// worker's shared counter once, at Finish.
+TEST_F(SortTest, DenseGrouperInRangeAddDoesNotAllocate) {
+  constexpr uint64_t kSlots = 4096;
+  DenseGrouper grouper(MakeConfig(1 << 20), SumI64Combiner(), 1000, kSlots);
+  std::vector<std::string> keys;
+  for (uint64_t s = 0; s < kSlots; ++s) {
+    keys.push_back(OrderedKeyI64(1000 + static_cast<int64_t>(s)));
+  }
+  std::string payload;
+  PutFixed64(&payload, 7);
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int round = 0; round < 4; ++round) {
+    for (const std::string& key : keys) {
+      const Slice t[2] = {Slice(key), Slice(payload)};
+      if (!grouper.Add(t).ok()) FAIL() << "Add failed";
+    }
+  }
+  const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "in-range Add allocated";
+  EXPECT_EQ(metrics_.Snapshot().cpu_ops, 0u);
+  EmittedTuples out;
+  ASSERT_TRUE(CollectInto(grouper, &out).ok());
+  EXPECT_EQ(metrics_.Snapshot().cpu_ops, 4 * kSlots);
+  ASSERT_EQ(out.size(), kSlots);
+  EXPECT_EQ(DecodeFixed64(out[0].second.data()), 28u);
+}
+
+TEST_F(SortTest, DenseGrouperAppliesFinishToSlotsAndOverflow) {
+  GroupCombiner combiner = SumI64Combiner();
+  combiner.finish = [](std::string* acc) { acc->append("!"); };
+  DenseGrouper grouper(MakeConfig(1 << 20), combiner, 10, 5);
+  for (int64_t vid : {12, 3, 12, 40}) {  // in range, below, in range, above
+    const std::string k = OrderedKeyI64(vid);
+    std::string payload;
+    PutFixed64(&payload, static_cast<uint64_t>(vid));
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    ASSERT_TRUE(grouper.Add(t).ok());
+  }
+  EmittedTuples out;
+  ASSERT_TRUE(CollectInto(grouper, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  const int64_t keys[3] = {3, 12, 40};
+  const uint64_t sums[3] = {3, 24, 40};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(DecodeOrderedI64(out[i].first.data()), keys[i]);
+    ASSERT_EQ(out[i].second.size(), 9u);
+    EXPECT_EQ(DecodeFixed64(out[i].second.data()), sums[i]);
+    EXPECT_EQ(out[i].second.back(), '!');
+  }
 }
 
 // S6: the merge refill boundary is a fault point. Arming it with an error

@@ -137,6 +137,20 @@ class TortureTest : public ::testing::Test {
     return files;
   }
 
+  /// Checks that `out_dir` holds exactly the files and bytes of `baseline`.
+  void ExpectSameOutput(const std::string& out_dir,
+                        const std::map<std::string, std::string>& baseline) {
+    const std::map<std::string, std::string> got = ReadOutput(out_dir);
+    ASSERT_EQ(got.size(), baseline.size());
+    for (const auto& [name, bytes] : baseline) {
+      auto found = got.find(name);
+      ASSERT_TRUE(found != got.end()) << "missing output file " << name;
+      EXPECT_TRUE(found->second == bytes)
+          << "output file " << name << " differs from the undisturbed run ("
+          << found->second.size() << " vs " << bytes.size() << " bytes)";
+    }
+  }
+
   /// Output bytes of an undisturbed run, computed once per (algorithm, plan).
   const std::map<std::string, std::string>& Baseline(bool pagerank,
                                                      const Plan& plan) {
@@ -203,15 +217,7 @@ class TortureTest : public ::testing::Test {
       ASSERT_TRUE(s.ok()) << "final resume failed: " << s.ToString();
     }
 
-    const std::map<std::string, std::string> got = ReadOutput(job.output_dir);
-    ASSERT_EQ(got.size(), baseline.size());
-    for (const auto& [name, bytes] : baseline) {
-      auto found = got.find(name);
-      ASSERT_TRUE(found != got.end()) << "missing output file " << name;
-      EXPECT_TRUE(found->second == bytes)
-          << "output file " << name << " differs from the undisturbed run ("
-          << found->second.size() << " vs " << bytes.size() << " bytes)";
-    }
+    ExpectSameOutput(job.output_dir, baseline);
   }
 
   TempDir dir_{"torture-test"};
@@ -307,15 +313,7 @@ TEST_F(TortureTest, CrashAtThePlanSwitchBoundaryRecoversByteIdentically) {
   ASSERT_TRUE(s.ok()) << "resume across the plan switch failed: "
                       << s.ToString();
 
-  const std::map<std::string, std::string> got = ReadOutput(job.output_dir);
-  ASSERT_EQ(got.size(), baseline.size());
-  for (const auto& [name, bytes] : baseline) {
-    auto found = got.find(name);
-    ASSERT_TRUE(found != got.end()) << "missing output file " << name;
-    EXPECT_TRUE(found->second == bytes)
-        << "output file " << name << " differs from the undisturbed run ("
-        << found->second.size() << " vs " << bytes.size() << " bytes)";
-  }
+  ExpectSameOutput(job.output_dir, baseline);
 }
 
 TEST_F(TortureTest, PageRankSurvivesEightRandomizedCrashSchedules) {
@@ -379,15 +377,44 @@ TEST_F(TortureTest, TornRunFileAppendFailsTheJobAndResumesByteIdentically) {
   s = RunOnce(/*pagerank=*/false, plan, job, &result);
   ASSERT_TRUE(s.ok()) << "resume after torn write failed: " << s.ToString();
 
-  const std::map<std::string, std::string> got = ReadOutput(job.output_dir);
-  ASSERT_EQ(got.size(), baseline.size());
-  for (const auto& [name, bytes] : baseline) {
-    auto found = got.find(name);
-    ASSERT_TRUE(found != got.end()) << "missing output file " << name;
-    EXPECT_TRUE(found->second == bytes)
-        << "output file " << name << " differs from the undisturbed run ("
-        << found->second.size() << " vs " << bytes.size() << " bytes)";
+  ExpectSameOutput(job.output_dir, baseline);
+}
+
+// A crash and resume under the dense group-by. The resumed process starts
+// with no vid range: recovery must recompute it from the checkpoint, or the
+// resumed supersteps would fall back to the sort group-by.
+TEST_F(TortureTest, DenseGroupByCrashResumesByteIdentically) {
+  const Plan plan = {JoinStrategy::kFullOuter, GroupByStrategy::kDense,
+                     GroupByConnector::kUnmerged, VertexStorage::kBTree};
+  const std::map<std::string, std::string>& baseline =
+      Baseline(/*pagerank=*/false, plan);
+  ASSERT_FALSE(baseline.empty());
+
+  PregelixJobConfig job;
+  job.name = "dense-crash";
+  job.job_id = "dense-crash";
+  job.input_dir = "input";
+  job.output_dir = "out-dense-crash";
+  job.checkpoint_interval = 2;
+  FaultSpec spec;
+  spec.action = Action::kCrash;
+  spec.scope_superstep = 4;
+  FaultInjector::Global().Arm("channel.send", spec);
+  JobResult result;
+  Status s = RunOnce(/*pagerank=*/false, plan, job, &result);
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(s.IsAborted()) << s.ToString();
+
+  job.resume = true;
+  s = RunOnce(/*pagerank=*/false, plan, job, &result);
+  ASSERT_TRUE(s.ok()) << "resume failed: " << s.ToString();
+  EXPECT_EQ(result.recoveries, 1);
+  ASSERT_FALSE(result.superstep_stats.empty());
+  for (const SuperstepStats& stats : result.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
+        << "superstep " << stats.superstep;
   }
+  ExpectSameOutput(job.output_dir, baseline);
 }
 
 }  // namespace
