@@ -25,20 +25,20 @@ void RunCase(Env& env, const char* title,
              const std::vector<Dataset>& datasets, Algorithm algorithm) {
   printf("\n--- %s ---\n", title);
   PrintRow({"dataset", "size/RAM", "LeftOuterJoin", "FullOuterJoin",
-            "LOJ/FOJ", "Adaptive*"});
+            "LOJ/FOJ", "Auto*"});
   for (const Dataset& dataset : datasets) {
     PregelixPlan loj;
     loj.join = JoinStrategy::kLeftOuter;
     PregelixPlan foj;
     foj.join = JoinStrategy::kFullOuter;
-    PregelixPlan adaptive;
-    adaptive.join = JoinStrategy::kAdaptive;
+    PregelixPlan autojoin;
+    autojoin.join = JoinStrategy::kAuto;
     Outcome left = RunPregelix(env, dataset, algorithm,
                                env.Cluster(kWorkers, kWorkerRam), loj);
     Outcome full = RunPregelix(env, dataset, algorithm,
                                env.Cluster(kWorkers, kWorkerRam), foj);
-    Outcome ad = RunPregelix(env, dataset, algorithm,
-                             env.Cluster(kWorkers, kWorkerRam), adaptive);
+    Outcome chosen = RunPregelix(env, dataset, algorithm,
+                                 env.Cluster(kWorkers, kWorkerRam), autojoin);
     char ratio[32];
     snprintf(ratio, sizeof(ratio), "%.2fx",
              left.avg_iteration_seconds / full.avg_iteration_seconds);
@@ -47,7 +47,7 @@ void RunCase(Env& env, const char* title,
                                    kWorkerRam)),
               Seconds(left.avg_iteration_seconds),
               Seconds(full.avg_iteration_seconds), ratio,
-              Seconds(ad.avg_iteration_seconds)});
+              Seconds(chosen.avg_iteration_seconds)});
   }
 }
 
@@ -72,11 +72,11 @@ void Run() {
           Algorithm::kPageRank);
   RunCase(env, "(c) CC on BTC samples (expect LOJ ~ FOJ)", btc,
           Algorithm::kCc);
-  printf("\n* Adaptive is this repository's extension toward the paper's "
-         "future-work optimizer (Section 9): the plan generator re-picks "
-         "the join per superstep from the statistics collector, tracking "
-         "whichever static plan is better for the phase the algorithm is "
-         "in.\n");
+  printf("\n* Auto is this repository's extension toward the paper's "
+         "future-work optimizer (Section 9): with --join=auto the "
+         "feedback-driven plan optimizer re-picks the join per superstep "
+         "from the previous superstep's statistics, tracking whichever "
+         "static plan is better for the phase the algorithm is in.\n");
 }
 
 }  // namespace

@@ -266,8 +266,10 @@ void PrintBanner(const std::string& experiment, const std::string& paper_ref,
 }
 
 void PrintRow(const std::vector<std::string>& cells, int width) {
+  // Pad to width - 1 and always add a separator, so a cell as wide as its
+  // column cannot run into the next one.
   for (const std::string& cell : cells) {
-    printf("%-*s", width, cell.c_str());
+    printf("%-*s ", width - 1, cell.c_str());
   }
   printf("\n");
   fflush(stdout);

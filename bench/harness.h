@@ -122,7 +122,8 @@ std::vector<SweepRow> RunSystemSweep(Env& env,
 void PrintBanner(const std::string& experiment, const std::string& paper_ref,
                  const std::string& expectation);
 
-/// Fixed-width row helpers.
+/// Fixed-width row helpers. Cells are padded to `width` and separated by at
+/// least one space.
 void PrintRow(const std::vector<std::string>& cells, int width = 14);
 std::string Seconds(double s);
 std::string SecondsOrFail(const Outcome& outcome);

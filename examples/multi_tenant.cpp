@@ -69,7 +69,7 @@ int main() {
     job.name = "tenant-b";
     job.input_dir = "tenant-b/btc";
     job.output_dir = "tenant-b/dist";
-    job.join = JoinStrategy::kAdaptive;
+    job.join = JoinStrategy::kAuto;
     tenants[1].status = runtime.Run(&adapter, job, &tenants[1].result);
   });
   std::thread c([&]() {

@@ -31,7 +31,6 @@ struct ClusterConfig {
   size_t worker_ram_bytes = 16u << 20;
 
   size_t buffer_cache_pages = 0;    ///< 0 = derive as worker_ram/4 / page_size
-  size_t sort_memory_frames = 0;    ///< 0 = derive as worker_ram/16 / frame
   size_t groupby_memory_bytes = 0;  ///< 0 = derive as worker_ram/16
   size_t channel_capacity_frames = 16;
 
@@ -52,10 +51,6 @@ struct ClusterConfig {
     if (c.buffer_cache_pages == 0) {
       c.buffer_cache_pages = (c.worker_ram_bytes / 4) / c.page_size;
       if (c.buffer_cache_pages < 16) c.buffer_cache_pages = 16;
-    }
-    if (c.sort_memory_frames == 0) {
-      c.sort_memory_frames = (c.worker_ram_bytes / 16) / c.frame_size;
-      if (c.sort_memory_frames < 4) c.sort_memory_frames = 4;
     }
     if (c.groupby_memory_bytes == 0) {
       c.groupby_memory_bytes = c.worker_ram_bytes / 16;

@@ -54,7 +54,7 @@ namespace ledger_internal {
 struct ThreadRecord;
 }  // namespace ledger_internal
 
-/// The closed category set. tools/lint_ledger.py cross-checks the
+/// The closed category set. tools/lint.py cross-checks the
 /// kTimeCategoryNames literal below two-way against the DESIGN.md §20
 /// category table; adding a category means updating both.
 enum class TimeCategory : int {
@@ -76,7 +76,7 @@ enum class TimeCategory : int {
 inline constexpr int kNumTimeCategories = 13;
 
 /// Category names, indexed by TimeCategory. This literal is the source of
-/// truth tools/lint_ledger.py scans.
+/// truth tools/lint.py scans.
 inline constexpr const char* kTimeCategoryNames[kNumTimeCategories] = {
     "compute",      "sort",    "merge",      "group_by", "shuffle_wait",
     "barrier_wait", "io_read", "io_write",   "io_wait",  "lock_wait",

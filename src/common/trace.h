@@ -24,9 +24,7 @@
 // Perfetto, with one track per simulated worker — or a flat per-span-name
 // summary for machine diffing.
 //
-// Cost when off: a span construction is one relaxed atomic load. Compiling
-// with -DPREGELIX_DISABLE_TRACING removes even that (TraceSpan becomes an
-// empty object and nothing is recorded, regardless of runtime flags).
+// Cost when off: a span construction is one relaxed atomic load.
 
 namespace pregelix {
 
@@ -126,7 +124,6 @@ class Tracer {
 /// inert — destruction and AddArg cost nothing.
 class TraceSpan {
  public:
-#ifndef PREGELIX_DISABLE_TRACING
   TraceSpan(Tracer* tracer, std::string name, const char* category,
             int worker, const WorkerMetrics* metrics = nullptr)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr) {
@@ -179,13 +176,6 @@ class TraceSpan {
   const WorkerMetrics* metrics_ = nullptr;
   MetricsSnapshot entry_;
   TraceEvent event_;
-#else
-  TraceSpan(Tracer*, std::string, const char*, int,
-            const WorkerMetrics* = nullptr) {}
-  void AddArg(const char*, int64_t) {}
-  bool active() const { return false; }
-  void End() {}
-#endif
 
  public:
   TraceSpan(const TraceSpan&) = delete;

@@ -18,15 +18,11 @@ enum class JoinStrategy {
   /// (single source shortest paths).
   kLeftOuter,
   /// EXTENSION (the paper's future work asks for a cost-based optimizer,
-  /// Section 9): the plan generator re-chooses the join per superstep from
-  /// the statistics collector — full outer while most vertices participate,
-  /// left outer once the frontier (live vertices + messages) drops below
-  /// 1/5 of the graph. Algorithms like CC, which are dense early and sparse
-  /// late (Figure 14c), get both plans' best halves.
-  kAdaptive,
-  /// Feedback-driven: the PlanOptimizer re-chooses per superstep from the
-  /// previous superstep's observed stats and profile, with hysteresis and
-  /// reactive stall/spill switches (DESIGN.md "Adaptive plan optimization").
+  /// Section 9). Feedback-driven: the PlanOptimizer re-chooses per
+  /// superstep from the previous superstep's observed stats and profile,
+  /// with hysteresis and reactive stall/spill switches (DESIGN.md
+  /// "Adaptive plan optimization"). Algorithms like CC, which are dense
+  /// early and sparse late (Figure 14c), get both plans' best halves.
   kAuto,
 };
 

@@ -18,6 +18,30 @@ namespace pregelix {
 
 namespace {
 
+// Decision thresholds (DESIGN.md §17 "Per-knob policy").
+
+/// Enter the left-outer probe join when (live + messages) / |V| drops below
+/// this...
+constexpr double kSparseFrontierRatio = 0.20;
+/// ...and return to the full-outer scan only once it rises above this (the
+/// gap between the two is the hysteresis band).
+constexpr double kDenseFrontierRatio = 0.35;
+/// Message volume past `kMessageScanRatio * ApproxVertexScanBytes` keeps the
+/// sequential scan-merge: the superstep is message-bound either way, and
+/// the probe join only adds random I/O.
+constexpr double kMessageScanRatio = 0.5;
+/// Combine-op skew (max/median wall) past this prefers the merged connector
+/// (sender-side materialization absorbs the skewed receiver).
+constexpr double kSkewThreshold = 4.0;
+/// After a spill demotes the group-by to sort, re-promotion to hash
+/// requires the combiner reduction (tuples in / tuples out) to reach this.
+constexpr double kHashReductionThreshold = 2.0;
+/// Proactive switches need the signal for this many consecutive
+/// supersteps.
+constexpr int kConfirmSupersteps = 2;
+/// After any switch the knob is pinned for this many supersteps.
+constexpr int kCooldownSupersteps = 2;
+
 /// Installed by SetPlanDecisionOverrideForTesting. Read on the driver path
 /// only (single-threaded per job); tests install before Run and clear after.
 PlanDecisionOverride g_decision_override;
@@ -69,27 +93,8 @@ int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges) {
   return num_vertices * 16 + num_edges * 8;
 }
 
-JoinStrategy LegacyAdaptiveJoin(int64_t superstep, int64_t live_vertices,
-                                int64_t messages, int64_t message_bytes,
-                                int64_t num_vertices, int64_t num_edges) {
-  // Superstep 1 always scans: everything starts live.
-  if (superstep <= 1) return JoinStrategy::kFullOuter;
-  // Once the active frontier (live vertices plus combined messages) drops
-  // below 1/5 of the graph, probing beats scanning...
-  const int64_t frontier = Frontier(live_vertices, messages);
-  if (frontier * 5 >= num_vertices) return JoinStrategy::kFullOuter;
-  // ...unless the superstep is message-bound anyway: a sparse frontier with
-  // heavy fanout (few destinations, large combined payloads) used to pick
-  // the probe join here and spill — the probe side saves the sequential
-  // scan but pays random descents per key while still moving every message
-  // byte. Stay with the merge scan when message volume rivals it.
-  if (message_bytes * 2 >= ApproxVertexScanBytes(num_vertices, num_edges)) {
-    return JoinStrategy::kFullOuter;
-  }
-  return JoinStrategy::kLeftOuter;
-}
-
-PlanOptimizer::PlanOptimizer(PlanOptimizerOptions opts) : opts_(opts) {
+PlanOptimizer::PlanOptimizer(uint64_t groupby_memory_bytes)
+    : groupby_memory_bytes_(groupby_memory_bytes) {
   // Hash pre-aggregation starts as the optimistic default: with the
   // accumulator table inside budget it is never worse than sort (it skips
   // the run-generation passes), and when it does overflow it degrades to
@@ -103,7 +108,7 @@ void PlanOptimizer::Observe(const OptimizerFeedback& feedback) {
 }
 
 bool PlanOptimizer::CooledDown(const KnobState& k, int64_t superstep) const {
-  return superstep - k.last_switch > opts_.cooldown_supersteps;
+  return superstep - k.last_switch > kCooldownSupersteps;
 }
 
 bool PlanOptimizer::Confirm(KnobState* k, int64_t superstep, bool wants_change,
@@ -114,7 +119,7 @@ bool PlanOptimizer::Confirm(KnobState* k, int64_t superstep, bool wants_change,
   }
   if (!CooledDown(*k, superstep)) return false;
   ++k->pending_streak;
-  if (reactive || k->pending_streak >= opts_.confirm_supersteps) {
+  if (reactive || k->pending_streak >= kConfirmSupersteps) {
     k->pending_streak = 0;
     k->last_switch = superstep;
     return true;
@@ -136,25 +141,22 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
                   static_cast<double>(fb.num_vertices);
     const bool msg_dominant =
         static_cast<double>(fb.message_bytes) >=
-        opts_.message_scan_ratio *
+        kMessageScanRatio *
             static_cast<double>(
                 ApproxVertexScanBytes(fb.num_vertices, fb.num_edges));
-    const uint64_t spill_budget = static_cast<uint64_t>(
-        opts_.spill_budget_factor *
-        static_cast<double>(opts_.groupby_memory_bytes));
-    const bool spill_over = fb.spill_bytes > spill_budget;
+    const bool spill_over = fb.spill_bytes > groupby_memory_bytes_;
 
     // --- join: frontier ratio with a [sparse, dense] hysteresis band. A
     // stall relaxes the edge to the middle of the band (reactive) — a plan
     // that is stalling does not get the benefit of the doubt.
     const bool wants_loj =
         current_.join == JoinStrategy::kFullOuter && !msg_dominant &&
-        (ratio < opts_.sparse_frontier_ratio ||
-         (fb.stalled && ratio < opts_.dense_frontier_ratio));
+        (ratio < kSparseFrontierRatio ||
+         (fb.stalled && ratio < kDenseFrontierRatio));
     const bool wants_foj =
         current_.join == JoinStrategy::kLeftOuter &&
-        (ratio > opts_.dense_frontier_ratio || msg_dominant ||
-         (fb.stalled && ratio > opts_.sparse_frontier_ratio));
+        (ratio > kDenseFrontierRatio || msg_dominant ||
+         (fb.stalled && ratio > kSparseFrontierRatio));
     if (Confirm(&join_state_, superstep, wants_loj || wants_foj,
                 fb.stalled)) {
       current_.join = wants_loj ? JoinStrategy::kLeftOuter
@@ -176,7 +178,7 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
                   static_cast<double>(fb.combine_tuples_out)
             : 0.0;
     const bool wants_hash = current_.groupby == GroupByStrategy::kSort &&
-                            reduction >= opts_.hash_reduction_threshold &&
+                            reduction >= kHashReductionThreshold &&
                             fb.spill_count == 0;
     const bool wants_sort =
         current_.groupby == GroupByStrategy::kHashSort && spill_over;
@@ -201,10 +203,10 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
     const bool conn_reactive = spill_over || fb.stalled;
     const bool wants_merged =
         current_.connector == GroupByConnector::kUnmerged &&
-        (fb.spill_count > 0 || fb.groupby_skew >= opts_.skew_threshold);
+        (fb.spill_count > 0 || fb.groupby_skew >= kSkewThreshold);
     const bool wants_unmerged =
         current_.connector == GroupByConnector::kMerged &&
-        fb.spill_count == 0 && fb.groupby_skew < opts_.skew_threshold &&
+        fb.spill_count == 0 && fb.groupby_skew < kSkewThreshold &&
         fb.message_bytes * 2 < connector_switch_load_;
     if (Confirm(&connector_state_, superstep, wants_merged || wants_unmerged,
                 /*reactive=*/wants_merged && conn_reactive)) {
@@ -250,26 +252,12 @@ VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx) {
 
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
   const PregelixJobConfig& cfg = *ctx->job_config;
+  // Without an optimizer (plan-generator unit tests, `pregelix verify`)
+  // each kAuto knob resolves to the optimizer's superstep-1 plan: full
+  // outer, hash-sort, unmerged.
   PlanDecision d;
-  switch (cfg.join) {
-    case JoinStrategy::kFullOuter:
-    case JoinStrategy::kLeftOuter:
-      d.join = cfg.join;
-      break;
-    case JoinStrategy::kAdaptive:
-    case JoinStrategy::kAuto:
-      // kAuto without an optimizer (plan-generator unit tests, direct
-      // BuildSuperstepJob callers) deterministically re-decides via the
-      // legacy heuristic — also what a recovering driver does before its
-      // optimizer has observed anything.
-      d.join = LegacyAdaptiveJoin(ctx->current_superstep,
-                                  ctx->gs.live_vertices, ctx->gs.messages,
-                                  ctx->gs.message_bytes, ctx->gs.num_vertices,
-                                  ctx->gs.num_edges);
-      break;
-  }
-  // Matches the optimizer's own optimistic start so a recovering driver
-  // (optimizer not yet fed) re-derives the same superstep-1 plan.
+  d.join = cfg.join == JoinStrategy::kAuto ? JoinStrategy::kFullOuter
+                                           : cfg.join;
   d.groupby = cfg.groupby == GroupByStrategy::kAuto
                   ? GroupByStrategy::kHashSort
                   : cfg.groupby;
@@ -369,9 +357,7 @@ Status ResolveAndPublishPlan(JobRuntimeContext* ctx, MetricsRegistry* registry,
     record->reason = ctx->optimizer->last_reason();
   } else {
     record->reactive = false;
-    record->reason =
-        ctx->job_config->join == JoinStrategy::kAdaptive ? "adaptive"
-                                                         : "static";
+    record->reason = "static";
   }
 
   struct Change {
@@ -454,8 +440,6 @@ const char* JoinStrategyName(JoinStrategy join) {
       return "fullouter";
     case JoinStrategy::kLeftOuter:
       return "leftouter";
-    case JoinStrategy::kAdaptive:
-      return "adaptive";
     case JoinStrategy::kAuto:
       return "auto";
   }

@@ -14,9 +14,10 @@
 // optimization").
 //
 // The chooser consumes the *previous* superstep's observations — live-vertex
-// ratio, combined message count and bytes, spill count/bytes, group-by skew,
-// cache-hit ratio, and whether the stall watchdog fired — and re-chooses
-// among the paper's physical variants at every superstep boundary:
+// ratio, combined message count and bytes, spill count/bytes, group-by skew
+// and combiner reduction, and whether the stall watchdog fired — and
+// re-chooses among the paper's physical variants at every superstep
+// boundary:
 //
 //   join       Vid-merge full-outer scan  vs  left-outer Vertex probe
 //   group-by   sort-based                 vs  hash pre-aggregation
@@ -24,11 +25,11 @@
 //   storage    B-tree vs LSM — admission time only (indexes are built once)
 //
 // Every knob carries hysteresis: a proactive switch needs the signal to hold
-// for `confirm_supersteps` consecutive supersteps, and any switch opens a
-// `cooldown_supersteps` window during which the knob cannot switch back.
-// Reactive switches (watchdog stall, spill bytes past the budget-derived
-// threshold) skip the confirmation streak but still respect the cooldown, so
-// the chooser cannot oscillate even under an adversarial signal.
+// for two consecutive supersteps, and any switch opens a two-superstep
+// cooldown window during which the knob cannot switch back. Reactive
+// switches (watchdog stall, spill bytes past the group-by budget) skip the
+// confirmation streak but still respect the cooldown, so the chooser cannot
+// oscillate even under an adversarial signal.
 
 namespace pregelix {
 
@@ -44,7 +45,7 @@ inline int64_t Frontier(int64_t live_vertices, int64_t messages) {
 }
 
 /// The three per-superstep-switchable knobs, fully resolved (never an
-/// adaptive/auto value).
+/// auto value).
 struct PlanDecision {
   JoinStrategy join = JoinStrategy::kFullOuter;
   GroupByStrategy groupby = GroupByStrategy::kSort;
@@ -60,16 +61,13 @@ struct PlanDecision {
 /// from GS, SuperstepStats, the PlanProfile when profiling is on, and the
 /// stall watchdog).
 struct OptimizerFeedback {
-  int64_t superstep = 0;  ///< the superstep these observations describe
   int64_t num_vertices = 0;
   int64_t num_edges = 0;
   int64_t live_vertices = 0;
   int64_t messages = 0;       ///< combined messages produced (count)
   int64_t message_bytes = 0;  ///< combined message payload volume
-  uint64_t bytes_shuffled = 0;
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
-  double cache_hit_ratio = 1.0;
   /// Combine-op worker skew (max/median wall) from the plan profile; 1.0
   /// when unknown (profiling off).
   double groupby_skew = 1.0;
@@ -80,41 +78,6 @@ struct OptimizerFeedback {
   uint64_t combine_tuples_out = 0;
   /// The stall watchdog flagged this superstep while it ran.
   bool stalled = false;
-  /// The plan these observations were made under.
-  PlanDecision plan;
-};
-
-/// Tuning thresholds. Defaults are what DESIGN.md documents; tests construct
-/// edge cases explicitly.
-struct PlanOptimizerOptions {
-  /// Per-operator group-by memory budget; the reactive spill threshold is
-  /// `spill_budget_factor` times this.
-  uint64_t groupby_memory_bytes = 32ull << 20;
-  /// Enter the left-outer probe join when (live + messages) / |V| drops
-  /// below this...
-  double sparse_frontier_ratio = 0.20;
-  /// ...and return to the full-outer scan only once it rises above this
-  /// (the gap between the two is the hysteresis band).
-  double dense_frontier_ratio = 0.35;
-  /// Message volume past `message_scan_ratio * approx_scan_bytes` keeps the
-  /// sequential scan-merge: the superstep is message-bound either way, and
-  /// the probe join only adds random I/O (the legacy heuristic's blind
-  /// spot).
-  double message_scan_ratio = 0.5;
-  /// Reactive spill threshold = factor * groupby_memory_bytes.
-  double spill_budget_factor = 1.0;
-  /// Combine-op skew (max/median wall) past this prefers the merged
-  /// connector (sender-side materialization absorbs the skewed receiver).
-  double skew_threshold = 4.0;
-  /// Hash pre-aggregation is the optimistic start; after a spill demotes
-  /// the group-by to sort, re-promotion to hash requires the combiner
-  /// reduction (tuples in / tuples out) to reach this.
-  double hash_reduction_threshold = 2.0;
-  /// Proactive switches need the signal for this many consecutive
-  /// supersteps.
-  int confirm_supersteps = 2;
-  /// After any switch the knob is pinned for this many supersteps.
-  int cooldown_supersteps = 2;
 };
 
 /// One driver-visible decision: what ran at `superstep`, whether it differed
@@ -131,7 +94,10 @@ struct PlanDecisionRecord {
 
 class PlanOptimizer {
  public:
-  explicit PlanOptimizer(PlanOptimizerOptions opts = {});
+  /// `groupby_memory_bytes` is the per-operator group-by budget; spill
+  /// bytes past it demote the group-by to sort reactively. The other
+  /// thresholds are the constants DESIGN.md §17 documents.
+  explicit PlanOptimizer(uint64_t groupby_memory_bytes = 32ull << 20);
 
   /// Feeds the observations of a completed superstep. Called by the driver
   /// at each barrier, before deciding the next superstep.
@@ -152,8 +118,6 @@ class PlanOptimizer {
   /// counts 2).
   int64_t switch_count() const { return switch_count_; }
 
-  const PlanOptimizerOptions& options() const { return opts_; }
-
  private:
   struct KnobState {
     int pending_streak = 0;       ///< consecutive supersteps wanting a change
@@ -167,7 +131,7 @@ class PlanOptimizer {
   bool Confirm(KnobState* k, int64_t superstep, bool wants_change,
                bool reactive);
 
-  PlanOptimizerOptions opts_;
+  uint64_t groupby_memory_bytes_;
   bool has_feedback_ = false;
   OptimizerFeedback fb_;  ///< latest observations
 
@@ -193,18 +157,9 @@ using PlanDecisionOverride =
     std::function<bool(int64_t superstep, PlanDecision* decision)>;
 void SetPlanDecisionOverrideForTesting(PlanDecisionOverride fn);
 
-/// The legacy single-knob `JoinStrategy::kAdaptive` heuristic, message-bytes
-/// aware: left-outer only when the frontier is sparse AND the combined
-/// message volume does not rival the sequential scan the full-outer plan
-/// would do anyway (heavy-fanout supersteps are message-bound; probing only
-/// adds random I/O and Vid maintenance).
-JoinStrategy LegacyAdaptiveJoin(int64_t superstep, int64_t live_vertices,
-                                int64_t messages, int64_t message_bytes,
-                                int64_t num_vertices, int64_t num_edges);
-
-/// The scan-volume approximation shared by the legacy heuristic and the
-/// optimizer's message-dominance guard: what a full-outer pass over the
-/// Vertex relation roughly reads, from the graph shape alone.
+/// The scan-volume approximation behind the optimizer's message-dominance
+/// guard: what a full-outer pass over the Vertex relation roughly reads,
+/// from the graph shape alone.
 int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges);
 
 /// Admission-time storage resolution: static hints pass through; kAuto picks
@@ -215,9 +170,9 @@ VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx);
 
 /// Resolves the three switchable knobs for ctx->current_superstep and writes
 /// them into ctx->current_{join,groupby,connector}. Static hints pass
-/// through; kAdaptive join uses the legacy heuristic; kAuto knobs ask
-/// ctx->optimizer (falling back to the same defaults when no optimizer is
-/// installed, e.g. plan-generator unit tests). Pure apart from the
+/// through; kAuto knobs ask ctx->optimizer, or resolve to its superstep-1
+/// plan (fullouter/hashsort/unmerged) when no optimizer is installed
+/// (plan-generator unit tests, `pregelix verify`). Pure apart from the
 /// optimizer's own memoized Decide.
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx);
 

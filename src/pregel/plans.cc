@@ -984,9 +984,9 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
                 std::to_string(ctx->current_superstep));
 
   // Resolve the physical plan knobs for this superstep: static hints pass
-  // through, kAdaptive runs the legacy frontier heuristic, and kAuto
-  // consults the feedback-driven PlanOptimizer. Idempotent for the same
-  // superstep, so direct callers may rebuild the job after tweaking stats.
+  // through, and kAuto consults the feedback-driven PlanOptimizer.
+  // Idempotent for the same superstep, so direct callers may rebuild the
+  // job after tweaking stats.
   ResolvePlanDecision(ctx);
   const bool loj = ctx->current_join == JoinStrategy::kLeftOuter;
   const bool merged = ctx->current_connector == GroupByConnector::kMerged;

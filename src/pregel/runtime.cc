@@ -159,9 +159,8 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   if (config.join == JoinStrategy::kAuto ||
       config.groupby == GroupByStrategy::kAuto ||
       config.groupby_connector == GroupByConnector::kAuto) {
-    PlanOptimizerOptions opts;
-    opts.groupby_memory_bytes = cluster_->config().groupby_memory_bytes;
-    ctx->optimizer = std::make_shared<PlanOptimizer>(opts);
+    ctx->optimizer = std::make_shared<PlanOptimizer>(
+        cluster_->config().groupby_memory_bytes);
   } else {
     ctx->optimizer.reset();
   }
@@ -265,14 +264,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       int64_t resume = 0;
       bool restart = false;
       PREGELIX_RETURN_NOT_OK(Recover(ctx, &resume, &restart));
-      if (restart) {
-        const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
-        JobSpec load = BuildLoadJob(ctx);
-        PREGELIX_RETURN_NOT_OK(RunJob(*cluster_, load, ctx));
-        result->load_sim_seconds += SimulatedStepSeconds(
-            Delta(before, cluster_->SnapshotAll()), cost_params_);
-        PREGELIX_RETURN_NOT_OK(init_gs_after_load());
-      }
+      if (restart) PREGELIX_RETURN_NOT_OK(load_from_input());
       continue;  // re-evaluate the loop with the recovered GS
     }
 
@@ -360,18 +352,14 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     // Decide consumes exactly these observations.
     if (ctx->optimizer != nullptr) {
       OptimizerFeedback fb;
-      fb.superstep = superstep;
       fb.num_vertices = ctx->gs.num_vertices;
       fb.num_edges = ctx->gs.num_edges;
       fb.live_vertices = ctx->gs.live_vertices;
       fb.messages = ctx->gs.messages;
       fb.message_bytes = ctx->gs.message_bytes;
-      fb.bytes_shuffled = stats.bytes_shuffled;
       fb.spill_count = stats.spill_count;
       fb.spill_bytes = stats.spill_bytes;
-      fb.cache_hit_ratio = stats.cache_hit_ratio;
       fb.stalled = stalled;
-      fb.plan = plan_record.plan;
       if (stats.profile != nullptr) {
         for (const PlanOperatorProfile& op : stats.profile->ops()) {
           if (op.name == "combine-msgs") {
@@ -531,7 +519,7 @@ Status PregelixRuntime::AdvanceGlobalState(JobRuntimeContext* ctx) {
     p.next_msg_path.clear();
     p.next_msg_count = 0;
     p.next_msg_bytes = 0;
-    if (ctx->job_config->join != JoinStrategy::kFullOuter) {
+    if (ctx->MaintainsVid()) {
       if (p.vid_index != nullptr) {
         Status s = p.vid_index->Destroy();
         if (!s.ok()) PLOG(Warn) << "vid destroy: " << s.ToString();
@@ -783,7 +771,7 @@ Status PregelixRuntime::RunPipeline(
 }
 
 Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
-  const bool loj = ctx->job_config->join != JoinStrategy::kFullOuter;
+  const bool loj = ctx->MaintainsVid();
   for (int p = 0; p < static_cast<int>(ctx->partitions.size()); ++p) {
     PartitionState& state = ctx->partitions[p];
     if (!state.msg_path.empty()) {

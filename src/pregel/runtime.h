@@ -26,7 +26,7 @@ struct SuperstepStats {
   int64_t live_vertices = 0;
   int64_t messages = 0;  ///< combined messages produced for the next step
   int64_t frontier() const { return Frontier(live_vertices, messages); }
-  /// Join plan executed (interesting under kAdaptive/kAuto).
+  /// Join plan executed (interesting under kAuto).
   bool used_left_outer_join = false;
   /// Group-by strategy and connector executed (interesting under kAuto).
   GroupByStrategy groupby_used = GroupByStrategy::kSort;

@@ -98,8 +98,8 @@ struct JobRuntimeContext {
   /// Superstep currently executing (gs.superstep + 1).
   int64_t current_superstep = 1;
   /// Plan knobs in effect for the current superstep. Equal the job hints
-  /// except under kAdaptive/kAuto, where ResolvePlanDecision resolves them
-  /// per superstep (legacy heuristic / PlanOptimizer).
+  /// except under kAuto, where ResolvePlanDecision resolves them per
+  /// superstep via the PlanOptimizer.
   JoinStrategy current_join = JoinStrategy::kFullOuter;
   GroupByStrategy current_groupby = GroupByStrategy::kSort;
   GroupByConnector current_connector = GroupByConnector::kUnmerged;
@@ -110,9 +110,9 @@ struct JobRuntimeContext {
   int64_t dense_lo = 0;
   uint64_t dense_slots = 0;
 
-  /// Feedback-driven chooser for kAuto knobs; null for static/kAdaptive
-  /// jobs. Owned here so operator lambdas and the driver share one
-  /// instance whose lifetime matches the job context.
+  /// Feedback-driven chooser for kAuto knobs; null for static jobs. Owned
+  /// here so operator lambdas and the driver share one instance whose
+  /// lifetime matches the job context.
   std::shared_ptr<PlanOptimizer> optimizer;
   /// Plan the previous superstep ran under (driver path), for switch
   /// detection by ResolveAndPublishPlan.

@@ -21,7 +21,7 @@ namespace server {
 
 namespace {
 
-// The served endpoint table. lint_endpoints.py cross-checks these literals
+// The served endpoint table. tools/lint.py cross-checks these literals
 // against the endpoint table in DESIGN.md §15 — keep both in sync.
 constexpr const char* kEndpoints[] = {
     "/",           // endpoint index (this table, as text)

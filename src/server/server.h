@@ -29,7 +29,7 @@
 // handler threads take only the kServer / kJobRegistry / kEventJournal /
 // kMetricsRegistry locks, each for one snapshot.
 //
-// Endpoint table (lint_endpoints.py cross-checks this against DESIGN.md):
+// Endpoint table (tools/lint.py cross-checks this against DESIGN.md):
 // see kEndpoints in server.cc.
 
 namespace pregelix {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -56,27 +57,48 @@ struct Flags {
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
 
+/// Sets `*out` from `--flag`, spelled as `name` spells the enum values in
+/// `choices`; the first choice is the default. Any other value is an error
+/// naming the accepted ones.
+template <typename Enum>
+Status ParsePlanFlag(const Flags& flags, const std::string& flag,
+                     std::initializer_list<Enum> choices,
+                     const char* (*name)(Enum), Enum* out) {
+  const std::string value = flags.Get(flag, name(*choices.begin()));
+  std::string accepted;
+  for (Enum choice : choices) {
+    if (value == name(choice)) {
+      *out = choice;
+      return Status::OK();
+    }
+    if (!accepted.empty()) accepted += "|";
+    accepted += name(choice);
+  }
+  return Status::InvalidArgument("unknown --" + flag + "=" + value +
+                                 " (accepted: " + accepted + ")");
+}
+
 /// Parses the physical plan hint flags into `job` (shared by run, explain,
 /// and verify).
-void ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
-  const std::string join = flags.Get("join", "fullouter");
-  job->join = join == "leftouter" ? JoinStrategy::kLeftOuter
-              : join == "adaptive" ? JoinStrategy::kAdaptive
-              : join == "auto"     ? JoinStrategy::kAuto
-                                   : JoinStrategy::kFullOuter;
-  const std::string groupby = flags.Get("groupby", "dense");
-  job->groupby = groupby == "sort"       ? GroupByStrategy::kSort
-                 : groupby == "hashsort" ? GroupByStrategy::kHashSort
-                 : groupby == "auto"     ? GroupByStrategy::kAuto
-                                         : GroupByStrategy::kDense;
-  const std::string connector = flags.Get("connector", "unmerged");
-  job->groupby_connector = connector == "merged" ? GroupByConnector::kMerged
-                           : connector == "auto" ? GroupByConnector::kAuto
-                                                 : GroupByConnector::kUnmerged;
-  const std::string storage = flags.Get("storage", "btree");
-  job->storage = storage == "lsm"    ? VertexStorage::kLsmBTree
-                 : storage == "auto" ? VertexStorage::kAuto
-                                     : VertexStorage::kBTree;
+Status ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
+  PREGELIX_RETURN_NOT_OK(ParsePlanFlag(
+      flags, "join",
+      {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter, JoinStrategy::kAuto},
+      JoinStrategyName, &job->join));
+  PREGELIX_RETURN_NOT_OK(ParsePlanFlag(
+      flags, "groupby",
+      {GroupByStrategy::kDense, GroupByStrategy::kSort,
+       GroupByStrategy::kHashSort, GroupByStrategy::kAuto},
+      GroupByStrategyName, &job->groupby));
+  PREGELIX_RETURN_NOT_OK(ParsePlanFlag(
+      flags, "connector",
+      {GroupByConnector::kUnmerged, GroupByConnector::kMerged,
+       GroupByConnector::kAuto},
+      GroupByConnectorName, &job->groupby_connector));
+  return ParsePlanFlag(
+      flags, "storage",
+      {VertexStorage::kBTree, VertexStorage::kLsmBTree, VertexStorage::kAuto},
+      VertexStorageName, &job->storage);
 }
 
 /// Builds the type-erased adapter for a typed vertex program; the deleter's
@@ -141,7 +163,7 @@ commands:
       --input=DIR [--output=DIR]
       --workers=N               simulated worker machines (default 4)
       --worker-ram-mb=M         simulated RAM per worker (default 16)
-      --join=fullouter|leftouter|adaptive|auto   (default fullouter)
+      --join=fullouter|leftouter|auto            (default fullouter)
       --groupby=dense|sort|hashsort|auto         (default dense)
       --connector=unmerged|merged|auto           (default unmerged)
       --storage=btree|lsm|auto                   (default btree)
@@ -386,7 +408,7 @@ Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
     }
   };
   auto check_superstep = [&]() {
-    // BuildSuperstepJob resolves kAuto/kAdaptive knobs into ctx.current_*;
+    // BuildSuperstepJob resolves kAuto knobs into ctx.current_*;
     // label with what was actually planned.
     const JobSpec spec = BuildSuperstepJob(&ctx);
     const PlanDecision d{ctx.current_join, ctx.current_groupby,
@@ -447,7 +469,7 @@ Status VerifyCommand(const Flags& flags) {
   PregelixJobConfig job;
   job.input_dir = flags.Get("input");
   job.output_dir = flags.Get("output");
-  ApplyPlanFlags(flags, &job);
+  PREGELIX_RETURN_NOT_OK(ApplyPlanFlags(flags, &job));
   const std::string algorithm = flags.Get("algorithm", "pagerank");
   job.name = "verify-" + algorithm;
 
@@ -461,6 +483,24 @@ Status VerifyCommand(const Flags& flags) {
 }
 
 Status RunCommand(const Flags& flags, bool explain) {
+  // Parse the job first, so a bad flag fails before any observability
+  // output is set up.
+  PregelixJobConfig job;
+  job.input_dir = flags.Get("input");
+  job.output_dir = flags.Get("output");
+  job.max_supersteps = static_cast<int>(flags.GetInt("max-supersteps", 1000));
+  job.checkpoint_interval =
+      static_cast<int>(flags.GetInt("checkpoint-interval", 0));
+  job.profile_plan = explain || flags.Has("profile");
+  if (flags.Has("stall-factor")) {
+    job.stall_factor = std::stod(flags.Get("stall-factor"));
+  }
+  PREGELIX_RETURN_NOT_OK(ApplyPlanFlags(flags, &job));
+  const std::string algorithm = flags.Get("algorithm");
+  job.name = "cli-" + algorithm;
+  std::shared_ptr<PregelProgram> adapter;
+  PREGELIX_RETURN_NOT_OK(MakeAlgorithmAdapter(flags, algorithm, &adapter));
+
   // Disable before any thread attaches: every guard, reattribution, and
   // lock-wait charge in the process becomes inert.
   if (flags.Get("time-ledger", "on") == "off") {
@@ -521,25 +561,6 @@ Status RunCommand(const Flags& flags, bool explain) {
            admin->port());
     fflush(stdout);
   }
-
-  PregelixJobConfig job;
-  job.input_dir = flags.Get("input");
-  job.output_dir = flags.Get("output");
-  job.max_supersteps = static_cast<int>(flags.GetInt("max-supersteps", 1000));
-  job.checkpoint_interval =
-      static_cast<int>(flags.GetInt("checkpoint-interval", 0));
-  job.profile_plan = explain || flags.Has("profile");
-  if (flags.Has("stall-factor")) {
-    job.stall_factor = std::stod(flags.Get("stall-factor"));
-  }
-
-  ApplyPlanFlags(flags, &job);
-
-  const std::string algorithm = flags.Get("algorithm");
-  job.name = "cli-" + algorithm;
-
-  std::shared_ptr<PregelProgram> adapter;
-  PREGELIX_RETURN_NOT_OK(MakeAlgorithmAdapter(flags, algorithm, &adapter));
 
   if (flags.Has("verify")) {
     // Audit every plan this job can produce before running any of them.

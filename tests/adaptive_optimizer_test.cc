@@ -1,11 +1,11 @@
 // Adaptive plan optimizer suite (DESIGN.md "Adaptive plan optimization").
 //
-// Unit half: the decision functions in isolation — the legacy kAdaptive
-// heuristic (including the message-volume blind spot it used to have), the
-// PlanOptimizer's threshold edges, confirmation streaks, cooldowns, and
-// reactive (stall/spill) switches, all driven by hand-built
-// OptimizerFeedback records; plus admission-time storage resolution and the
-// ResolvePlanDecision fallback paths.
+// Unit half: the decision functions in isolation — the PlanOptimizer's
+// threshold edges (including the message-volume guard on sparse
+// frontiers), confirmation streaks, cooldowns, and reactive (stall/spill)
+// switches, all driven by hand-built OptimizerFeedback records; plus
+// admission-time storage resolution and the ResolvePlanDecision fallback
+// paths.
 //
 // End-to-end half: a connected-components run under all-kAuto knobs on a
 // "lollipop" graph (a star head that converges fast, then a long path tail
@@ -40,47 +40,14 @@ namespace pregelix {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy kAdaptive heuristic
+// Scan-volume approximation
 
 TEST(ApproxVertexScanBytesTest, TracksGraphShape) {
-  // The constants are a contract: both the legacy heuristic and the
-  // optimizer's message-dominance guard compare message volume against
-  // exactly this approximation.
+  // The constants are a contract: the optimizer's message-dominance guard
+  // compares message volume against exactly this approximation.
   EXPECT_EQ(ApproxVertexScanBytes(0, 0), 0);
   EXPECT_EQ(ApproxVertexScanBytes(1000, 5000), 1000 * 16 + 5000 * 8);
   EXPECT_LT(ApproxVertexScanBytes(100, 100), ApproxVertexScanBytes(100, 200));
-}
-
-TEST(LegacyAdaptiveJoinTest, AlwaysScansInEarlySupersteps) {
-  // Superstep 1: everything is live, nothing is known — scan.
-  EXPECT_EQ(LegacyAdaptiveJoin(0, 1, 1, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-  EXPECT_EQ(LegacyAdaptiveJoin(1, 1, 1, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-}
-
-TEST(LegacyAdaptiveJoinTest, FrontierFifthOfGraphIsTheScanBoundary) {
-  // frontier * 5 >= |V| keeps the scan; one vertex under flips to probe.
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 100, 100, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 100, 99, 0, 1000, 5000),
-            JoinStrategy::kLeftOuter);
-}
-
-TEST(LegacyAdaptiveJoinTest, MessageVolumeKeepsTheScanOnSparseFrontiers) {
-  // The old heuristic's blind spot: a sparse frontier with heavy fanout
-  // (few destinations, large combined payloads) is message-bound — the
-  // probe join saves the sequential scan but pays a random descent per key
-  // while still moving every message byte. message_bytes*2 >= approx scan
-  // bytes must stay with the merge scan.
-  const int64_t scan = ApproxVertexScanBytes(1000, 5000);  // 56000
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 10, 10, scan / 2, 1000, 5000),
-            JoinStrategy::kFullOuter)
-      << "message-bound superstep picked the probe join (the regression "
-         "this guard exists for)";
-  // Just under the threshold: the probe join is genuinely cheaper.
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 10, 10, scan / 2 - 1, 1000, 5000),
-            JoinStrategy::kLeftOuter);
 }
 
 // ---------------------------------------------------------------------------
@@ -89,9 +56,8 @@ TEST(LegacyAdaptiveJoinTest, MessageVolumeKeepsTheScanOnSparseFrontiers) {
 /// Baseline feedback: 1000 vertices, 5000 edges, negligible message volume.
 /// Scan approximation is 56000 bytes, so the default message-dominance
 /// threshold sits at 28000.
-OptimizerFeedback Feedback(int64_t superstep, int64_t live, int64_t messages) {
+OptimizerFeedback Feedback(int64_t live, int64_t messages) {
   OptimizerFeedback fb;
-  fb.superstep = superstep;
   fb.num_vertices = 1000;
   fb.num_edges = 5000;
   fb.live_vertices = live;
@@ -115,9 +81,9 @@ TEST(PlanOptimizerTest, DefaultsBeforeAnyFeedback) {
 
 TEST(PlanOptimizerTest, JoinSwitchRequiresConfirmationStreak) {
   PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));  // ratio 0.1 < 0.20
+  opt.Observe(Feedback(50, 50));  // ratio 0.1 < 0.20
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter) << "streak of 1";
-  opt.Observe(Feedback(2, 50, 50));
+  opt.Observe(Feedback(50, 50));
   EXPECT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter) << "streak of 2";
   EXPECT_EQ(opt.switch_count(), 1);
   EXPECT_FALSE(opt.last_reactive());
@@ -126,9 +92,9 @@ TEST(PlanOptimizerTest, JoinSwitchRequiresConfirmationStreak) {
 
 TEST(PlanOptimizerTest, SparseBoundaryIsExclusive) {
   PlanOptimizer opt;
-  // ratio == sparse_frontier_ratio exactly (200/1000 = 0.20): not sparse.
+  // ratio == kSparseFrontierRatio exactly (200/1000 = 0.20): not sparse.
   for (int64_t ss = 1; ss <= 6; ++ss) {
-    opt.Observe(Feedback(ss, 100, 100));
+    opt.Observe(Feedback(100, 100));
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
         << "superstep " << ss + 1;
   }
@@ -137,23 +103,23 @@ TEST(PlanOptimizerTest, SparseBoundaryIsExclusive) {
 
 TEST(PlanOptimizerTest, HysteresisBandHoldsTheProbeJoin) {
   PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));
+  opt.Observe(Feedback(50, 50));
   opt.Decide(2);
-  opt.Observe(Feedback(2, 50, 50));
+  opt.Observe(Feedback(50, 50));
   ASSERT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter);
 
   // Ratio 0.30 sits inside the [0.20, 0.35] band: no backswitch, ever.
   for (int64_t ss = 3; ss <= 8; ++ss) {
-    opt.Observe(Feedback(ss, 200, 100));
+    opt.Observe(Feedback(200, 100));
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kLeftOuter)
         << "band ratio flapped at superstep " << ss + 1;
   }
   EXPECT_EQ(opt.switch_count(), 1);
 
   // Ratio 0.50 is past the dense edge: back to the scan after the streak.
-  opt.Observe(Feedback(9, 400, 100));
+  opt.Observe(Feedback(400, 100));
   EXPECT_EQ(opt.Decide(10).join, JoinStrategy::kLeftOuter);
-  opt.Observe(Feedback(10, 400, 100));
+  opt.Observe(Feedback(400, 100));
   EXPECT_EQ(opt.Decide(11).join, JoinStrategy::kFullOuter);
   EXPECT_EQ(opt.switch_count(), 2);
 }
@@ -161,7 +127,7 @@ TEST(PlanOptimizerTest, HysteresisBandHoldsTheProbeJoin) {
 TEST(PlanOptimizerTest, MessageVolumeBlocksTheProbeJoin) {
   PlanOptimizer opt;
   for (int64_t ss = 1; ss <= 6; ++ss) {
-    OptimizerFeedback fb = Feedback(ss, 25, 25);  // ratio 0.05: very sparse
+    OptimizerFeedback fb = Feedback(25, 25);  // ratio 0.05: very sparse
     fb.message_bytes = 30000;                     // >= 0.5 * 56000: dominant
     opt.Observe(fb);
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
@@ -174,7 +140,7 @@ TEST(PlanOptimizerTest, StallSwitchesReactivelyButRespectsCooldown) {
   PlanOptimizer opt;
   // Ratio 0.30 would not proactively switch (inside the band), but a stall
   // relaxes the edge and skips the confirmation streak.
-  OptimizerFeedback fb = Feedback(1, 200, 100);
+  OptimizerFeedback fb = Feedback(200, 100);
   fb.stalled = true;
   opt.Observe(fb);
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kLeftOuter);
@@ -184,13 +150,13 @@ TEST(PlanOptimizerTest, StallSwitchesReactivelyButRespectsCooldown) {
   // The new plan stalls too at a dense ratio: wants to switch back
   // reactively, but the cooldown pins the knob until superstep 5.
   for (int64_t ss = 2; ss <= 3; ++ss) {
-    OptimizerFeedback dense = Feedback(ss, 400, 100);
+    OptimizerFeedback dense = Feedback(400, 100);
     dense.stalled = true;
     opt.Observe(dense);
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kLeftOuter)
         << "cooldown violated at superstep " << ss + 1;
   }
-  OptimizerFeedback dense = Feedback(4, 400, 100);
+  OptimizerFeedback dense = Feedback(400, 100);
   dense.stalled = true;
   opt.Observe(dense);
   EXPECT_EQ(opt.Decide(5).join, JoinStrategy::kFullOuter);
@@ -203,8 +169,8 @@ TEST(PlanOptimizerTest, AlternatingSignalNeverConfirms) {
   // Adversarial feed: the frontier alternates sparse/dense every superstep.
   // The confirmation streak resets on every flip, so the plan never moves.
   for (int64_t ss = 1; ss <= 12; ++ss) {
-    opt.Observe(ss % 2 == 1 ? Feedback(ss, 25, 25)     // ratio 0.05
-                            : Feedback(ss, 900, 50));  // ratio 0.95
+    opt.Observe(ss % 2 == 1 ? Feedback(25, 25)     // ratio 0.05
+                            : Feedback(900, 50));  // ratio 0.95
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
         << "oscillating signal switched the join at superstep " << ss + 1;
   }
@@ -212,14 +178,12 @@ TEST(PlanOptimizerTest, AlternatingSignalNeverConfirms) {
 }
 
 TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
-  PlanOptimizerOptions opts;
-  opts.groupby_memory_bytes = 1u << 20;
-  PlanOptimizer opt(opts);
+  PlanOptimizer opt(/*groupby_memory_bytes=*/1u << 20);
 
   // Spill bytes past the budget: reactive demotion from the optimistic
   // hash start to sort (which degrades gracefully to runs), in a single
   // superstep — no confirmation streak needed.
-  OptimizerFeedback spilled = Feedback(1, 500, 100);
+  OptimizerFeedback spilled = Feedback(500, 100);
   spilled.spill_count = 3;
   spilled.spill_bytes = 3u << 20;  // 3x the budget
   opt.Observe(spilled);
@@ -230,11 +194,10 @@ TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
   // Re-promotion must be earned: the combiner folds 10:1 with nothing
   // spilling, but the switch waits for the cooldown (pinned through
   // superstep 4) plus the two-superstep confirmation streak.
-  OptimizerFeedback fb = Feedback(2, 500, 100);
+  OptimizerFeedback fb = Feedback(500, 100);
   fb.combine_tuples_in = 1000;
   fb.combine_tuples_out = 100;
   for (int64_t ss = 2; ss <= 5; ++ss) {
-    fb.superstep = ss;
     opt.Observe(fb);
     EXPECT_EQ(opt.Decide(ss + 1).groupby,
               ss < 5 ? GroupByStrategy::kSort : GroupByStrategy::kHashSort)
@@ -244,21 +207,18 @@ TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
 }
 
 TEST(PlanOptimizerTest, GroupByStaysSortWithoutReductionEvidence) {
-  PlanOptimizerOptions opts;
-  opts.groupby_memory_bytes = 1u << 20;
-  PlanOptimizer opt(opts);
-  OptimizerFeedback spilled = Feedback(1, 500, 100);
+  PlanOptimizer opt(/*groupby_memory_bytes=*/1u << 20);
+  OptimizerFeedback spilled = Feedback(500, 100);
   spilled.spill_bytes = 3u << 20;
   opt.Observe(spilled);
   ASSERT_EQ(opt.Decide(2).groupby, GroupByStrategy::kSort);
 
   // Clean supersteps but a combiner that barely folds (1.5:1, below the
   // 2.0 re-promotion threshold): sort holds indefinitely.
-  OptimizerFeedback weak = Feedback(2, 500, 100);
+  OptimizerFeedback weak = Feedback(500, 100);
   weak.combine_tuples_in = 300;
   weak.combine_tuples_out = 200;
   for (int64_t ss = 2; ss <= 10; ++ss) {
-    weak.superstep = ss;
     opt.Observe(weak);
     EXPECT_EQ(opt.Decide(ss + 1).groupby, GroupByStrategy::kSort)
         << "superstep " << ss + 1;
@@ -269,12 +229,11 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   PlanOptimizer opt;
   // Heavy combine-op skew prefers the merged (sender-materializing)
   // connector; no spill and no stall, so this is a proactive streak switch.
-  OptimizerFeedback skewed = Feedback(1, 500, 100);
+  OptimizerFeedback skewed = Feedback(500, 100);
   skewed.groupby_skew = 5.0;
   skewed.message_bytes = 1000;
   opt.Observe(skewed);
   EXPECT_EQ(opt.Decide(2).connector, GroupByConnector::kUnmerged);
-  skewed.superstep = 2;
   opt.Observe(skewed);
   EXPECT_EQ(opt.Decide(3).connector, GroupByConnector::kMerged);
   EXPECT_FALSE(opt.last_reactive());
@@ -283,7 +242,7 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   // switch time: the merged connector hides the signal that caused the
   // switch, so the backswitch demands the load halve. Stays merged.
   for (int64_t ss = 3; ss <= 8; ++ss) {
-    OptimizerFeedback clean = Feedback(ss, 500, 100);
+    OptimizerFeedback clean = Feedback(500, 100);
     clean.message_bytes = 600;
     opt.Observe(clean);
     EXPECT_EQ(opt.Decide(ss + 1).connector, GroupByConnector::kMerged)
@@ -291,11 +250,10 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   }
 
   // Load at 400 (< half of 1000): backswitch after the streak.
-  OptimizerFeedback light = Feedback(9, 500, 100);
+  OptimizerFeedback light = Feedback(500, 100);
   light.message_bytes = 400;
   opt.Observe(light);
   EXPECT_EQ(opt.Decide(10).connector, GroupByConnector::kMerged);
-  light.superstep = 10;
   opt.Observe(light);
   EXPECT_EQ(opt.Decide(11).connector, GroupByConnector::kUnmerged);
   EXPECT_EQ(opt.last_reason(), "load-drop");
@@ -303,13 +261,13 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
 
 TEST(PlanOptimizerTest, DecideIsMemoizedPerSuperstep) {
   PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));  // sparse: wants the probe join
+  opt.Observe(Feedback(50, 50));  // sparse: wants the probe join
   // The driver resolves the plan twice per superstep (publish path + job
   // build); repeated Decide calls must not advance the streak.
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
-  opt.Observe(Feedback(2, 50, 50));
+  opt.Observe(Feedback(50, 50));
   EXPECT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter)
       << "streak should reach the confirm threshold exactly at the second "
          "superstep";
@@ -377,10 +335,10 @@ TEST(ResolveStorageTest, AutoPicksLsmForMutatingPrograms) {
   EXPECT_EQ(ResolveStorageAtAdmission(ctx), VertexStorage::kBTree);
 }
 
-TEST(ResolvePlanDecisionTest, AutoWithoutOptimizerFallsBackToLegacy) {
-  // Direct BuildSuperstepJob callers (plan-generator unit tests) and a
-  // recovering driver have no optimizer yet: kAuto must still resolve
-  // deterministically, via the legacy heuristic and the plan defaults.
+TEST(ResolvePlanDecisionTest, AutoWithoutOptimizerResolvesToTheInitialPlan) {
+  // Direct BuildSuperstepJob callers (plan-generator unit tests, `pregelix
+  // verify`) have no optimizer: every kAuto knob resolves to the
+  // optimizer's superstep-1 plan, whatever the statistics say.
   PregelixJobConfig cfg;
   cfg.join = JoinStrategy::kAuto;
   cfg.groupby = GroupByStrategy::kAuto;
@@ -394,7 +352,7 @@ TEST(ResolvePlanDecisionTest, AutoWithoutOptimizerFallsBackToLegacy) {
   ctx.gs.messages = 10;
 
   const PlanDecision d = ResolvePlanDecision(&ctx);
-  EXPECT_EQ(d.join, JoinStrategy::kLeftOuter);  // sparse, message-light
+  EXPECT_EQ(d.join, JoinStrategy::kFullOuter);  // even on a sparse frontier
   EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);  // optimistic default
   EXPECT_EQ(d.connector, GroupByConnector::kUnmerged);
   EXPECT_EQ(ctx.current_join, d.join);
@@ -421,7 +379,6 @@ TEST(ResolvePlanDecisionTest, StaticHintsWinOverTheOptimizer) {
 TEST(PlanNamesTest, CanonicalSpellings) {
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kFullOuter), "fullouter");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kLeftOuter), "leftouter");
-  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kAdaptive), "adaptive");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kAuto), "auto");
   EXPECT_STREQ(GroupByStrategyName(GroupByStrategy::kHashSort), "hashsort");
   EXPECT_STREQ(GroupByConnectorName(GroupByConnector::kMerged), "merged");

@@ -300,9 +300,9 @@ TEST_F(AlgorithmsTest, AdaptiveJoinSwitchesPlansAndStaysCorrect) {
   SsspProgram program(0);
   SsspProgram::Adapter adapter(&program);
   PregelixJobConfig job;
-  job.name = "adaptive";
+  job.name = "auto-sssp";
   job.input_dir = "ad-in";
-  job.join = JoinStrategy::kAdaptive;
+  job.join = JoinStrategy::kAuto;
   JobResult result;
   auto output = RunAndDump(&adapter, job, &result);
   for (auto& [vid, value] : output) {
@@ -312,7 +312,7 @@ TEST_F(AlgorithmsTest, AdaptiveJoinSwitchesPlansAndStaysCorrect) {
       EXPECT_NEAR(std::stod(value), expected[vid], 1e-9) << "vid " << vid;
     }
   }
-  // SSSP's sparse frontier must trip the adaptive switch to left outer.
+  // SSSP's sparse frontier must trip the optimizer's switch to left outer.
   bool saw_foj = false, saw_loj = false;
   for (const SuperstepStats& stats : result.superstep_stats) {
     (stats.used_left_outer_join ? saw_loj : saw_foj) = true;
@@ -327,9 +327,9 @@ TEST_F(AlgorithmsTest, AdaptiveJoinStaysFullOuterForPageRank) {
   PageRankProgram program(4);
   PageRankProgram::Adapter adapter(&program);
   PregelixJobConfig job;
-  job.name = "adaptive-pr";
+  job.name = "auto-pr";
   job.input_dir = "ad-pr";
-  job.join = JoinStrategy::kAdaptive;
+  job.join = JoinStrategy::kAuto;
   JobResult result;
   ASSERT_TRUE(runtime_->Run(&adapter, job, &result).ok());
   // Every vertex stays live until the final vote: never switch.

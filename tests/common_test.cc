@@ -221,7 +221,6 @@ TEST(ConfigTest, DeriveFillsBudgetsFromWorkerRam) {
   ClusterConfig d = c.Derive();
   EXPECT_EQ(d.buffer_cache_pages, (16u << 20) / 4 / 4096);
   EXPECT_EQ(d.groupby_memory_bytes, (16u << 20) / 16);
-  EXPECT_GT(d.sort_memory_frames, 0u);
   EXPECT_EQ(d.aggregate_ram_bytes(), 4 * (16ull << 20));
 }
 

@@ -189,13 +189,13 @@ INSTANTIATE_TEST_SUITE_P(
                           GroupByConnector::kMerged),
         ::testing::Values(VertexStorage::kBTree, VertexStorage::kLsmBTree)));
 
-// The adaptive arm: the legacy per-superstep heuristic and the
-// feedback-driven optimizer must land on the same answers as the static
-// plans they switch between, whatever trajectory they take.
+// The adaptive arm: the feedback-driven optimizer must land on the same
+// answers as the static plans it switches between, whatever trajectory it
+// takes.
 INSTANTIATE_TEST_SUITE_P(
     AdaptivePlans, DifferentialSweepTest,
     ::testing::Combine(
-        ::testing::Values(JoinStrategy::kAdaptive, JoinStrategy::kAuto),
+        ::testing::Values(JoinStrategy::kAuto),
         ::testing::Values(GroupByStrategy::kAuto),
         ::testing::Values(GroupByConnector::kAuto),
         ::testing::Values(VertexStorage::kBTree, VertexStorage::kAuto)));

@@ -142,7 +142,7 @@ TEST(ExplainTest, FrontierIsNonZeroOnEverySuperstepThatSentMessages) {
 
 TEST(ExplainTest, TupleConservationAcrossEveryConnector) {
   TestEnv run;
-  const JobResult result = run.Sssp(JoinStrategy::kAdaptive);
+  const JobResult result = run.Sssp(JoinStrategy::kAuto);
   ASSERT_NE(result.plan_profile, nullptr);
 
   // Cumulative and per-superstep: what a connector's producers appended is

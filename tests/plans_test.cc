@@ -93,26 +93,6 @@ TEST_F(PlansTest, JoinHintSelectsComputeOperator) {
             "compute-left-outer-join");
 }
 
-TEST_F(PlansTest, AdaptiveJoinResolvesFromStatistics) {
-  job_.join = JoinStrategy::kAdaptive;
-  // Dense frontier: stay with the scan.
-  ctx_.gs.live_vertices = 800;
-  ctx_.gs.messages = 0;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-full-outer-join");
-  EXPECT_EQ(ctx_.current_join, JoinStrategy::kFullOuter);
-  // Sparse frontier: switch to probing.
-  ctx_.gs.live_vertices = 10;
-  ctx_.gs.messages = 15;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-left-outer-join");
-  EXPECT_EQ(ctx_.current_join, JoinStrategy::kLeftOuter);
-  // Superstep 1 always scans (everything starts live).
-  ctx_.current_superstep = 1;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-full-outer-join");
-}
-
 TEST_F(PlansTest, LoadJobScansThenPartitionsThenBulkLoads) {
   JobSpec spec = BuildLoadJob(&ctx_);
   ASSERT_EQ(spec.ops().size(), 2u);

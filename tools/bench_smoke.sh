@@ -9,36 +9,26 @@
 # smoke-tests the observability server: `pregelix serve` on an ephemeral
 # port, then /healthz and /metrics must answer 200 (DESIGN.md §15).
 #
-# With a fourth and fifth argument — the bench_adaptive binary and its JSON
-# output path — it also runs the adaptive-plan bench in FAST mode (small
-# graphs, same deterministic cost model) and validates the artifact: every
-# experiment carries a finite adaptive/best-static ratio, and SSSP and
-# PageRank stay within the acceptance bar (DESIGN.md §17).
-#
-# With a sixth and seventh argument — the bench_ledger binary and its JSON
-# output path — it also runs the time-ledger overhead bench in FAST mode and
-# validates the artifact: every experiment's simulated-time delta between
-# ledger-on and ledger-off stays within the 2% gate and the ledger-on arm
-# reports zero unattributed nanoseconds (DESIGN.md §20).
+# With a fourth and fifth argument — the bench_ab binary and its JSON output
+# path — it also runs the A/B bench in --fast mode (small graphs, same
+# deterministic cost model), gated by tools/check_bench_ab.py (plan
+# optimizer, DESIGN.md §17; time ledger, DESIGN.md §20).
 #
 # usage: bench_smoke.sh <bench_micro_dataflow binary> <output json> \
-#            [pregelix-cli] [bench_adaptive binary] [adaptive json] \
-#            [bench_ledger binary] [ledger json]
+#            [pregelix-cli] [bench_ab binary] [ab json]
 
 set -u
 
-if [ "$#" -lt 2 ] || [ "$#" -gt 7 ]; then
+if [ "$#" -lt 2 ] || [ "$#" -gt 5 ]; then
   echo "usage: $0 <bench-binary> <out.json> [pregelix-cli]" \
-       "[bench-adaptive] [adaptive.json] [bench-ledger] [ledger.json]" >&2
+       "[bench-ab] [ab.json]" >&2
   exit 2
 fi
 BIN="$1"
 OUT="$2"
 CLI="${3:-}"
-ADAPTIVE_BIN="${4:-}"
-ADAPTIVE_OUT="${5:-}"
-LEDGER_BIN="${6:-}"
-LEDGER_OUT="${7:-}"
+AB_BIN="${4:-}"
+AB_OUT="${5:-}"
 
 # A tiny min_time runs each benchmark for a single iteration batch. (The
 # pinned google-benchmark predates the `--benchmark_min_time=1x` syntax.)
@@ -61,78 +51,13 @@ for b in benches:
 print(f"bench_smoke: OK ({len(benches)} benchmarks, valid JSON)")
 EOF
 
-# --- Optional: adaptive-plan bench smoke -------------------------------------
-if [ -n "$ADAPTIVE_BIN" ] && [ -n "$ADAPTIVE_OUT" ]; then
-  PREGELIX_BENCH_ADAPTIVE_FAST=1 "$ADAPTIVE_BIN" "$ADAPTIVE_OUT" \
-      > /dev/null || {
-    echo "bench_smoke: $ADAPTIVE_BIN failed" >&2
+# --- Optional: A/B bench smoke ----------------------------------------------
+if [ -n "$AB_BIN" ] && [ -n "$AB_OUT" ]; then
+  "$AB_BIN" --fast "$AB_OUT" > /dev/null || {
+    echo "bench_smoke: $AB_BIN failed" >&2
     exit 1
   }
-  python3 - "$ADAPTIVE_OUT" <<'EOF' || exit 1
-import json, math, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-experiments = doc.get("experiments", [])
-if not experiments:
-    sys.exit("bench_smoke: no experiments in adaptive JSON")
-algos = set()
-for e in experiments:
-    for key in ("algorithm", "static_sim_seconds", "adaptive_sim_seconds",
-                "best_static_sim_seconds", "ratio_adaptive_vs_best"):
-        if key not in e:
-            sys.exit(f"bench_smoke: adaptive entry missing '{key}': {e}")
-    ratio = e["ratio_adaptive_vs_best"]
-    if not math.isfinite(ratio) or ratio <= 0:
-        sys.exit(f"bench_smoke: bad adaptive ratio {ratio} in {e}")
-    # The acceptance bar bench_adaptive itself enforces for SSSP/PageRank.
-    if e["algorithm"] in ("sssp", "pagerank") and ratio > 1.05:
-        sys.exit(f"bench_smoke: {e['algorithm']} adaptive ratio {ratio} "
-                 "exceeds the 1.05 acceptance bar")
-    algos.add(e["algorithm"])
-for required in ("sssp", "pagerank"):
-    if required not in algos:
-        sys.exit(f"bench_smoke: adaptive JSON lacks a {required} experiment")
-print(f"bench_smoke: OK ({len(experiments)} adaptive experiments, "
-      "ratios within the acceptance bar)")
-EOF
-fi
-
-# --- Optional: time-ledger overhead bench smoke ------------------------------
-if [ -n "$LEDGER_BIN" ] && [ -n "$LEDGER_OUT" ]; then
-  PREGELIX_BENCH_LEDGER_FAST=1 "$LEDGER_BIN" "$LEDGER_OUT" \
-      > /dev/null || {
-    echo "bench_smoke: $LEDGER_BIN failed" >&2
-    exit 1
-  }
-  python3 - "$LEDGER_OUT" <<'EOF' || exit 1
-import json, math, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-experiments = doc.get("experiments", [])
-if not experiments:
-    sys.exit("bench_smoke: no experiments in ledger JSON")
-gate = doc.get("sim_delta_gate", 0.02)
-algos = set()
-for e in experiments:
-    for key in ("algorithm", "ledger_off_sim_seconds",
-                "ledger_on_sim_seconds", "sim_delta", "wall_ratio",
-                "unattributed_ns"):
-        if key not in e:
-            sys.exit(f"bench_smoke: ledger entry missing '{key}': {e}")
-    delta = e["sim_delta"]
-    if not math.isfinite(delta) or delta > gate:
-        sys.exit(f"bench_smoke: ledger sim delta {delta} exceeds the "
-                 f"{gate} gate in {e}")
-    if e["unattributed_ns"] != 0:
-        sys.exit(f"bench_smoke: ledger-on arm left "
-                 f"{e['unattributed_ns']} unattributed ns in {e}")
-    algos.add(e["algorithm"])
-for required in ("sssp", "pagerank"):
-    if required not in algos:
-        sys.exit(f"bench_smoke: ledger JSON lacks a {required} experiment")
-print(f"bench_smoke: OK ({len(experiments)} ledger experiments, sim deltas "
-      "within the gate, books balanced)")
-EOF
+  python3 "$(dirname "$0")/check_bench_ab.py" "$AB_OUT" || exit 1
 fi
 
 # --- Optional: observability-server smoke -----------------------------------

@@ -6,7 +6,7 @@
 #      (-Wthread-safety -Werror), a compile-only proof of the locking
 #      annotations in src/common/thread_annotations.h
 #   2. clang-tidy over src/ with the checked-in .clang-tidy
-#   3. tools/lint_all.py: the five DESIGN.md cross-check lints —
+#   3. tools/lint.py: the DESIGN.md cross-check lint, one row per inventory —
 #      fault-injection points (§11), metric names (§10), server endpoints
 #      (§15), journal categories (§15), and time-ledger categories (§20),
 #      each two-way
@@ -115,11 +115,11 @@ else
 fi
 
 # --- 3. DESIGN.md cross-check lints ----------------------------------------
-stage lints "DESIGN.md cross-check lints (tools/lint_all.py)"
-if python3 "$REPO/tools/lint_all.py"; then
+stage lints "DESIGN.md cross-check lint (tools/lint.py)"
+if python3 "$REPO/tools/lint.py"; then
   ok
 else
-  fail "lint_all.py"
+  fail "lint.py"
 fi
 
 # --- 3b. Static plan verification -------------------------------------------
