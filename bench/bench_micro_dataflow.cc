@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the dataflow substrate: frame
 // encode/decode, the group-by family (sort, hash-sort, dense), external
-// sorting, the k-way merge (loser tree, varying fan-in), and the
-// normalized-key comparison kernel.
+// sorting, the k-way merge (loser tree, varying fan-in), the
+// normalized-key comparison kernel, and the typed compute call.
 // Supporting numbers for the operator choices of paper Sections 4 and
 // 5.3.1, and the before/after record in BENCH_kernels.json (DESIGN.md §13).
 //
@@ -15,6 +15,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "algorithms/pagerank.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/serde.h"
@@ -22,6 +23,7 @@
 #include "common/temp_dir.h"
 #include "dataflow/frame.h"
 #include "dataflow/ops/sort.h"
+#include "pregel/program.h"
 
 namespace pregelix {
 namespace {
@@ -79,7 +81,7 @@ void BM_FrameFieldAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameFieldAccess);
 
-enum class GroupByMode { kSort, kHashSort, kDense };
+enum class GroupByMode { kSort, kHashSort, kDense, kDenseByVid };
 
 void GroupByBench(benchmark::State& state, GroupByMode mode,
                   int64_t distinct) {
@@ -92,15 +94,7 @@ void GroupByBench(benchmark::State& state, GroupByMode mode,
     Random rnd(7);
     std::string payload;
     const int n = 100000;
-    auto feed = [&](auto& grouper) {
-      for (int i = 0; i < n; ++i) {
-        const std::string key =
-            OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(distinct)));
-        payload.clear();
-        PutDouble(&payload, 1.0);
-        const Slice fields[2] = {Slice(key), Slice(payload)};
-        PREGELIX_CHECK(grouper.Add(fields).ok());
-      }
+    auto drain = [](Grouper& grouper) {
       int64_t groups = 0;
       PREGELIX_CHECK(grouper
                          .Finish([&](std::span<const Slice>) {
@@ -110,6 +104,17 @@ void GroupByBench(benchmark::State& state, GroupByMode mode,
                          .ok());
       benchmark::DoNotOptimize(groups);
     };
+    auto feed = [&](auto& grouper) {
+      for (int i = 0; i < n; ++i) {
+        const std::string key =
+            OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(distinct)));
+        payload.clear();
+        PutDouble(&payload, 1.0);
+        const Slice fields[2] = {Slice(key), Slice(payload)};
+        PREGELIX_CHECK(grouper.Add(fields).ok());
+      }
+      drain(grouper);
+    };
     if (mode == GroupByMode::kHashSort) {
       HashSortGrouper grouper(config, SumCombiner());
       feed(grouper);
@@ -117,6 +122,18 @@ void GroupByBench(benchmark::State& state, GroupByMode mode,
       DenseGrouper grouper(config, SumCombiner(), /*lo=*/0,
                            static_cast<uint64_t>(distinct));
       feed(grouper);
+    } else if (mode == GroupByMode::kDenseByVid) {
+      DenseGrouper grouper(config, SumCombiner(), /*lo=*/0,
+                           static_cast<uint64_t>(distinct));
+      for (int i = 0; i < n; ++i) {
+        payload.clear();
+        PutDouble(&payload, 1.0);
+        PREGELIX_CHECK(
+            grouper.AddVid(static_cast<int64_t>(rnd.Uniform(distinct)),
+                           payload.data())
+                .ok());
+      }
+      drain(grouper);
     } else {
       ExternalSortGrouper grouper(config, SumCombiner());
       feed(grouper);
@@ -151,6 +168,62 @@ void BM_DenseGroupByManyGroups(benchmark::State& state) {
   GroupByBench(state, GroupByMode::kDense, /*distinct=*/100000);
 }
 BENCHMARK(BM_DenseGroupByManyGroups)->Unit(benchmark::kMillisecond);
+
+void BM_DenseGroupByAddVid(benchmark::State& state) {
+  // The same messages through AddVid, as the compute operator sends them:
+  // no key string is built, encoded or decoded.
+  GroupByBench(state, GroupByMode::kDenseByVid, /*distinct=*/100000);
+}
+BENCHMARK(BM_DenseGroupByAddVid)->Unit(benchmark::kMillisecond);
+
+/// Counts the messages of a compute call and keeps a checksum of them.
+class ChecksumSink final : public MessageSink {
+ public:
+  Status Send(int64_t dst, const Slice& payload) override {
+    sum_ += static_cast<uint64_t>(dst) + static_cast<uint8_t>(payload[0]);
+    return Status::OK();
+  }
+  uint64_t sum() const { return sum_; }
+
+ private:
+  uint64_t sum_ = 0;
+};
+
+void BM_TypedComputePageRank(benchmark::State& state) {
+  // One PageRank compute call (superstep 2, one combined message in) on a
+  // stored record with 8 edges: decode, the UDF, the record encode and
+  // 8 messages handed to the sink. Reported per vertex.
+  PageRankProgram program(/*iterations=*/30);
+  PageRankProgram::Adapter adapter(&program);
+  std::string record;
+  PREGELIX_CHECK(
+      adapter.InitialVertex(42, {3, 14, 15, 92, 65, 35, 89, 79}, &record)
+          .ok());
+  const std::string message = SerializeValue<double>(0.25);
+  const std::string aggregate = SerializeValue<double>(0.0);
+  ComputeInput input;
+  input.vid = 42;
+  input.vertex_exists = true;
+  input.vertex_bytes = Slice(record);
+  input.has_messages = true;
+  input.message_payload = Slice(message);
+  input.superstep = 2;
+  input.global_aggregate = Slice(aggregate);
+  input.num_vertices = 100000;
+  input.num_edges = 800000;
+  ComputeOutput output;
+  ChecksumSink sink;
+  output.sink = &sink;
+  for (auto _ : state) {
+    output.Clear();
+    PREGELIX_CHECK(adapter.Compute(input, &output).ok());
+    benchmark::DoNotOptimize(output.vertex_bytes.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(sink.sum());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TypedComputePageRank);
 
 void BM_ExternalSortSpilling(benchmark::State& state) {
   TempDir dir("micro-sort");

@@ -159,6 +159,8 @@ Status ProcessCentricEngine::Run(
   // --- Superstep loop ---------------------------------------------------------
   ComputeInput input;
   ComputeOutput output;
+  CollectingSink sent;
+  output.sink = &sent;
   for (int64_t superstep = 1;
        max_supersteps == 0 || superstep <= max_supersteps; ++superstep) {
     const std::vector<MetricsSnapshot> before = snapshot_all();
@@ -244,6 +246,7 @@ Status ProcessCentricEngine::Run(
         input.num_vertices = num_vertices;
         input.num_edges = num_edges;
         output.Clear();
+        sent.messages.clear();
         PREGELIX_RETURN_NOT_OK(program->Compute(input, &output));
         if (!output.mutations.empty()) {
           return Status::NotSupported(
@@ -251,7 +254,7 @@ Status ProcessCentricEngine::Run(
                               "baseline engines");
         }
         w.metrics.AddCpuOps(
-            static_cast<uint64_t>(tuple_cost * (2 + output.messages.size())));
+            static_cast<uint64_t>(tuple_cost * (2 + sent.messages.size())));
 
         // Vertex update in place.
         std::string new_record;
@@ -274,14 +277,14 @@ Status ProcessCentricEngine::Run(
           record = std::move(new_record);
         }
 
-        halt_and = halt_and && output.voted_halt && output.messages.empty();
+        halt_and = halt_and && output.voted_halt && sent.messages.empty();
         if (agg_hooks.valid() && output.has_aggregate) {
           agg_hooks.step(Slice(output.aggregate_contribution),
                          &next_aggregate);
         }
 
         // Deliver messages into the destination workers' next inboxes.
-        for (const auto& [dst, payload] : output.messages) {
+        for (const auto& [dst, payload] : sent.messages) {
           Status s = deliver(wi, w, dst, payload);
           if (!s.ok()) return fail("superstep (message store)", s);
         }
@@ -307,6 +310,7 @@ Status ProcessCentricEngine::Run(
         input.num_vertices = num_vertices;
         input.num_edges = num_edges;
         output.Clear();
+        sent.messages.clear();
         PREGELIX_RETURN_NOT_OK(program->Compute(input, &output));
         if (output.vertex_dirty) {
           Status s = w.meter.Charge(output.vertex_bytes.size(),
@@ -316,8 +320,8 @@ Status ProcessCentricEngine::Run(
           w.vertices.emplace(dst, output.vertex_bytes);
           ++num_vertices;
         }
-        halt_and = halt_and && output.voted_halt && output.messages.empty();
-        for (const auto& [mdst, payload] : output.messages) {
+        halt_and = halt_and && output.voted_halt && sent.messages.empty();
+        for (const auto& [mdst, payload] : sent.messages) {
           Status s = deliver(wi, w, mdst, payload);
           if (!s.ok()) return fail("superstep (message store)", s);
         }

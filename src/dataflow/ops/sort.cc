@@ -715,32 +715,24 @@ Status DenseGrouper::Add(std::span<const Slice> fields) {
         "-byte payloads, got " + std::to_string(key.size()) + " and " +
         std::to_string(payload.size()));
   }
-  // Unsigned: a key below lo wraps past every slot, and nothing overflows.
-  const uint64_t slot = static_cast<uint64_t>(DecodeOrderedI64(key.data())) -
-                        static_cast<uint64_t>(lo_);
-  if (slot >= slots_) {
-    if (overflow_ == nullptr) {
-      SortConfig overflow = config_;
-      const uint64_t used = ArrayBytes(slots_, width_);
-      overflow.memory_budget_bytes =
-          config_.memory_budget_bytes > used + config_.frame_size
-              ? config_.memory_budget_bytes - used
-              : config_.frame_size;
-      overflow_ = std::make_unique<ExternalSortGrouper>(overflow, combiner_);
-    }
-    return overflow_->Add(fields);
+  return AddVid(DecodeOrderedI64(key.data()), payload.data());
+}
+
+Status DenseGrouper::AddOverflow(int64_t vid, const char* payload) {
+  PREGELIX_CHECK(!finished_);
+  if (overflow_ == nullptr) {
+    SortConfig overflow = config_;
+    const uint64_t used = ArrayBytes(slots_, width_);
+    overflow.memory_budget_bytes =
+        config_.memory_budget_bytes > used + config_.frame_size
+            ? config_.memory_budget_bytes - used
+            : config_.frame_size;
+    overflow_ = std::make_unique<ExternalSortGrouper>(overflow, combiner_);
   }
-  char* acc = acc_.get() + slot * width_;
-  uint64_t& word = present_[slot / 64];
-  const uint64_t bit = uint64_t{1} << (slot % 64);
-  if ((word & bit) != 0) {
-    combiner_.fold(acc, payload.data());
-  } else {
-    std::memcpy(acc, payload.data(), width_);
-    word |= bit;
-  }
-  ++pending_ops_;
-  return Status::OK();
+  char key[8];
+  EncodeOrderedI64(key, vid);
+  const Slice fields[2] = {Slice(key, sizeof(key)), Slice(payload, width_)};
+  return overflow_->Add(fields);
 }
 
 Status DenseGrouper::EmitSlots(const TupleEmitFn& emit) {

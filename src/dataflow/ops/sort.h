@@ -2,6 +2,7 @@
 #define PREGELIX_DATAFLOW_OPS_SORT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -232,6 +233,30 @@ class DenseGrouper final : public Grouper {
   Status Add(std::span<const Slice> fields) override;
   Status Finish(const TupleEmitFn& emit) override;
 
+  /// Add for a caller that holds the vid itself and a payload of exactly
+  /// `width()` bytes (the compute operator's send side): no key is encoded
+  /// or decoded and nothing is checked. A vid outside the range goes to the
+  /// overflow, as in Add.
+  Status AddVid(int64_t vid, const char* payload) {
+    // Unsigned: a vid below lo wraps past every slot, and nothing overflows.
+    const uint64_t slot =
+        static_cast<uint64_t>(vid) - static_cast<uint64_t>(lo_);
+    if (slot >= slots_) return AddOverflow(vid, payload);
+    char* acc = acc_.get() + slot * width_;
+    uint64_t& word = present_[slot / 64];
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if ((word & bit) != 0) {
+      combiner_.fold(acc, payload);
+    } else {
+      std::memcpy(acc, payload, width_);
+      word |= bit;
+    }
+    ++pending_ops_;
+    return Status::OK();
+  }
+
+  size_t width() const { return width_; }
+
   /// Bytes of the slot array plus the presence bitmap: what `slots` slots
   /// of `width` bytes take out of the group-by budget.
   static uint64_t ArrayBytes(uint64_t slots, size_t width) {
@@ -239,6 +264,7 @@ class DenseGrouper final : public Grouper {
   }
 
  private:
+  Status AddOverflow(int64_t vid, const char* payload);
   Status EmitSlots(const TupleEmitFn& emit);
 
   SortConfig config_;

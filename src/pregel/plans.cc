@@ -175,8 +175,9 @@ Status RunScanOp(JobRuntimeContext* ctx, TaskContext& task) {
         [&](int64_t vid, const std::vector<int64_t>& dests) -> Status {
           PREGELIX_RETURN_NOT_OK(
               ctx->program->InitialVertex(vid, dests, &record));
-          const std::string key = OrderedKeyI64(vid);
-          const Slice fields[2] = {Slice(key), Slice(record)};
+          char key[8];
+          EncodeOrderedI64(key, vid);
+          const Slice fields[2] = {Slice(key, sizeof(key)), Slice(record)};
           task.metrics->AddCpuOps(1);
           return task.output(0).Append(fields);
         }));
@@ -252,8 +253,10 @@ Status RunLoadOp(JobRuntimeContext* ctx, TaskContext& task) {
 // ---------------------------------------------------------------------------
 // Superstep plan: compute operator
 
-/// Shared compute machinery for both join strategies.
-class ComputeDriver {
+/// Shared compute machinery for both join strategies. It is also the sink
+/// of the compute UDF's messages, which go straight into its send-side
+/// grouper.
+class ComputeDriver final : public MessageSink {
  public:
   ComputeDriver(JobRuntimeContext* ctx, TaskContext& task)
       : ctx_(ctx),
@@ -268,6 +271,24 @@ class ComputeDriver {
     contribution_.aggregate = agg_hooks_.initial;
     contribution_.has_aggregate = agg_hooks_.valid();
     grouper_ = MakeMessageGrouper(ctx, task, "sendgb");
+    if (ctx->current_groupby == GroupByStrategy::kDense) {
+      dense_ = static_cast<DenseGrouper*>(grouper_.get());
+    }
+    output_.sink = this;
+  }
+
+  /// D3: one message into the sender-side pre-combine. A dense grouper
+  /// takes a payload of its width by vid; everything else goes through
+  /// Grouper::Add, which checks it.
+  Status Send(int64_t dst, const Slice& payload) override {
+    ++sent_;
+    if (dense_ != nullptr && payload.size() == dense_->width()) {
+      return dense_->AddVid(dst, payload.data());
+    }
+    char key[8];
+    EncodeOrderedI64(key, dst);
+    const Slice fields[2] = {Slice(key, sizeof(key)), payload};
+    return grouper_->Add(fields);
   }
 
   Status Init() {
@@ -295,38 +316,34 @@ class ComputeDriver {
     input_.num_vertices = ctx_->gs.num_vertices;
     input_.num_edges = ctx_->gs.num_edges;
     output_.Clear();
+    // D3: the UDF's messages arrive through Send.
+    sent_ = 0;
     PREGELIX_RETURN_NOT_OK(ctx_->program->Compute(input_, &output_));
-    CountOps(1 + output_.messages.size());
-
-    // D3: messages into the sender-side pre-combine.
-    const std::string vid_key_storage = OrderedKeyI64(vid);
-    for (const auto& [dst, msg_payload] : output_.messages) {
-      const std::string dst_key = OrderedKeyI64(dst);
-      const Slice fields[2] = {Slice(dst_key), Slice(msg_payload)};
-      PREGELIX_RETURN_NOT_OK(grouper_->Add(fields));
-    }
+    CountOps(1 + sent_);
 
     // D2: vertex update (fused mini-operator).
+    char key_bytes[8];
+    EncodeOrderedI64(key_bytes, vid);
+    const Slice key(key_bytes, sizeof(key_bytes));
     if (output_.vertex_dirty) {
-      PREGELIX_RETURN_NOT_OK(
-          ApplyUpdate(vid_key_storage, vertex_exists, vertex_bytes,
-                      output_.vertex_bytes));
+      PREGELIX_RETURN_NOT_OK(ApplyUpdate(key, vertex_exists, vertex_bytes,
+                                         Slice(output_.vertex_bytes)));
       edges_delta_ += VertexEdgeCount(Slice(output_.vertex_bytes)) -
                       (vertex_exists ? VertexEdgeCount(vertex_bytes) : 0);
       if (!vertex_exists) ++vertices_added_;
     } else if (vertex_exists &&
                VertexHalt(vertex_bytes) != output_.voted_halt) {
-      std::string record = vertex_bytes.ToString();
-      SetVertexHalt(&record, output_.voted_halt);
+      halt_flip_.assign(vertex_bytes.data(), vertex_bytes.size());
+      SetVertexHalt(&halt_flip_, output_.voted_halt);
       PREGELIX_RETURN_NOT_OK(
-          ApplyUpdate(vid_key_storage, vertex_exists, vertex_bytes, record));
+          ApplyUpdate(key, vertex_exists, vertex_bytes, Slice(halt_flip_)));
     } else if (!vertex_exists) {
       return Status::Internal(
           "compute created a vertex without marking it dirty");
     }
 
     // D4/D5: global state contributions.
-    contribution_.halt &= output_.voted_halt && output_.messages.empty();
+    contribution_.halt &= output_.voted_halt && sent_ == 0;
     if (!output_.voted_halt) ++contribution_.live;
     if (agg_hooks_.valid() && output_.has_aggregate) {
       agg_hooks_.step(Slice(output_.aggregate_contribution),
@@ -343,8 +360,7 @@ class ComputeDriver {
 
     // D11/D12: the live-vertex set for the next superstep.
     if (next_vid_loader_ != nullptr && !output_.voted_halt) {
-      PREGELIX_RETURN_NOT_OK(
-          next_vid_loader_->Add(Slice(vid_key_storage), Slice()));
+      PREGELIX_RETURN_NOT_OK(next_vid_loader_->Add(key, Slice()));
     }
     return Status::OK();
   }
@@ -396,17 +412,17 @@ class ComputeDriver {
   /// immediately; anything structural is buffered and applied after the
   /// scan. The left-outer plan holds no Vertex scan, so it applies
   /// immediately.
-  Status ApplyUpdate(const std::string& key, bool vertex_exists,
-                     const Slice& old_bytes, const std::string& new_bytes) {
+  Status ApplyUpdate(const Slice& key, bool vertex_exists,
+                     const Slice& old_bytes, const Slice& new_bytes) {
     const bool is_btree =
         ctx_->current_storage == VertexStorage::kBTree;
     const bool in_place_safe = is_btree && vertex_exists &&
                                old_bytes.size() == new_bytes.size();
     if (!defer_updates_ || in_place_safe) {
-      return state_.vertex_index->Upsert(Slice(key), Slice(new_bytes));
+      return state_.vertex_index->Upsert(key, new_bytes);
     }
     pending_any_ = true;
-    const Slice fields[2] = {Slice(key), Slice(new_bytes)};
+    const Slice fields[2] = {key, new_bytes};
     return pending_.Append(fields);
   }
 
@@ -418,6 +434,7 @@ class ComputeDriver {
   GlobalAggHooks agg_hooks_;
 
   std::unique_ptr<Grouper> grouper_;
+  DenseGrouper* dense_ = nullptr;  ///< grouper_ when the group-by is dense
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
@@ -427,6 +444,8 @@ class ComputeDriver {
   Contribution contribution_;
   ComputeInput input_;
   ComputeOutput output_;
+  uint64_t sent_ = 0;  ///< messages Send took during the current Compute
+  std::string halt_flip_;  ///< a record whose halt flag alone changed
 };
 
 /// Index full outer join strategy (Figure 8 left): single-pass merge of the
@@ -742,7 +761,6 @@ Status RunDumpOp(JobRuntimeContext* ctx, TaskContext& task) {
   PREGELIX_RETURN_NOT_OK(it->SeekToFirst());
   std::string line;
   while (it->Valid()) {
-    line.clear();
     PREGELIX_RETURN_NOT_OK(ctx->program->FormatVertex(
         DecodeOrderedI64(it->key().data()), it->value(), &line));
     line.push_back('\n');

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -34,13 +35,34 @@ struct ComputeInput {
   int64_t num_edges = 0;
 };
 
+/// Receives the messages of a compute call (flow D3), one (destination,
+/// payload) pair at a time. The payload is valid for the call only.
+class MessageSink {
+ public:
+  virtual ~MessageSink() = default;
+  virtual Status Send(int64_t dst, const Slice& payload) = 0;
+};
+
+/// A sink that keeps a copy of every message, in send order: for callers
+/// that route messages only after the compute call returns.
+class CollectingSink final : public MessageSink {
+ public:
+  Status Send(int64_t dst, const Slice& payload) override {
+    messages.emplace_back(dst, payload.ToString());
+    return Status::OK();
+  }
+  std::vector<std::pair<int64_t, std::string>> messages;  ///< (dst, payload)
+};
+
 /// What one compute call produces (the multi-flow output of the compute UDF:
 /// D2 vertex update, D3 messages, D4/D5 global state, D6 mutations).
 struct ComputeOutput {
   bool vertex_dirty = false;
   std::string vertex_bytes;  ///< written back to Vertex when vertex_dirty
   bool voted_halt = false;   ///< halt state after this call
-  std::vector<std::pair<int64_t, std::string>> messages;  ///< (dst, payload)
+  /// Where the messages go; set by the caller, kept by Clear. A call that
+  /// sends a message without a sink fails.
+  MessageSink* sink = nullptr;
   bool has_aggregate = false;
   std::string aggregate_contribution;
   std::vector<MutationRecord> mutations;
@@ -49,7 +71,6 @@ struct ComputeOutput {
     vertex_dirty = false;
     vertex_bytes.clear();
     voted_halt = false;
-    messages.clear();
     has_aggregate = false;
     aggregate_contribution.clear();
     mutations.clear();
@@ -101,7 +122,8 @@ class PregelProgram {
                                 const std::vector<MutationRecord>& mutations,
                                 std::string* vertex_bytes) const;
 
-  /// Formats one vertex for result output.
+  /// Formats one vertex for result output: replaces *line with its text
+  /// (no newline).
   virtual Status FormatVertex(int64_t vid, const Slice& vertex_bytes,
                               std::string* line) = 0;
 

@@ -1,6 +1,7 @@
 #ifndef PREGELIX_PREGEL_SERDE_H_
 #define PREGELIX_PREGEL_SERDE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -13,7 +14,8 @@ namespace pregelix {
 
 /// Value serialization for the typed Pregel API (the analog of Hadoop's
 /// Writable types the paper's Java API uses: VLongWritable, DoubleWritable,
-/// ...). Specialize Serde<T> for custom vertex/edge/message types.
+/// ...). Specialize Serde<T> for custom vertex/edge/message types. Read
+/// overwrites all of *value: the typed adapter reads into objects it reuses.
 template <typename T, typename Enable = void>
 struct Serde;
 
@@ -55,7 +57,9 @@ struct Serde<std::vector<T>> {
     const uint32_t n = DecodeFixed32(in->data());
     in->remove_prefix(4);
     value->clear();
-    value->reserve(n);
+    // The count is untrusted: reserve at most one item per byte left. Only
+    // 0-byte items (Empty) can outnumber the bytes; push_back grows for them.
+    value->reserve(std::min<size_t>(n, in->size()));
     for (uint32_t i = 0; i < n; ++i) {
       T item;
       if (!Serde<T>::Read(in, &item)) return false;
@@ -99,6 +103,17 @@ template <typename T>
 bool DeserializeValue(const Slice& bytes, T* value) {
   Slice in = bytes;
   return Serde<T>::Read(&in, value);
+}
+
+/// Appends `value` serialized and prefixed with its u32 length: the bytes
+/// of PutLengthPrefixed(out, SerializeValue(value)), with no temporary.
+template <typename T>
+void PutLengthPrefixedValue(std::string* out, const T& value) {
+  const size_t at = out->size();
+  out->append(4, '\0');
+  Serde<T>::Write(value, out);
+  EncodeFixed32(out->data() + at,
+                static_cast<uint32_t>(out->size() - at - 4));
 }
 
 }  // namespace pregelix

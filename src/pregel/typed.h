@@ -1,6 +1,7 @@
 #ifndef PREGELIX_PREGEL_TYPED_H_
 #define PREGELIX_PREGEL_TYPED_H_
 
+#include <charconv>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -114,7 +115,8 @@ class VertexHandle {
   template <typename A>
   void Contribute(const A& value) {
     has_aggregate_ = true;
-    aggregate_contribution_ = SerializeValue(value);
+    aggregate_contribution_.clear();
+    Serde<A>::Write(value, &aggregate_contribution_);
   }
 
   /// Graph mutations (resolved by the resolve UDF at the end of the
@@ -123,7 +125,7 @@ class VertexHandle {
     MutationRecord m;
     m.op = MutationRecord::Op::kAddVertex;
     m.vid = vid;
-    m.vertex_bytes = EncodeTyped(false, value, edges);
+    PutVertexRecord(&m.vertex_bytes, false, value, edges);
     mutations_.push_back(std::move(m));
   }
   void RemoveVertex(int64_t vid) {
@@ -131,18 +133,6 @@ class VertexHandle {
     m.op = MutationRecord::Op::kRemoveVertex;
     m.vid = vid;
     mutations_.push_back(std::move(m));
-  }
-
-  static std::string EncodeTyped(bool halt, const V& value,
-                                 const std::vector<Edge>& edges) {
-    std::vector<std::pair<int64_t, std::string>> raw_edges;
-    raw_edges.reserve(edges.size());
-    for (const Edge& e : edges) {
-      raw_edges.emplace_back(e.dst, SerializeValue(e.value));
-    }
-    std::string out;
-    EncodeVertexRecord(halt, Slice(SerializeValue(value)), raw_edges, &out);
-    return out;
   }
 
  private:
@@ -247,41 +237,47 @@ class TypedProgramAdapter : public PregelProgram {
 
   Status InitialVertex(int64_t vid, const std::vector<int64_t>& dests,
                        std::string* vertex_bytes) override {
-    std::vector<EdgeT> edges;
-    edges.reserve(dests.size());
+    std::vector<EdgeT>& edges = ThreadScratch().vertex.edges_;
+    edges.clear();
     for (int64_t d : dests) {
       edges.push_back(EdgeT{d, program_->InitialEdgeValue(vid, d)});
     }
-    *vertex_bytes = VertexT::EncodeTyped(
-        false, program_->InitialValue(vid, dests), edges);
+    vertex_bytes->clear();
+    PutVertexRecord(vertex_bytes, false, program_->InitialValue(vid, dests),
+                    edges);
     return Status::OK();
   }
 
   Status Compute(const ComputeInput& input, ComputeOutput* output) override {
-    VertexT vertex;
+    Scratch& scratch = ThreadScratch();
+    VertexT& vertex = scratch.vertex;
+    VertexRecordView& view = scratch.view;
     vertex.id_ = input.vid;
     vertex.superstep_ = input.superstep;
     vertex.num_vertices_ = input.num_vertices;
     vertex.num_edges_ = input.num_edges;
     vertex.global_aggregate_ = input.global_aggregate;
+    vertex.halt_ = false;
+    vertex.dirty_ = false;
+    vertex.edges_.clear();
+    vertex.messages_.clear();
+    vertex.has_aggregate_ = false;
+    vertex.aggregate_contribution_.clear();
+    vertex.mutations_.clear();
 
-    size_t original_size = 0;
     if (input.vertex_exists) {
-      VertexRecordView view;
       PREGELIX_RETURN_NOT_OK(view.Parse(input.vertex_bytes));
-      original_size = input.vertex_bytes.size();
       vertex.halt_ = view.halt;
       if (!DeserializeValue(view.value, &vertex.value_)) {
         return Status::Corruption("vertex value deserialization failed");
       }
       vertex.edges_.reserve(view.edges.size());
       for (const VertexEdgeView& e : view.edges) {
-        EdgeT edge;
+        EdgeT& edge = vertex.edges_.emplace_back();
         edge.dst = e.dst;
         if (!DeserializeValue(e.value, &edge.value)) {
           return Status::Corruption("edge value deserialization failed");
         }
-        vertex.edges_.push_back(std::move(edge));
       }
       // A delivered message reactivates a halted vertex (Pregel semantics).
       if (input.has_messages) vertex.halt_ = false;
@@ -299,35 +295,38 @@ class TypedProgramAdapter : public PregelProgram {
     output->voted_halt = vertex.halt_;
     output->vertex_dirty = vertex.dirty_ || !input.vertex_exists;
     if (output->vertex_dirty) {
-      // Compare before storing: input.vertex_bytes may alias the caller's
-      // reused output->vertex_bytes buffer, so assigning first would free
-      // the very bytes being compared.
-      std::string encoded =
-          VertexT::EncodeTyped(vertex.halt_, vertex.value_, vertex.edges_);
-      // Avoid pointless churn when re-encoding produced identical bytes.
-      if (input.vertex_exists && encoded.size() == original_size &&
-          Slice(encoded) == input.vertex_bytes) {
+      // Decide "unchanged" against the input before storing anything:
+      // input.vertex_bytes may alias the caller's reused
+      // output->vertex_bytes buffer.
+      std::string& record = scratch.record;
+      record.clear();
+      PutVertexRecord(&record, vertex.halt_, vertex.value_, vertex.edges_);
+      if (input.vertex_exists && Slice(record) == input.vertex_bytes) {
         output->vertex_dirty = false;
         output->vertex_bytes.clear();
       } else {
-        output->vertex_bytes = std::move(encoded);
+        output->vertex_bytes.swap(record);
       }
     }
-    output->messages.reserve(vertex.messages_.size());
+    // Messages leave through the sink only after the UDF has returned, so
+    // a sink error comes back as this call's Status.
+    if (!vertex.messages_.empty() && output->sink == nullptr) {
+      return Status::InvalidArgument("compute sent messages without a sink");
+    }
+    const bool combined = program_->has_combiner();
+    std::string& payload = scratch.payload;
     for (const auto& [dst, message] : vertex.messages_) {
-      std::string payload;
-      if (program_->has_combiner()) {
+      payload.clear();
+      if (combined) {
         Serde<M>::Write(message, &payload);
       } else {
         // Default combine gathers into a list: one length-prefixed item.
-        std::string item;
-        Serde<M>::Write(message, &item);
-        PutLengthPrefixed(&payload, Slice(item));
+        PutLengthPrefixedValue(&payload, message);
       }
-      output->messages.emplace_back(dst, std::move(payload));
+      PREGELIX_RETURN_NOT_OK(output->sink->Send(dst, Slice(payload)));
     }
     output->has_aggregate = vertex.has_aggregate_;
-    output->aggregate_contribution = std::move(vertex.aggregate_contribution_);
+    output->aggregate_contribution = vertex.aggregate_contribution_;
     output->mutations = std::move(vertex.mutations_);
     return Status::OK();
   }
@@ -379,13 +378,18 @@ class TypedProgramAdapter : public PregelProgram {
 
   Status FormatVertex(int64_t vid, const Slice& vertex_bytes,
                       std::string* line) override {
-    VertexRecordView view;
-    PREGELIX_RETURN_NOT_OK(view.Parse(vertex_bytes));
-    V value{};
-    if (!DeserializeValue(view.value, &value)) {
+    Scratch& scratch = ThreadScratch();
+    PREGELIX_RETURN_NOT_OK(scratch.view.Parse(vertex_bytes));
+    V& value = scratch.vertex.value_;
+    if (!DeserializeValue(scratch.view.value, &value)) {
       return Status::Corruption("vertex value deserialization failed");
     }
-    *line = std::to_string(vid) + " " + program_->FormatValue(vid, value);
+    char digits[24];
+    const char* end =
+        std::to_chars(digits, digits + sizeof(digits), vid).ptr;
+    line->assign(digits, end - digits);
+    line->push_back(' ');
+    line->append(program_->FormatValue(vid, value));
     return Status::OK();
   }
 
@@ -394,6 +398,22 @@ class TypedProgramAdapter : public PregelProgram {
  private:
   static constexpr bool kFixedWidthMessage =
       std::is_trivially_copyable_v<M> && !std::is_empty_v<M>;
+
+  /// Per-thread compute state, reset by every call and never shrunk, so
+  /// that after a task's first vertices the edge, message and record
+  /// buffers stop allocating. Per thread, not per adapter: the P compute
+  /// clones of a superstep share one adapter and run at the same time.
+  /// What Compute hands the UDF (edges(), value()) lives for one call.
+  struct Scratch {
+    VertexT vertex;
+    VertexRecordView view;
+    std::string record;   ///< the new vertex record
+    std::string payload;  ///< one serialized message
+  };
+  static Scratch& ThreadScratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
 
   /// The program's Combine on the raw bytes of two messages.
   static void FoldMessage(const Program& program, char* acc, const char* in) {

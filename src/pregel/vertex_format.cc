@@ -18,6 +18,11 @@ Status VertexRecordView::Parse(const Slice& bytes) {
   if (in.size() < 4) return Status::Corruption("vertex edge count missing");
   const uint32_t count = DecodeFixed32(in.data());
   in.remove_prefix(4);
+  // An edge takes at least 12 bytes (dst + value length): a count the
+  // remaining bytes cannot hold is corrupt, and must not size the reserve.
+  if (count > in.size() / 12) {
+    return Status::Corruption("vertex edge count exceeds the record");
+  }
   edges.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     if (in.size() < 8) return Status::Corruption("vertex edge truncated");
@@ -32,17 +37,6 @@ Status VertexRecordView::Parse(const Slice& bytes) {
     edges.push_back(edge);
   }
   return Status::OK();
-}
-
-void VertexRecordView::Encode(std::string* out) const {
-  out->clear();
-  out->push_back(halt ? 1 : 0);
-  PutLengthPrefixed(out, value);
-  PutFixed32(out, static_cast<uint32_t>(edges.size()));
-  for (const VertexEdgeView& edge : edges) {
-    PutFixed64(out, static_cast<uint64_t>(edge.dst));
-    PutLengthPrefixed(out, edge.value);
-  }
 }
 
 int64_t VertexEdgeCount(const Slice& record) {

@@ -5,8 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "common/serde.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "pregel/serde.h"
 
 namespace pregelix {
 
@@ -31,10 +33,8 @@ struct VertexRecordView {
   std::vector<VertexEdgeView> edges;
 
   /// Parses `bytes` (which must outlive the view). Corruption on malformed.
+  /// Reuses the capacity of `edges`.
   Status Parse(const Slice& bytes);
-
-  /// Serializes to `out`.
-  void Encode(std::string* out) const;
 };
 
 /// Reads just the halt flag.
@@ -47,7 +47,23 @@ inline void SetVertexHalt(std::string* record, bool halt) {
   if (!record->empty()) (*record)[0] = halt ? 1 : 0;
 }
 
-/// Builds a record from parts without a view.
+/// Appends the record of (halt, value, edges); each edge has a `dst` and a
+/// `value`, serialized in place. The bytes are those EncodeVertexRecord
+/// writes for the serialized parts.
+template <typename V, typename Edge>
+void PutVertexRecord(std::string* out, bool halt, const V& value,
+                     const std::vector<Edge>& edges) {
+  out->push_back(halt ? 1 : 0);
+  PutLengthPrefixedValue(out, value);
+  PutFixed32(out, static_cast<uint32_t>(edges.size()));
+  for (const Edge& e : edges) {
+    PutFixed64(out, static_cast<uint64_t>(e.dst));
+    PutLengthPrefixedValue(out, e.value);
+  }
+}
+
+/// Builds a record from already-serialized parts: the reference encoder
+/// the typed one is tested against.
 void EncodeVertexRecord(bool halt, const Slice& value,
                         const std::vector<std::pair<int64_t, std::string>>& edges,
                         std::string* out);

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -13,39 +10,7 @@
 #include "common/serde.h"
 #include "common/temp_dir.h"
 #include "dataflow/ops/sort.h"
-
-// Binary-wide counting allocator: every global operator new bumps a counter,
-// so tests can assert that a code path performs zero heap allocations (the
-// "no per-tuple allocation on the group-by hit path" guarantee, DESIGN.md
-// §13). Replacing these in one TU replaces them for the whole test binary.
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
-// left to the runtime, their memory would come back through the free()
-// below, which ASan reports as an alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace pregelix {
 namespace {
@@ -549,7 +514,8 @@ TEST_F(SortTest, SortGrouperChargesEntryArrayToBudget) {
 // The in-memory hash group-by hit path must not allocate: probing is a
 // flat-array walk, the key is compared in place (transparent hash/eq, no
 // materialized lookup key), and the min-combiner folds into the resident
-// SSO accumulator. Counted with the binary-wide allocator hook above.
+// SSO accumulator. Counted with the binary-wide allocator of
+// tests/counting_allocator.h.
 TEST_F(SortTest, HashSortHitPathDoesNotAllocate) {
   HashSortGrouper grouper(MakeConfig(1 << 20), MinDoubleCombiner());
   std::vector<std::string> keys;
@@ -568,14 +534,14 @@ TEST_F(SortTest, HashSortHitPathDoesNotAllocate) {
       ASSERT_TRUE(grouper.Add(t).ok());
     }
   }
-  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = pregelix_test::HeapAllocs();
   for (int round = 0; round < 100; ++round) {
     for (size_t i = 0; i < keys.size(); ++i) {
       const Slice t[2] = {Slice(keys[i]), Slice(payloads[i])};
       if (!grouper.Add(t).ok()) FAIL() << "Add failed";
     }
   }
-  const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const uint64_t after = pregelix_test::HeapAllocs();
   EXPECT_EQ(after - before, 0u) << "hit path allocated";
 }
 
@@ -646,14 +612,14 @@ TEST_F(SortTest, DenseGrouperInRangeAddDoesNotAllocate) {
   }
   std::string payload;
   PutFixed64(&payload, 7);
-  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = pregelix_test::HeapAllocs();
   for (int round = 0; round < 4; ++round) {
     for (const std::string& key : keys) {
       const Slice t[2] = {Slice(key), Slice(payload)};
       if (!grouper.Add(t).ok()) FAIL() << "Add failed";
     }
   }
-  const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const uint64_t after = pregelix_test::HeapAllocs();
   EXPECT_EQ(after - before, 0u) << "in-range Add allocated";
   EXPECT_EQ(metrics_.Snapshot().cpu_ops, 0u);
   EmittedTuples out;
@@ -661,6 +627,52 @@ TEST_F(SortTest, DenseGrouperInRangeAddDoesNotAllocate) {
   EXPECT_EQ(metrics_.Snapshot().cpu_ops, 4 * kSlots);
   ASSERT_EQ(out.size(), kSlots);
   EXPECT_EQ(DecodeFixed64(out[0].second.data()), 28u);
+}
+
+// AddVid is Add without the key: fed the same vids (in range, below it and
+// above it), both emit the same stream, and an in-range AddVid allocates
+// nothing.
+TEST_F(SortTest, DenseGrouperAddVidMatchesAdd) {
+  constexpr int64_t kLo = 100;
+  constexpr uint64_t kSlots = 64;
+  DenseGrouper by_key(MakeConfig(1 << 20), SumI64Combiner(), kLo, kSlots);
+  SortConfig vid_config = MakeConfig(1 << 20);
+  vid_config.scratch_prefix = dir_.path() + "/by-vid";
+  DenseGrouper by_vid(vid_config, SumI64Combiner(), kLo, kSlots);
+  ASSERT_EQ(by_vid.width(), 8u);
+  Random rnd(17);
+  for (int i = 0; i < 2000; ++i) {
+    // A third each below, inside and above [kLo, kLo + kSlots).
+    const int64_t vid = static_cast<int64_t>(rnd.Uniform(3 * kSlots)) -
+                        static_cast<int64_t>(kSlots) + kLo;
+    std::string payload;
+    PutFixed64(&payload, rnd.Next());
+    const std::string key = OrderedKeyI64(vid);
+    const Slice t[2] = {Slice(key), Slice(payload)};
+    ASSERT_TRUE(by_key.Add(t).ok());
+    ASSERT_TRUE(by_vid.AddVid(vid, payload.data()).ok());
+  }
+  std::string payload;
+  PutFixed64(&payload, 3);
+  const uint64_t before = pregelix_test::HeapAllocs();
+  for (int64_t vid = kLo; vid < kLo + static_cast<int64_t>(kSlots); ++vid) {
+    if (!by_vid.AddVid(vid, payload.data()).ok()) FAIL() << "AddVid failed";
+  }
+  const uint64_t after = pregelix_test::HeapAllocs();
+  EXPECT_EQ(after - before, 0u) << "in-range AddVid allocated";
+  for (int64_t vid = kLo; vid < kLo + static_cast<int64_t>(kSlots); ++vid) {
+    const std::string key = OrderedKeyI64(vid);
+    const Slice t[2] = {Slice(key), Slice(payload)};
+    ASSERT_TRUE(by_key.Add(t).ok());
+  }
+  EmittedTuples key_out, vid_out;
+  ASSERT_TRUE(CollectInto(by_key, &key_out).ok());
+  ASSERT_TRUE(CollectInto(by_vid, &vid_out).ok());
+  ASSERT_GT(key_out.size(), kSlots);  // the overflow emitted keys too
+  EXPECT_LT(DecodeOrderedI64(key_out.front().first.data()), kLo);
+  EXPECT_GE(DecodeOrderedI64(key_out.back().first.data()),
+            kLo + static_cast<int64_t>(kSlots));
+  EXPECT_TRUE(key_out == vid_out);
 }
 
 TEST_F(SortTest, DenseGrouperAppliesFinishToSlotsAndOverflow) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <latch>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "pregel/serde.h"
@@ -54,6 +58,17 @@ TEST(SerdeTypedTest, PairAndEmpty) {
   EXPECT_TRUE(SerializeValue(Empty{}).empty());
 }
 
+// A vector header claims 2^32 - 1 items and no item follows: the read
+// fails instead of reserving for the claimed count.
+TEST(SerdeTypedTest, HostileVectorCountFails) {
+  std::string header;
+  PutFixed32(&header, 0xFFFFFFFFu);
+  std::vector<int64_t> v;
+  EXPECT_FALSE(DeserializeValue(Slice(header), &v));
+  std::vector<std::string> vs;
+  EXPECT_FALSE(DeserializeValue(Slice(header), &vs));
+}
+
 TEST(SerdeTypedTest, TruncatedInputFails) {
   std::string buf = SerializeValue<double>(1.0);
   buf.resize(4);
@@ -103,6 +118,23 @@ TEST(VertexFormatTest, CorruptionDetected) {
   EncodeVertexRecord(false, Slice("value"), {{1, "edge"}}, &record);
   record.resize(record.size() - 2);
   EXPECT_FALSE(view.Parse(Slice(record)).ok());
+}
+
+// A 17-byte record (halt, an 8-byte value) whose edge count claims
+// 2^32 - 1 edges: Parse and the adapter's Compute return Corruption.
+TEST(VertexFormatTest, HostileEdgeCountIsCorruption) {
+  std::string record;
+  record.push_back(0);
+  PutLengthPrefixed(&record, Slice(SerializeValue<double>(1.0)));
+  PutFixed32(&record, 0xFFFFFFFFu);
+  ASSERT_EQ(record.size(), 17u);
+  VertexRecordView view;
+  EXPECT_EQ(view.Parse(Slice(record)).code(), StatusCode::kCorruption);
+  // One edge short of its claimed count is corrupt too.
+  std::string two;
+  EncodeVertexRecord(false, Slice("v"), {{1, ""}, {2, ""}}, &two);
+  EncodeFixed32(two.data() + 6, 3);
+  EXPECT_EQ(view.Parse(Slice(two)).code(), StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,14 +215,16 @@ TEST(TypedAdapterTest, ComputeRoundTrip) {
   input.message_payload = Slice(payload);
   input.superstep = 1;
   ComputeOutput output;
+  CollectingSink sink;
+  output.sink = &sink;
   ASSERT_TRUE(adapter.Compute(input, &output).ok());
 
   EXPECT_TRUE(output.vertex_dirty);
   EXPECT_FALSE(output.voted_halt);
-  ASSERT_EQ(output.messages.size(), 2u);
-  EXPECT_EQ(output.messages[0].first, 10);
+  ASSERT_EQ(sink.messages.size(), 2u);
+  EXPECT_EQ(sink.messages[0].first, 10);
   double sent = 0;
-  ASSERT_TRUE(DeserializeValue(Slice(output.messages[0].second), &sent));
+  ASSERT_TRUE(DeserializeValue(Slice(sink.messages[0].second), &sent));
   EXPECT_EQ(sent, 2.5);  // value (0 + 2.5) + edge value (0)
   EXPECT_TRUE(output.has_aggregate);
   double contributed = 0;
@@ -241,6 +275,275 @@ TEST(TypedAdapterTest, UnchangedVertexIsNotDirty) {
   ComputeOutput output;
   ASSERT_TRUE(adapter.Compute(input, &output).ok());
   EXPECT_FALSE(output.vertex_dirty);  // identical bytes: no churn
+}
+
+TEST(TypedAdapterTest, MessagesWithoutSinkFail) {
+  EchoProgram program;
+  EchoProgram::Adapter adapter(&program);
+  std::string record;
+  ASSERT_TRUE(adapter.InitialVertex(5, {10}, &record).ok());
+  ComputeInput input;
+  input.vid = 5;
+  input.vertex_exists = true;
+  input.vertex_bytes = Slice(record);
+  ComputeOutput output;
+  EXPECT_EQ(adapter.Compute(input, &output).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TypedAdapterTest, SinkErrorIsComputeStatus) {
+  class FailingSink final : public MessageSink {
+   public:
+    Status Send(int64_t, const Slice&) override {
+      return Status::IoError("sink full");
+    }
+  };
+  EchoProgram program;
+  EchoProgram::Adapter adapter(&program);
+  std::string record;
+  ASSERT_TRUE(adapter.InitialVertex(5, {10}, &record).ok());
+  ComputeInput input;
+  input.vid = 5;
+  input.vertex_exists = true;
+  input.vertex_bytes = Slice(record);
+  ComputeOutput output;
+  FailingSink sink;
+  output.sink = &sink;
+  EXPECT_TRUE(adapter.Compute(input, &output).IsIoError());
+}
+
+TEST(TypedAdapterTest, HostileRecordIsCorruption) {
+  EchoProgram program;
+  EchoProgram::Adapter adapter(&program);
+  std::string record;
+  record.push_back(0);
+  PutLengthPrefixed(&record, Slice(SerializeValue<double>(1.0)));
+  PutFixed32(&record, 0xFFFFFFFFu);
+  ComputeInput input;
+  input.vid = 1;
+  input.vertex_exists = true;
+  input.vertex_bytes = Slice(record);
+  ComputeOutput output;
+  EXPECT_EQ(adapter.Compute(input, &output).code(), StatusCode::kCorruption);
+  std::string line;
+  EXPECT_EQ(adapter.FormatVertex(1, Slice(record), &line).code(),
+            StatusCode::kCorruption);
+}
+
+// ---------------------------------------------------------------------------
+// Record updates: whatever compute changed (the value, only the halt flag,
+// a string value's length, the edges), the new record holds the very bytes
+// the reference encoder writes for the same vertex.
+
+/// A program whose compute body is set by the test.
+template <typename V>
+class ScriptedProgram : public TypedVertexProgram<V, double, double> {
+ public:
+  using Base = TypedVertexProgram<V, double, double>;
+  using Adapter = TypedProgramAdapter<V, double, double>;
+  using Body = std::function<void(typename Base::VertexT&)>;
+
+  explicit ScriptedProgram(Body body) : body_(std::move(body)) {}
+  void Compute(typename Base::VertexT& vertex,
+               MessageIterator<double>&) override {
+    body_(vertex);
+  }
+  std::string FormatValue(int64_t, const V&) const override { return ""; }
+
+ private:
+  Body body_;
+};
+
+/// The record a full encode writes, built with the untyped encoder.
+template <typename V>
+std::string FullRecord(bool halt, const V& value,
+                       const std::vector<std::pair<int64_t, double>>& edges) {
+  std::vector<std::pair<int64_t, std::string>> raw;
+  for (const auto& [dst, weight] : edges) {
+    raw.emplace_back(dst, SerializeValue(weight));
+  }
+  std::string out;
+  EncodeVertexRecord(halt, Slice(SerializeValue(value)), raw, &out);
+  return out;
+}
+
+/// Runs one compute call of `program` on `record`; returns the output.
+template <typename V>
+ComputeOutput RunOnce(ScriptedProgram<V>& program, const std::string& record) {
+  typename ScriptedProgram<V>::Adapter adapter(&program);
+  ComputeInput input;
+  input.vid = 1;
+  input.vertex_exists = true;
+  input.vertex_bytes = Slice(record);
+  input.superstep = 2;
+  ComputeOutput output;
+  const Status s = adapter.Compute(input, &output);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return output;
+}
+
+const std::vector<std::pair<int64_t, double>> kEdges = {
+    {7, 0.5}, {-3, 2.0}, {11, 0.0}};
+
+TEST(TypedAdapterTest, UpdatedRecordMatchesReferenceEncoder) {
+  // A fixed-width value change keeps the record's length.
+  ScriptedProgram<double> triple(
+      [](auto& vertex) { vertex.set_value(vertex.value() * 3); });
+  const std::string record = FullRecord(false, 1.25, kEdges);
+  const ComputeOutput tripled = RunOnce(triple, record);
+  ASSERT_TRUE(tripled.vertex_dirty);
+  EXPECT_EQ(tripled.vertex_bytes, FullRecord(false, 3.75, kEdges));
+  EXPECT_EQ(tripled.vertex_bytes.size(), record.size());
+
+  ScriptedProgram<double> halt([](auto& vertex) {
+    vertex.set_value(vertex.value());
+    vertex.VoteToHalt();
+  });
+  const ComputeOutput halted = RunOnce(halt, FullRecord(false, 4.0, kEdges));
+  ASSERT_TRUE(halted.vertex_dirty);
+  EXPECT_TRUE(halted.voted_halt);
+  EXPECT_EQ(halted.vertex_bytes, FullRecord(true, 4.0, kEdges));
+
+  const std::string text = FullRecord<std::string>(false, "abc", kEdges);
+  ScriptedProgram<std::string> grow(
+      [](auto& vertex) { vertex.set_value(vertex.value() + "-and-more"); });
+  const ComputeOutput grown = RunOnce(grow, text);
+  ASSERT_TRUE(grown.vertex_dirty);
+  EXPECT_EQ(grown.vertex_bytes,
+            FullRecord<std::string>(false, "abc-and-more", kEdges));
+  ScriptedProgram<std::string> shrink(
+      [](auto& vertex) { vertex.set_value(vertex.value().substr(1)); });
+  const ComputeOutput shrunk = RunOnce(shrink, text);
+  ASSERT_TRUE(shrunk.vertex_dirty);
+  EXPECT_EQ(shrunk.vertex_bytes, FullRecord<std::string>(false, "bc", kEdges));
+
+  // No algorithm or example calls mutable_edges(): this is its coverage.
+  ScriptedProgram<double> add_edge([](auto& vertex) {
+    vertex.mutable_edges()->push_back({42, 9.5});
+  });
+  const ComputeOutput added = RunOnce(add_edge, FullRecord(false, 1.0, kEdges));
+  ASSERT_TRUE(added.vertex_dirty);
+  std::vector<std::pair<int64_t, double>> edges = kEdges;
+  edges.emplace_back(42, 9.5);
+  EXPECT_EQ(added.vertex_bytes, FullRecord(false, 1.0, edges));
+}
+
+TEST(TypedAdapterTest, UpdateHandlesInputAliasingOutput) {
+  ScriptedProgram<std::string> program([](auto& vertex) {
+    vertex.set_value(vertex.value() == "x" ? "x" : vertex.value() + "!");
+  });
+  typename ScriptedProgram<std::string>::Adapter adapter(&program);
+  ComputeOutput output;
+  output.vertex_bytes = FullRecord<std::string>(false, "ab", kEdges);
+  ComputeInput input;
+  input.vid = 1;
+  input.vertex_exists = true;
+  input.superstep = 2;
+  // The input is the output's own buffer, as when a caller feeds a call's
+  // result straight back in.
+  for (const char* want : {"ab!", "ab!!"}) {
+    input.vertex_bytes = Slice(output.vertex_bytes);
+    ASSERT_TRUE(adapter.Compute(input, &output).ok());
+    ASSERT_TRUE(output.vertex_dirty);
+    EXPECT_EQ(output.vertex_bytes,
+              FullRecord<std::string>(false, want, kEdges));
+  }
+  // Unchanged value and halt, still aliased: not dirty.
+  output.vertex_bytes = FullRecord<std::string>(false, "x", kEdges);
+  input.vertex_bytes = Slice(output.vertex_bytes);
+  ASSERT_TRUE(adapter.Compute(input, &output).ok());
+  EXPECT_FALSE(output.vertex_dirty);
+}
+
+TEST(TypedAdapterTest, TypedEncoderMatchesUntypedEncoder) {
+  using Vertex = VertexHandle<std::string, double, double>;
+  const std::vector<Vertex::Edge> edges = {{7, 0.5}, {-3, 2.0}, {11, 0.0}};
+  std::string typed;
+  PutVertexRecord(&typed, true, std::string("value"), edges);
+  EXPECT_EQ(typed, FullRecord<std::string>(true, "value", kEdges));
+  // InitialVertex goes through the same encoder.
+  EchoProgram program;
+  EchoProgram::Adapter adapter(&program);
+  std::string record = "stale bytes";
+  ASSERT_TRUE(adapter.InitialVertex(5, {10, 20}, &record).ok());
+  EXPECT_EQ(record, FullRecord(false, 0.0, {{10, 0.0}, {20, 0.0}}));
+}
+
+// Compute clones of one superstep share one adapter and run at once; each
+// thread has its own scratch, so four threads over disjoint vertices
+// produce what one thread does, round after round.
+TEST(TypedAdapterTest, ConcurrentComputeOnSharedAdapterMatchesOneThread) {
+  EchoProgram program;
+  EchoProgram::Adapter adapter(&program);
+  constexpr int kVertices = 4000;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  std::vector<std::string> records(kVertices);
+  std::vector<std::string> payloads(kVertices);
+  for (int v = 0; v < kVertices; ++v) {
+    std::vector<int64_t> dests;
+    for (int d = 0; d < v % 41; ++d) dests.push_back((v * 31 + d) % kVertices);
+    ASSERT_TRUE(adapter.InitialVertex(v, dests, &records[v]).ok());
+    payloads[v] = SerializeValue<double>(0.5 * v);
+  }
+  auto call = [&](int v, ComputeOutput* output, CollectingSink* sink) {
+    ComputeInput input;
+    input.vid = v;
+    input.vertex_exists = true;
+    input.vertex_bytes = Slice(records[v]);
+    input.has_messages = v % 3 != 0;
+    input.message_payload = Slice(payloads[v]);
+    input.superstep = 2 + v % 2;
+    output->Clear();
+    sink->messages.clear();
+    return adapter.Compute(input, output);
+  };
+  struct Result {
+    bool dirty = false;
+    bool halt = false;
+    std::string bytes;
+    std::vector<std::pair<int64_t, std::string>> messages;
+    std::string aggregate;
+  };
+  std::vector<Result> serial(kVertices);
+  {
+    ComputeOutput output;
+    CollectingSink sink;
+    output.sink = &sink;
+    for (int v = 0; v < kVertices; ++v) {
+      ASSERT_TRUE(call(v, &output, &sink).ok());
+      serial[v] = {output.vertex_dirty, output.voted_halt, output.vertex_bytes,
+                   sink.messages, output.aggregate_contribution};
+    }
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  std::latch start(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ComputeOutput output;
+      CollectingSink sink;
+      output.sink = &sink;
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        for (int v = t; v < kVertices; v += kThreads) {
+          const Result& want = serial[v];
+          if (!call(v, &output, &sink).ok() ||
+              output.vertex_dirty != want.dirty ||
+              output.voted_halt != want.halt ||
+              output.vertex_bytes != want.bytes ||
+              sink.messages != want.messages ||
+              output.aggregate_contribution != want.aggregate) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 TEST(TypedAdapterTest, CombinerHooksFold) {
