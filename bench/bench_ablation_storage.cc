@@ -58,6 +58,8 @@ class PathChurnProgram : public TypedVertexProgram<std::string, Empty, int64_t> 
     vertex.VoteToHalt();
   }
 
+  bool mutates_graph() const override { return true; }
+
   std::string FormatValue(int64_t, const std::string& value) const override {
     return std::to_string(value.size());
   }

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the dataflow substrate: frame
 // encode/decode, the group-by family (sort, hash-sort, dense), external
 // sorting, the k-way merge (loser tree, varying fan-in), the
-// normalized-key comparison kernel, and the typed compute call.
+// normalized-key comparison kernel, the typed compute call, and the fixed
+// cost of one superstep-shaped job through the executor.
 // Supporting numbers for the operator choices of paper Sections 4 and
 // 5.3.1, and the before/after record in BENCH_kernels.json (DESIGN.md §13).
 //
@@ -21,6 +22,8 @@
 #include "common/serde.h"
 #include "common/slice.h"
 #include "common/temp_dir.h"
+#include "dataflow/cluster.h"
+#include "dataflow/executor.h"
 #include "dataflow/frame.h"
 #include "dataflow/ops/sort.h"
 #include "pregel/program.h"
@@ -224,6 +227,48 @@ void BM_TypedComputePageRank(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TypedComputePageRank);
+
+void BM_RunJobNoopSuperstep(benchmark::State& state) {
+  // One superstep-shaped job through RunJob on a standing 4-worker
+  // cluster: 4 compute-like sources feeding 4 combine-like sinks over an
+  // m-to-n connector and one global-agg-like sink over an m-to-one
+  // connector, none of which emits a tuple. What is left is the executor's
+  // fixed cost per job: admission, channels, task build, 9 activations and
+  // the barrier. Reported per job.
+  TempDir dir("micro-runjob");
+  ClusterConfig config;
+  config.num_workers = 4;
+  config.temp_root = dir.Sub("cluster");
+  SimulatedCluster cluster(config);
+  auto noop = [](TaskContext&) { return Status::OK(); };
+  auto compute = std::make_shared<LambdaOperatorDescriptor>("compute", noop);
+  compute->DeclarePorts(0, 2);
+  auto combine = std::make_shared<LambdaOperatorDescriptor>("combine", noop);
+  combine->DeclarePorts(1, 0)->DeclareInput(
+      0, {Sortedness::kUnsorted, Partitioning::kHashByKey});
+  auto global = std::make_shared<LambdaOperatorDescriptor>("global", noop);
+  global->DeclarePorts(1, 0)->DeclareInput(
+      0, {Sortedness::kUnsorted, Partitioning::kSingleton});
+  JobSpec spec;
+  spec.set_name("noop-superstep");
+  const int partitions = cluster.num_partitions();
+  ConnectorSpec msgs;
+  msgs.src_op = spec.AddOperator(compute, partitions);
+  msgs.dst_op = spec.AddOperator(combine, partitions);
+  msgs.kind = ConnectorKind::kMToNPartition;
+  spec.Connect(msgs);
+  ConnectorSpec contrib;
+  contrib.src_op = msgs.src_op;
+  contrib.src_output = 1;
+  contrib.dst_op = spec.AddOperator(global, 1);
+  contrib.kind = ConnectorKind::kMToOne;
+  spec.Connect(contrib);
+  for (auto _ : state) {
+    PREGELIX_CHECK(RunJob(cluster, spec).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RunJobNoopSuperstep)->Unit(benchmark::kMicrosecond);
 
 void BM_ExternalSortSpilling(benchmark::State& state) {
   TempDir dir("micro-sort");

@@ -60,6 +60,8 @@ class TipRemovalProgram
     vertex.VoteToHalt();
   }
 
+  bool mutates_graph() const override { return true; }
+
   std::string InitialValue(int64_t vid,
                            const std::vector<int64_t>&) const override {
     return (*fragments_)[vid];
@@ -97,6 +99,8 @@ class PathMergeProgram
     }
     vertex.VoteToHalt();
   }
+
+  bool mutates_graph() const override { return true; }
 
   std::string FormatValue(int64_t, const std::string& v) const override {
     return std::to_string(StripMark(v).size());  // contig length

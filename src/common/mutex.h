@@ -40,6 +40,7 @@ namespace pregelix {
 enum class LockRank : int {
   kUnranked = 0,
   kCluster = 10,         // SimulatedCluster worker table
+  kTaskPool = 15,        // SimulatedCluster task-thread pool queue
   kChannel = 20,         // FrameChannel queue + spill state
   kBufferCache = 30,     // BufferCache page table / LRU / files
   kExecutorStatus = 40,  // RunJob first-error slot

@@ -25,6 +25,63 @@ SimulatedCluster::SimulatedCluster(const ClusterConfig& config)
   }
 }
 
+SimulatedCluster::~SimulatedCluster() {
+  std::vector<std::thread> threads;
+  {
+    MutexLock lock(&pool_mutex_);
+    PREGELIX_CHECK(pool_queue_.empty()) << "cluster destroyed mid-job";
+    pool_stopping_ = true;
+    threads.swap(pool_threads_);
+  }
+  pool_cv_.NotifyAll();
+  for (std::thread& t : threads) t.join();
+}
+
+void SimulatedCluster::RunOnTaskThreads(
+    std::vector<std::function<void()>> closures) {
+  TaskBatch batch;
+  MutexLock lock(&pool_mutex_);
+  while (pool_idle_ < pool_queue_.size() + closures.size()) {
+    pool_threads_.emplace_back([this] { TaskThreadMain(); });
+    ++pool_idle_;
+  }
+  batch.unfinished = closures.size();
+  for (std::function<void()>& closure : closures) {
+    pool_queue_.push_back(QueuedTask{std::move(closure), &batch});
+    pool_cv_.NotifyOne();
+  }
+  while (batch.unfinished > 0) batch.done.Wait(&pool_mutex_);
+}
+
+uint64_t SimulatedCluster::threads_started() const {
+  MutexLock lock(&pool_mutex_);
+  return pool_threads_.size();
+}
+
+void SimulatedCluster::TaskThreadMain() {
+  QueuedTask task{nullptr, nullptr};
+  for (;;) {
+    {
+      MutexLock lock(&pool_mutex_);
+      if (task.batch != nullptr) {
+        // Idle again before the batch can complete: the caller's next job
+        // finds this thread and starts none.
+        ++pool_idle_;
+        if (--task.batch->unfinished == 0) task.batch->done.NotifyAll();
+      }
+      while (pool_queue_.empty() && !pool_stopping_) {
+        pool_cv_.Wait(&pool_mutex_);
+      }
+      if (pool_queue_.empty()) return;  // stopping, nothing left to run
+      task = std::move(pool_queue_.front());
+      pool_queue_.pop_front();
+      --pool_idle_;
+    }
+    task.closure();
+    task.closure = nullptr;  // drop captures that refer to the job
+  }
+}
+
 std::string SimulatedCluster::partition_dir(int partition) const
     NO_THREAD_SAFETY_ANALYSIS {
   // Reads only the worker dir string, fixed at construction.

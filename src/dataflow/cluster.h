@@ -2,8 +2,11 @@
 #define PREGELIX_DATAFLOW_CLUSTER_H_
 
 #include <atomic>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "buffer/buffer_cache.h"
@@ -27,9 +30,16 @@ struct OverlapRuntime;  // dataflow/ops/sort.h
 /// and its own resource meter. Dataflow partitions map to workers with a
 /// fixed round-robin map — the analog of Hyracks' absolute location
 /// constraints, which Pregelix uses for sticky iterative scheduling.
+///
+/// The cluster also owns the task threads that run operator activations
+/// (DESIGN.md §13): they live as long as the cluster, so a superstep job
+/// starts no thread once the pool has grown to the job's width.
 class SimulatedCluster {
  public:
   explicit SimulatedCluster(const ClusterConfig& config);
+  /// Stops the task-thread pool and joins every thread. No job may still
+  /// be running.
+  ~SimulatedCluster();
 
   SimulatedCluster(const SimulatedCluster&) = delete;
   SimulatedCluster& operator=(const SimulatedCluster&) = delete;
@@ -86,6 +96,17 @@ class SimulatedCluster {
   /// Unique id generator for scratch file names.
   uint64_t NextFileId() { return next_file_id_.fetch_add(1); }
 
+  /// Runs every closure on a task thread of the pool, all of them at the
+  /// same time, and returns once every one has returned. Activations block
+  /// on each other's channels, so a fixed-size pool could deadlock: the
+  /// pool first grows until it has an idle thread for every queued closure.
+  /// It never shrinks while the cluster lives, and concurrent jobs share it.
+  void RunOnTaskThreads(std::vector<std::function<void()>> closures)
+      EXCLUDES(pool_mutex_);
+
+  /// Task threads started since construction.
+  uint64_t threads_started() const EXCLUDES(pool_mutex_);
+
  private:
   struct Worker {
     std::unique_ptr<WorkerMetrics> metrics;
@@ -102,6 +123,28 @@ class SimulatedCluster {
   mutable Mutex workers_mutex_{"cluster", LockRank::kCluster};
   std::vector<std::unique_ptr<Worker>> workers_ GUARDED_BY(workers_mutex_);
   std::atomic<uint64_t> next_file_id_{0};
+
+  /// One RunOnTaskThreads call: its closures still running or queued.
+  struct TaskBatch {
+    size_t unfinished = 0;
+    CondVar done;
+  };
+  struct QueuedTask {
+    std::function<void()> closure;
+    TaskBatch* batch;
+  };
+
+  void TaskThreadMain() EXCLUDES(pool_mutex_);
+
+  /// The task-thread pool. `pool_idle_` counts threads not running a
+  /// closure; RunOnTaskThreads keeps it at least the queue length, and a
+  /// thread counts as idle again before its batch can complete.
+  mutable Mutex pool_mutex_{"task_pool", LockRank::kTaskPool};
+  CondVar pool_cv_;
+  std::deque<QueuedTask> pool_queue_ GUARDED_BY(pool_mutex_);
+  std::vector<std::thread> pool_threads_ GUARDED_BY(pool_mutex_);
+  size_t pool_idle_ GUARDED_BY(pool_mutex_) = 0;
+  bool pool_stopping_ GUARDED_BY(pool_mutex_) = false;
 };
 
 }  // namespace pregelix

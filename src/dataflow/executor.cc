@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -476,14 +476,16 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
 
   // --- Run ------------------------------------------------------------------
+  // Each activation runs on a task thread of the cluster's pool (DESIGN.md
+  // §13).
   Mutex status_mutex{"executor_status", LockRank::kExecutorStatus};
   Status first_error;
-  std::vector<std::thread> threads;
-  threads.reserve(tasks.size());
+  std::vector<std::function<void()>> activations;
+  activations.reserve(tasks.size());
   for (Task& task : tasks) {
-    threads.emplace_back([&cluster, &spec, &task, &abort, &status_mutex,
-                          &first_error]() {
-      // Time ledger (DESIGN.md §20): the whole task thread is attributed,
+    activations.push_back([&spec, &task, &abort, &status_mutex,
+                           &first_error]() {
+      // Time ledger (DESIGN.md §20): the whole activation is attributed,
       // base category compute, labeled with the operator name so the
       // category×operator hierarchy can be rebuilt from the cells.
       TimeLedger::AttachCurrentThread(task.ctx->worker, TimeCategory::kCompute,
@@ -540,9 +542,9 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
   {
     // The caller (superstep driver or a nested checkpoint/load run) spends
-    // the whole job parked on this join: the superstep barrier.
+    // the whole job parked here: the superstep barrier.
     ScopedTimeCategory barrier(TimeCategory::kBarrierWait);
-    for (std::thread& t : threads) t.join();
+    cluster.RunOnTaskThreads(std::move(activations));
   }
 
   // A failed receive (injected channel.recv fault or spill read error) makes

@@ -13,9 +13,10 @@ namespace pregelix {
 /// (dataflow/plan_verifier.h) against the cluster's budgets: an invalid
 /// plan is rejected with InvalidArgument carrying the multi-line diagnostic
 /// and never starts executing. Every (operator, partition) clone then runs
-/// on its own thread, like Hyracks tasks; connectors move frames through
-/// FrameChannels. On the first task failure the job aborts: the shared
-/// abort flag unblocks all channel waits and the first error is returned.
+/// on its own task thread of the cluster's pool, all of them at once, like
+/// Hyracks tasks; connectors move frames through FrameChannels. On the first
+/// task failure the job aborts: the shared abort flag unblocks all channel
+/// waits and the first error is returned.
 ///
 /// `runtime_context` is passed through to every TaskContext (the per-job
 /// state hook used by the Pregelix layer).

@@ -28,6 +28,16 @@ Status DistributedFileSystem::Write(const std::string& rel,
   return WriteStringToFileAtomic(path, contents);
 }
 
+Status DistributedFileSystem::Overwrite(const std::string& rel,
+                                        const Slice& contents) {
+  const std::string path = Resolve(rel);
+  Status s = OverwriteFile(path, contents);
+  if (!s.IsNotFound()) return s;
+  std::error_code ec;
+  fs::create_directories(fs::path(path).parent_path(), ec);
+  return OverwriteFile(path, contents);
+}
+
 Status DistributedFileSystem::Append(const std::string& rel,
                                      const Slice& contents) {
   const std::string path = Resolve(rel);

@@ -16,7 +16,7 @@ namespace pregelix {
 /// Pregelix uses the DFS for graph input/output part files, the primary copy
 /// of the global state GS, and checkpoints (paper Sections 5.2, 5.5). All
 /// paths are relative to the DFS root; writes are atomic (temp + rename) to
-/// match the durability the experiments rely on.
+/// match the durability the experiments rely on, except Overwrite's.
 class DistributedFileSystem {
  public:
   explicit DistributedFileSystem(std::string root);
@@ -25,6 +25,10 @@ class DistributedFileSystem {
   std::string Resolve(const std::string& rel_path) const;
 
   Status Write(const std::string& rel_path, const Slice& contents);
+  /// Overwrites a small file in place, creating it and its directory on
+  /// first use (see OverwriteFile). Not atomic: for files nothing recovers
+  /// from, such as the per-superstep GS primary copy.
+  Status Overwrite(const std::string& rel_path, const Slice& contents);
   Status Append(const std::string& rel_path, const Slice& contents);
   /// Streaming writer for bulk data (graph part files, checkpoints).
   Status OpenForWrite(const std::string& rel_path,

@@ -1,5 +1,6 @@
 #include "graph/text_io.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "common/hash.h"
@@ -81,15 +82,37 @@ void AppendVertexLine(int64_t vid, const std::vector<int64_t>& dests,
 Status LoadGraph(const DistributedFileSystem& dfs, const std::string& dir,
                  InMemoryGraph* graph) {
   graph->adj.clear();
-  return ScanGraphDir(
+  // Nothing is sized by an id before every id is known to be in range. A
+  // dense 0..N-1 graph names each of its N ids at least once, so no id
+  // reaches the number of ids the input holds (lines plus destinations).
+  std::vector<std::pair<int64_t, std::vector<int64_t>>> lines;
+  uint64_t ids = 0;
+  int64_t max_id = -1;
+  PREGELIX_RETURN_NOT_OK(ScanGraphDir(
       dfs, dir, [&](int64_t vid, const std::vector<int64_t>& dests) {
-        if (vid < 0) return Status::Corruption("negative vid");
-        if (static_cast<size_t>(vid) >= graph->adj.size()) {
-          graph->adj.resize(vid + 1);
+        ids += 1 + dests.size();
+        int64_t min_id = vid;
+        max_id = std::max(max_id, vid);
+        for (int64_t d : dests) {
+          min_id = std::min(min_id, d);
+          max_id = std::max(max_id, d);
         }
-        graph->adj[vid] = dests;
+        if (min_id < 0) {
+          return Status::Corruption("negative vertex id " +
+                                    std::to_string(min_id));
+        }
+        lines.emplace_back(vid, dests);
         return Status::OK();
-      });
+      }));
+  if (max_id >= 0 && static_cast<uint64_t>(max_id) >= ids) {
+    return Status::Corruption("vertex id " + std::to_string(max_id) +
+                              " out of range: the input names " +
+                              std::to_string(ids) + " ids");
+  }
+  // A destination without a line of its own is a vertex with no out-edges.
+  graph->adj.resize(static_cast<size_t>(max_id + 1));
+  for (auto& [vid, dests] : lines) graph->adj[vid] = std::move(dests);
+  return Status::OK();
 }
 
 Status WriteGraph(DistributedFileSystem& dfs, const std::string& dir,

@@ -54,7 +54,10 @@ struct InMemoryGraph {
   }
 };
 
-/// Loads a graph directory into memory (test/reference scale only).
+/// Loads a graph directory into memory (test/reference scale only). Returns
+/// Corruption for a negative id, and for an id not smaller than the number
+/// of ids the input names (lines plus destinations), before allocating
+/// anything sized by an id.
 Status LoadGraph(const DistributedFileSystem& dfs, const std::string& dir,
                  InMemoryGraph* graph);
 

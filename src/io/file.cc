@@ -216,6 +216,30 @@ Status WriteStringToFileAtomic(const std::string& path,
   return RenameFile(tmp, path);
 }
 
+Status OverwriteFile(const std::string& path, const Slice& contents) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
+  if (fd < 0) {
+    const bool missing_dir = errno == ENOENT;
+    const std::string message = ErrnoMessage("open " + path);
+    return missing_dir ? Status::NotFound(message) : Status::IoError(message);
+  }
+  Status s;
+  {
+    ScopedTimeCategory io_write(TimeCategory::kIoWrite);
+    size_t allowed = contents.size();
+    const Status injected = fault::MaybeFailWrite("io.file.write", &allowed);
+    s = WriteFully(fd, contents.data(), allowed, path);
+    if (s.ok()) s = injected;
+    if (s.ok() && ::ftruncate(fd, static_cast<off_t>(contents.size())) != 0) {
+      s = Status::IoError(ErrnoMessage("ftruncate " + path));
+    }
+  }
+  if (::close(fd) != 0 && s.ok()) {
+    s = Status::IoError(ErrnoMessage("close " + path));
+  }
+  return s;
+}
+
 Status RenameFile(const std::string& from, const std::string& to) {
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.file.rename"));
   if (::rename(from.c_str(), to.c_str()) != 0) {

@@ -90,6 +90,12 @@ Status ReadFileToString(const std::string& path, std::string* out);
 /// Atomically replaces `path` with `contents` (write temp + rename).
 Status WriteStringToFileAtomic(const std::string& path, const Slice& contents);
 
+/// Writes `contents` over the start of `path` (creating the file if it is
+/// missing), then truncates the file to their length. One open, one write,
+/// no rename: not atomic, so only for files no recovery reads. The write is
+/// fault point "io.file.write"; a missing directory returns NotFound.
+Status OverwriteFile(const std::string& path, const Slice& contents);
+
 /// Renames `from` to `to` (atomic within a filesystem). Fault point
 /// "io.file.rename".
 Status RenameFile(const std::string& from, const std::string& to);

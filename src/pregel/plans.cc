@@ -264,6 +264,7 @@ class ComputeDriver final : public MessageSink {
         state_(ctx->partitions[task.partition]),
         loj_(ctx->current_join == JoinStrategy::kLeftOuter),
         defer_updates_(ctx->current_join == JoinStrategy::kFullOuter),
+        mutates_(ctx->program->MutatesGraph()),
         agg_hooks_(ctx->program->GlobalAggregator()),
         pending_(ctx->PartitionDir(task.partition) + "/pending-" +
                      std::to_string(ctx->current_superstep),
@@ -350,7 +351,15 @@ class ComputeDriver final : public MessageSink {
                       &contribution_.aggregate);
     }
 
-    // D6: mutations.
+    // D6: mutations. A program that does not declare them has no D6 flow;
+    // failing beats dropping them.
+    if (!mutates_ && !output_.mutations.empty()) {
+      return Status::InvalidArgument(
+          "compute of vertex " + std::to_string(vid) +
+          " emitted a graph mutation of vertex " +
+          std::to_string(output_.mutations.front().vid) +
+          ", but its program does not declare MutatesGraph()");
+    }
     for (const MutationRecord& m : output_.mutations) {
       const std::string key = OrderedKeyI64(m.vid);
       const std::string item = EncodeMutationItem(m);
@@ -403,10 +412,27 @@ class ComputeDriver final : public MessageSink {
     if (next_vid_loader_ != nullptr) {
       PREGELIX_RETURN_NOT_OK(next_vid_loader_->Finish());
     }
+    ReleaseConsumedInputs();
     return Status::OK();
   }
 
  private:
+  /// Deletes this superstep's inputs, which the join has fully read: Msg_i
+  /// and, when the job keeps a live-vertex set, Vid_i and its resolve
+  /// extras. The barrier then only installs Msg_{i+1}/Vid_{i+1}. Callers
+  /// have released every cursor over them by now.
+  void ReleaseConsumedInputs() {
+    if (!state_.msg_path.empty()) DeleteFileIfExists(state_.msg_path);
+    if (!ctx_->MaintainsVid()) return;
+    if (state_.vid_index != nullptr) {
+      Status s = state_.vid_index->Destroy();
+      if (!s.ok()) PLOG(Warn) << "vid destroy: " << s.ToString();
+    }
+    if (!state_.vid_extra_path.empty()) {
+      DeleteFileIfExists(state_.vid_extra_path);
+    }
+  }
+
   /// D2 application policy: the full-outer plan is mid-scan on the Vertex
   /// index, so only same-size in-place B-tree overwrites are safe
   /// immediately; anything structural is buffered and applied after the
@@ -431,6 +457,7 @@ class ComputeDriver final : public MessageSink {
   PartitionState& state_;
   const bool loj_;
   const bool defer_updates_;
+  const bool mutates_;  ///< the plan has the D6 output and resolve
   GlobalAggHooks agg_hooks_;
 
   std::unique_ptr<Grouper> grouper_;
@@ -450,10 +477,9 @@ class ComputeDriver final : public MessageSink {
 
 /// Index full outer join strategy (Figure 8 left): single-pass merge of the
 /// sorted Msg run with the full Vertex index scan.
-Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
+Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
+                     ComputeDriver* driver) {
   PartitionState& state = ctx->partitions[task.partition];
-  ComputeDriver driver(ctx, task);
-  PREGELIX_RETURN_NOT_OK(driver.Init());
 
   TupleRunReader msg(state.msg_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(msg.Init());
@@ -473,13 +499,13 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
       // Left-outer case: message to a missing vertex — create it.
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
       PREGELIX_RETURN_NOT_OK(
-          driver.Process(vid, /*vertex_exists=*/false, Slice(),
-                         /*has_messages=*/true, msg.field(1)));
+          driver->Process(vid, /*vertex_exists=*/false, Slice(),
+                          /*has_messages=*/true, msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
     } else if (cmp == 0) {
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
-      PREGELIX_RETURN_NOT_OK(driver.Process(vid, true, vertex->value(), true,
-                                            msg.field(1)));
+      PREGELIX_RETURN_NOT_OK(driver->Process(vid, true, vertex->value(), true,
+                                             msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     } else {
@@ -489,23 +515,22 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
       if (!VertexHalt(record)) {
         const int64_t vid = DecodeOrderedI64(vertex->key().data());
         PREGELIX_RETURN_NOT_OK(
-            driver.Process(vid, true, record, false, Slice()));
+            driver->Process(vid, true, record, false, Slice()));
       } else {
-        driver.CountOps(1);  // scanned and filtered
+        driver->CountOps(1);  // scanned and filtered
       }
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     }
   }
-  return driver.Finish();
+  return Status::OK();
 }
 
 /// Index left outer join strategy (Figure 8 right): merge(choose()) of Msg
 /// with the Vid live-vertex index (plus resolve-added vids), probing the
 /// Vertex index per resulting key.
-Status RunComputeLeftOuter(JobRuntimeContext* ctx, TaskContext& task) {
+Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
+                     ComputeDriver* driver) {
   PartitionState& state = ctx->partitions[task.partition];
-  ComputeDriver driver(ctx, task);
-  PREGELIX_RETURN_NOT_OK(driver.Init());
 
   TupleRunReader msg(state.msg_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(msg.Init());
@@ -550,24 +575,34 @@ Status RunComputeLeftOuter(JobRuntimeContext* ctx, TaskContext& task) {
     // results" — paper Section 7.5), versus 1 op/row for the merge scan.
     const int64_t vid = DecodeOrderedI64(key.data());
     Status probe = state.vertex_index->Get(Slice(key), &probe_value);
-    driver.CountOps(4);
+    driver->CountOps(4);
     if (probe.IsNotFound()) {
       if (has_msg) {
         PREGELIX_RETURN_NOT_OK(
-            driver.Process(vid, false, Slice(), true, payload));
+            driver->Process(vid, false, Slice(), true, payload));
       }
       // else: a live-set entry whose vertex was removed by a mutation.
     } else {
       PREGELIX_RETURN_NOT_OK(probe);
       if (has_msg || !VertexHalt(Slice(probe_value))) {
         PREGELIX_RETURN_NOT_OK(
-            driver.Process(vid, true, Slice(probe_value), has_msg, payload));
+            driver->Process(vid, true, Slice(probe_value), has_msg, payload));
       }
     }
     if (has_msg) {
       PREGELIX_RETURN_NOT_OK(msg.Next());
     }
   }
+  return Status::OK();
+}
+
+/// One compute clone: the superstep's join feeds the compute UDF, and
+/// Finish runs once the join has dropped its cursors over the inputs.
+Status RunComputeOp(JobRuntimeContext* ctx, TaskContext& task, bool loj) {
+  ComputeDriver driver(ctx, task);
+  PREGELIX_RETURN_NOT_OK(driver.Init());
+  PREGELIX_RETURN_NOT_OK(loj ? LeftOuterJoin(ctx, task, &driver)
+                             : FullOuterJoin(ctx, task, &driver));
   return driver.Finish();
 }
 
@@ -1008,19 +1043,18 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
   ResolvePlanDecision(ctx);
   const bool loj = ctx->current_join == JoinStrategy::kLeftOuter;
   const bool merged = ctx->current_connector == GroupByConnector::kMerged;
+  // Flow D6 and resolve exist only for programs that declare mutations.
+  const bool mutates = ctx->program->MutatesGraph();
   const size_t groupby_bytes = ctx->cluster->config().groupby_memory_bytes;
   auto compute_op = std::make_shared<LambdaOperatorDescriptor>(
       loj ? "compute-left-outer-join" : "compute-full-outer-join",
-      [ctx, loj](TaskContext& task) {
-        return loj ? RunComputeLeftOuter(ctx, task)
-                   : RunComputeFullOuter(ctx, task);
-      });
+      [ctx, loj](TaskContext& task) { return RunComputeOp(ctx, task, loj); });
   compute_op
-      ->DeclarePorts(0, 3)
+      ->DeclarePorts(0, mutates ? 3 : 2)
       // Output 0: the send-side group-by emits combined messages in
       // destination-key order (what the merging connector's receiver
-      // merges). Outputs 1 (GS contributions) and 2 (mutations) carry no
-      // properties.
+      // merges). Outputs 1 (GS contributions) and 2 (mutations, when the
+      // program declares them) carry no properties.
       ->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary})
       ->DeclareMemoryBytes(groupby_bytes);  // the "sendgb" grouper
   const int compute = spec.AddOperator(compute_op, partitions);
@@ -1043,14 +1077,6 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
   global_op->DeclarePorts(1, 0)->DeclareInput(
       0, {Sortedness::kUnsorted, Partitioning::kSingleton});
   const int global = spec.AddOperator(global_op, 1);
-  auto resolve_op = std::make_shared<LambdaOperatorDescriptor>(
-      "resolve",
-      [ctx](TaskContext& task) { return RunResolveOp(ctx, task); });
-  resolve_op
-      ->DeclarePorts(1, 0)
-      ->DeclareInput(0, {Sortedness::kUnsorted, Partitioning::kHashByKey})
-      ->DeclareMemoryBytes(groupby_bytes);  // the mutation sorter
-  const int resolve = spec.AddOperator(resolve_op, partitions);
 
   // D3/D7: messages, via the configured group-by connector.
   ConnectorSpec msgs;
@@ -1073,14 +1099,23 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
   spec.Connect(contrib);
 
   // D6: mutations to resolve, partitioned like the vertices.
-  ConnectorSpec muts;
-  muts.src_op = compute;
-  muts.src_output = 2;
-  muts.dst_op = resolve;
-  muts.kind = ConnectorKind::kMToNPartition;
-  muts.key_field = 0;
-  muts.field_count = 2;
-  spec.Connect(muts);
+  if (mutates) {
+    auto resolve_op = std::make_shared<LambdaOperatorDescriptor>(
+        "resolve",
+        [ctx](TaskContext& task) { return RunResolveOp(ctx, task); });
+    resolve_op
+        ->DeclarePorts(1, 0)
+        ->DeclareInput(0, {Sortedness::kUnsorted, Partitioning::kHashByKey})
+        ->DeclareMemoryBytes(groupby_bytes);  // the mutation sorter
+    ConnectorSpec muts;
+    muts.src_op = compute;
+    muts.src_output = 2;
+    muts.dst_op = spec.AddOperator(resolve_op, partitions);
+    muts.kind = ConnectorKind::kMToNPartition;
+    muts.key_field = 0;
+    muts.field_count = 2;
+    spec.Connect(muts);
+  }
 
   if (g_superstep_spec_tamper) g_superstep_spec_tamper(ctx, &spec);
   return spec;

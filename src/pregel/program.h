@@ -127,9 +127,12 @@ class PregelProgram {
   virtual Status FormatVertex(int64_t vid, const Slice& vertex_bytes,
                               std::string* line) = 0;
 
-  /// Declares that Compute may emit graph mutations (flow D6). The
-  /// admission-time storage chooser (VertexStorage::kAuto) picks the LSM
-  /// B-tree for mutation-heavy programs; everything else keeps the in-place
+  /// Declares that Compute may emit graph mutations (flow D6). A contract,
+  /// not a hint: only a program that returns true gets the D6 flow and the
+  /// resolve operator in its superstep plan, and a Compute that emits a
+  /// mutation while this returns false fails its job with InvalidArgument.
+  /// The admission-time storage chooser (VertexStorage::kAuto) also picks
+  /// the LSM B-tree for these programs; everything else keeps the in-place
   /// B-tree.
   virtual bool MutatesGraph() const { return false; }
 };

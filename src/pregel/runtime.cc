@@ -74,12 +74,14 @@ std::string GsPath(const JobRuntimeContext& ctx) {
 
 /// Writes the GS tuple to the DFS, retrying transient faults. This is the
 /// primary copy (paper Section 5.7); losing it silently would orphan the
-/// job, so it gets its own fault point and retry budget.
+/// job, so it gets its own fault point and retry budget. It is overwritten
+/// in place: recovery never reads it, only the checkpoint's own `gs`,
+/// which the MANIFEST checksums.
 Status WriteGs(DistributedFileSystem* dfs, const JobRuntimeContext& ctx,
                const GlobalState& gs) {
   return RetryTransient("gs.write", [&]() -> Status {
     PREGELIX_RETURN_NOT_OK(fault::MaybeFail("pregel.gs.write"));
-    return dfs->Write(GsPath(ctx), gs.Encode());
+    return dfs->Overwrite(GsPath(ctx), gs.Encode());
   });
 }
 
@@ -512,20 +514,15 @@ Status PregelixRuntime::AdvanceGlobalState(JobRuntimeContext* ctx) {
   }
 
   // Install the superstep outputs: Msg_{i+1} replaces Msg_i, Vid_{i+1}
-  // replaces Vid_i (sticky, partition-local swaps; no data moves).
+  // replaces Vid_i (sticky, partition-local swaps; no data moves). The
+  // compute task that read Msg_i and Vid_i already deleted their files.
   for (PartitionState& p : ctx->partitions) {
-    if (!p.msg_path.empty()) DeleteFileIfExists(p.msg_path);
     p.msg_path = p.next_msg_path;
     p.next_msg_path.clear();
     p.next_msg_count = 0;
     p.next_msg_bytes = 0;
     if (ctx->MaintainsVid()) {
-      if (p.vid_index != nullptr) {
-        Status s = p.vid_index->Destroy();
-        if (!s.ok()) PLOG(Warn) << "vid destroy: " << s.ToString();
-      }
       p.vid_index = std::move(p.next_vid_index);
-      if (!p.vid_extra_path.empty()) DeleteFileIfExists(p.vid_extra_path);
       p.vid_extra_path = p.next_vid_extra_path;
       p.next_vid_extra_path.clear();
     }
@@ -842,7 +839,7 @@ Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
   }
   gs.live_vertices = gs.num_vertices;
   ctx->gs = gs;
-  return dfs_->Write(GsPath(*ctx), gs.Encode());
+  return WriteGs(dfs_, *ctx, gs);
 }
 
 Status PregelixRuntime::MakePipelineVidIndex(JobRuntimeContext* ctx, int p,

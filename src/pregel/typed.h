@@ -188,8 +188,9 @@ class TypedVertexProgram {
   /// Result formatting: the text after the vid on each output line.
   virtual std::string FormatValue(int64_t vid, const V& value) const = 0;
 
-  /// Declares that Compute may call AddVertex/RemoveVertex (storage
-  /// admission hint, see PregelProgram::MutatesGraph).
+  /// Declares that Compute may call AddVertex/RemoveVertex. A program that
+  /// calls either must return true: otherwise its plan has no resolve and
+  /// the job fails (see PregelProgram::MutatesGraph).
   virtual bool mutates_graph() const { return false; }
 
   /// Custom mutation conflict resolution; default = deletes first, last

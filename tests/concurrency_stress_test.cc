@@ -204,6 +204,87 @@ TEST_F(ConcurrencyStressTest, JobsVsScrapesVsFaultReconfig) {
   EXPECT_EQ(pr_result.supersteps, 11);
 }
 
+// Three tenants share one cluster and its task-thread pool: two PageRank
+// jobs and one SSSP job run at once, and every dump equals the dump of the
+// same job run alone. PageRank runs the merged connector, whose output is
+// bit-stable from run to run.
+TEST_F(ConcurrencyStressTest, ConcurrentTenantsMatchTheirSerialRuns) {
+  GraphStats stats;
+  ASSERT_TRUE(
+      GenerateBtcLike(dfs_, "input/sssp", 3, 200, 6.0, 42, &stats).ok());
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs_, "input/pr", 3, 150, 5.0, 42, &stats).ok());
+
+  struct Tenant {
+    std::string name;
+    PageRankProgram pagerank{10};
+    SsspProgram sssp{0};
+    std::unique_ptr<PregelProgram> adapter;
+    PregelixJobConfig job;
+  };
+  auto make_tenants = [](const std::string& prefix) {
+    std::vector<std::unique_ptr<Tenant>> tenants;
+    for (const char* name : {"pr-a", "pr-b", "sssp"}) {
+      auto t = std::make_unique<Tenant>();
+      t->name = name;
+      const bool pagerank = t->name != "sssp";
+      t->job.name = prefix + "-" + t->name;
+      t->job.input_dir = pagerank ? "input/pr" : "input/sssp";
+      t->job.output_dir = "output/" + prefix + "/" + t->name;
+      if (pagerank) {
+        t->job.groupby_connector = GroupByConnector::kMerged;
+        t->adapter = std::make_unique<PageRankProgram::Adapter>(&t->pagerank);
+      } else {
+        t->adapter = std::make_unique<SsspProgram::Adapter>(&t->sssp);
+      }
+      tenants.push_back(std::move(t));
+    }
+    return tenants;
+  };
+  auto run = [this](Tenant* t) {
+    PregelixRuntime runtime(cluster_.get(), &dfs_);
+    JobResult result;
+    return runtime.Run(t->adapter.get(), t->job, &result);
+  };
+  auto dump = [this](const std::string& dir) {
+    std::map<std::string, std::string> files;
+    std::vector<std::string> names;
+    EXPECT_TRUE(dfs_.List(dir, &names).ok());
+    for (const std::string& name : names) {
+      EXPECT_TRUE(dfs_.Read(dir + "/" + name, &files[name]).ok());
+    }
+    return files;
+  };
+
+  const std::vector<std::unique_ptr<Tenant>> serial = make_tenants("serial");
+  for (const auto& t : serial) {
+    const Status s = run(t.get());
+    ASSERT_TRUE(s.ok()) << t->name << ": " << s.ToString();
+  }
+  const uint64_t pool_after_serial = cluster_->threads_started();
+
+  const std::vector<std::unique_ptr<Tenant>> concurrent =
+      make_tenants("concurrent");
+  std::vector<Status> statuses(concurrent.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < concurrent.size(); ++i) {
+    threads.emplace_back([&, i] { statuses[i] = run(concurrent[i].get()); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t i = 0; i < concurrent.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok())
+        << concurrent[i]->name << ": " << statuses[i].ToString();
+    const auto expected = dump(serial[i]->job.output_dir);
+    ASSERT_FALSE(expected.empty()) << serial[i]->name;
+    EXPECT_EQ(dump(concurrent[i]->job.output_dir), expected)
+        << concurrent[i]->name;
+  }
+  // Concurrent jobs need threads of their own: the pool grew past the
+  // serial width and never below it.
+  EXPECT_GE(cluster_->threads_started(), pool_after_serial);
+}
+
 TEST_F(ConcurrencyStressTest, HistogramSnapshotsDuringConcurrentObserves) {
   // Regression stress for the Observe/count ordering: a snapshot that
   // reads count == n must see >= n bucket increments, so the percentile

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/serde.h"
 #include "common/temp_dir.h"
@@ -256,6 +257,42 @@ TEST_F(ExecutorTest, FailingOperatorAbortsJob) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("synthetic failure"), std::string::npos);
   EXPECT_NE(s.message().find("failing-job"), std::string::npos);
+}
+
+// Activations run on the cluster's long-lived task threads. One that an
+// injected channel.send error fails hands its thread back like any other:
+// the next job succeeds on the same threads and none is started or lost.
+TEST_F(ExecutorTest, PoolOutlivesAFailedActivation) {
+  SimulatedCluster cluster(MakeConfig(2));
+  auto run = [&cluster](Collected* collected) {
+    JobSpec spec;
+    spec.set_name("pooled-job");
+    const int gen = spec.AddOperator(MakeGenerator(1000), 2);
+    const int sink = spec.AddOperator(MakeCollector(), 2);
+    ConnectorSpec conn;
+    conn.src_op = gen;
+    conn.dst_op = sink;
+    conn.kind = ConnectorKind::kMToNPartition;
+    spec.Connect(conn);
+    return RunJob(cluster, spec, collected);
+  };
+  EXPECT_EQ(cluster.threads_started(), 0u);
+  Collected warm;
+  ASSERT_TRUE(run(&warm).ok());
+  EXPECT_EQ(cluster.threads_started(), 4u);  // one per activation
+
+  fault::FaultInjector::Global().Arm("channel.send", fault::FaultSpec{});
+  Collected failed;
+  const Status s = run(&failed);
+  fault::FaultInjector::Global().Reset();
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_NE(s.message().find("pooled-job/gen["), std::string::npos)
+      << s.ToString();
+
+  Collected after;
+  ASSERT_TRUE(run(&after).ok());
+  EXPECT_EQ(after.Total(), 2000u);
+  EXPECT_EQ(cluster.threads_started(), 4u);
 }
 
 TEST_F(ExecutorTest, TwoStagePipelineWithBranches) {

@@ -20,6 +20,7 @@
 #include "dfs/dfs.h"
 #include "graph/generator.h"
 #include "pregel/runtime.h"
+#include "pregel/typed.h"
 #include "pregel/watchdog.h"
 
 namespace pregelix {
@@ -102,7 +103,8 @@ TEST(ExplainTest, ProfileCollectedWithPaperLabels) {
   EXPECT_TRUE(saw_compute);
   EXPECT_TRUE(saw_combine);
   EXPECT_TRUE(saw_global);
-  EXPECT_TRUE(saw_resolve);
+  // SSSP declares no graph mutations, so its plan has no resolve.
+  EXPECT_FALSE(saw_resolve);
 
   // A non-empty critical path through the timed plan.
   EXPECT_GT(profile.wall_ns(), 0u);
@@ -118,6 +120,47 @@ TEST(ExplainTest, ProfileCollectedWithPaperLabels) {
   profile.RenderTree(tree);
   EXPECT_NE(tree.str().find("compute-full-outer-join"), std::string::npos);
   EXPECT_NE(tree.str().find("critical path"), std::string::npos);
+}
+
+/// Removes every odd vertex in superstep 1: a program that declares graph
+/// mutations, so its plan keeps resolve.
+class ShedOddVertices : public TypedVertexProgram<int64_t, Empty, int64_t> {
+ public:
+  using Adapter = TypedProgramAdapter<int64_t, Empty, int64_t>;
+
+  void Compute(VertexT& vertex, MessageIterator<int64_t>&) override {
+    if (vertex.superstep() == 1 && vertex.id() % 2 == 1) {
+      vertex.RemoveVertex(vertex.id());
+    }
+    vertex.VoteToHalt();
+  }
+  bool mutates_graph() const override { return true; }
+  std::string FormatValue(int64_t, const int64_t& value) const override {
+    return std::to_string(value);
+  }
+};
+
+TEST(ExplainTest, MutatingProgramProfilesOneResolveRow) {
+  TestEnv run;
+  ShedOddVertices program;
+  ShedOddVertices::Adapter adapter(&program);
+  PregelixJobConfig job;
+  job.name = "explain-mutate";
+  job.input_dir = "input/g";
+  job.profile_plan = true;
+  JobResult result;
+  const Status s = run.runtime->Run(&adapter, job, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(result.final_gs.num_vertices, 400);
+  ASSERT_NE(result.plan_profile, nullptr);
+  int resolve_rows = 0;
+  for (const PlanOperatorProfile& op : result.plan_profile->ops()) {
+    if (op.name != "resolve") continue;
+    ++resolve_rows;
+    EXPECT_NE(op.label.find("D6"), std::string::npos);
+    EXPECT_EQ(op.total.tuples_in, 400u);  // one removal per odd vertex
+  }
+  EXPECT_EQ(resolve_rows, 1);
 }
 
 TEST(ExplainTest, FrontierIsNonZeroOnEverySuperstepThatSentMessages) {

@@ -121,6 +121,41 @@ TEST_F(GraphTest, RandomWalkSamplerHitsTargetSize) {
   EXPECT_GT(sample.num_edges(), 0u);
 }
 
+// Hostile adjacency text returns Corruption before anything is sized by an
+// id: a vid near INT64_MAX used to throw std::length_error, and one of
+// 10^11 std::bad_alloc.
+TEST_F(GraphTest, LoadGraphRejectsIdsBeyondTheInputsIdCount) {
+  int case_id = 0;
+  for (const char* text : {"9223372036854775806 0\n", "100000000000 0\n",
+                           "0 1\n1 100000000000\n", "0 -1\n",
+                           "-3 0\n"}) {
+    const std::string dir = "hostile-" + std::to_string(case_id++);
+    ASSERT_TRUE(dfs_.Write(dir + "/part-0", text).ok());
+    InMemoryGraph graph;
+    const Status s = LoadGraph(dfs_, dir, &graph);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << text << s.ToString();
+    EXPECT_TRUE(graph.adj.empty()) << text;
+  }
+}
+
+// A destination with no line of its own becomes a vertex with no
+// out-edges, so nothing downstream indexes past the adjacency array (the
+// sampler used to read input.adj[5] of a 3-element array here).
+TEST_F(GraphTest, LoadGraphSizesByTheLargestIdIncludingDestinations) {
+  ASSERT_TRUE(dfs_.Write("dangling/part-0", "0 5\n1 0\n2 0\n").ok());
+  InMemoryGraph graph;
+  ASSERT_TRUE(LoadGraph(dfs_, "dangling", &graph).ok());
+  ASSERT_EQ(graph.num_vertices(), 6);
+  EXPECT_EQ(graph.adj[0], std::vector<int64_t>{5});
+  EXPECT_EQ(graph.adj[2], std::vector<int64_t>{0});
+  for (int64_t v = 3; v < 6; ++v) EXPECT_TRUE(graph.adj[v].empty()) << v;
+  InMemoryGraph sample;
+  ASSERT_TRUE(RandomWalkSample(graph, 2, 1, 0.15, &sample).ok());
+  for (const auto& dests : sample.adj) {
+    for (int64_t d : dests) EXPECT_LT(d, sample.num_vertices());
+  }
+}
+
 TEST_F(GraphTest, ReferenceAlgorithmsAgreeOnToyGraph) {
   // Path 0-1-2 plus isolated 3, as directed symmetric edges.
   InMemoryGraph graph;

@@ -31,6 +31,8 @@ class MutatingProgram : public TypedVertexProgram<int64_t, Empty, int64_t> {
     vertex.VoteToHalt();
   }
 
+  bool mutates_graph() const override { return true; }
+
   std::string FormatValue(int64_t, const int64_t& value) const override {
     return std::to_string(value);
   }
@@ -48,6 +50,8 @@ class ConflictProgram : public TypedVertexProgram<int64_t, Empty, int64_t> {
     }
     vertex.VoteToHalt();
   }
+
+  bool mutates_graph() const override { return true; }
 
   bool has_custom_resolve() const override { return true; }
   PregelProgram::ResolveAction ResolveTyped(
@@ -69,6 +73,25 @@ class ConflictProgram : public TypedVertexProgram<int64_t, Empty, int64_t> {
     if (best_bytes.empty()) return PregelProgram::ResolveAction::kNone;
     *vertex_bytes = best_bytes;
     return PregelProgram::ResolveAction::kUpsert;
+  }
+
+  std::string FormatValue(int64_t, const int64_t& value) const override {
+    return std::to_string(value);
+  }
+};
+
+/// MutatingProgram's compute without its declaration: the plan has no D6
+/// flow, so the job must fail instead of dropping the mutations.
+class UndeclaredMutatingProgram
+    : public TypedVertexProgram<int64_t, Empty, int64_t> {
+ public:
+  using Adapter = TypedProgramAdapter<int64_t, Empty, int64_t>;
+
+  void Compute(VertexT& vertex, MessageIterator<int64_t>& messages) override {
+    if (vertex.superstep() == 1 && vertex.id() == 6) {
+      vertex.RemoveVertex(7);
+    }
+    vertex.VoteToHalt();
   }
 
   std::string FormatValue(int64_t, const int64_t& value) const override {
@@ -176,6 +199,29 @@ TEST_F(MutationTest, CustomResolvePicksWinner) {
   // Max contributor is vertex 19.
   EXPECT_EQ(output[5000], 19);
   EXPECT_EQ(result.final_gs.num_vertices, 21);
+}
+
+TEST_F(MutationTest, UndeclaredMutationFailsTheJob) {
+  UndeclaredMutatingProgram program;
+  UndeclaredMutatingProgram::Adapter adapter(&program);
+  for (JoinStrategy join :
+       {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
+    PregelixJobConfig job;
+    job.name = "undeclared";
+    job.input_dir = "input";
+    job.output_dir = "out-undeclared";
+    job.join = join;
+    JobResult result;
+    const Status s = runtime_->Run(&adapter, job, &result);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("undeclared-superstep-1/compute-"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_NE(
+        s.message().find("vertex 6 emitted a graph mutation of vertex 7"),
+        std::string::npos)
+        << s.ToString();
+  }
 }
 
 }  // namespace

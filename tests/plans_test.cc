@@ -50,16 +50,19 @@ class PlansTest : public ::testing::Test {
   JobRuntimeContext ctx_;
 };
 
-TEST_F(PlansTest, SuperstepJobHasFourOperatorsAndThreeFlows) {
+TEST_F(PlansTest, SuperstepJobHasThreeOperatorsAndTwoFlows) {
+  // SSSP declares no graph mutations, so its plan has no flow D6 and no
+  // resolve: compute, combine, global-agg (Figures 3-5).
   JobSpec spec = BuildSuperstepJob(&ctx_);
-  // compute, combine, global-agg, resolve (Figures 3-5).
-  ASSERT_EQ(spec.ops().size(), 4u);
-  ASSERT_EQ(spec.connectors().size(), 3u);
-  // compute and combine and resolve are partitioned; global agg is single.
+  ASSERT_EQ(spec.ops().size(), 3u);
+  ASSERT_EQ(spec.connectors().size(), 2u);
+  // compute and combine are partitioned; global agg is single.
   EXPECT_EQ(spec.ops()[0].num_partitions, cluster_->num_partitions());
   EXPECT_EQ(spec.ops()[1].num_partitions, cluster_->num_partitions());
   EXPECT_EQ(spec.ops()[2].num_partitions, 1);
-  EXPECT_EQ(spec.ops()[3].num_partitions, cluster_->num_partitions());
+  for (const JobSpec::OpEntry& op : spec.ops()) {
+    EXPECT_NE(op.descriptor->name(), "resolve");
+  }
 
   // D3/D7 messages repartition by destination vid.
   const ConnectorSpec* msgs = FindConnector(spec, 0);
@@ -70,10 +73,34 @@ TEST_F(PlansTest, SuperstepJobHasFourOperatorsAndThreeFlows) {
   const ConnectorSpec* contrib = FindConnector(spec, 1);
   ASSERT_NE(contrib, nullptr);
   EXPECT_EQ(contrib->kind, ConnectorKind::kMToOne);
+  EXPECT_EQ(FindConnector(spec, 2), nullptr);
+}
+
+/// SSSP that declares graph mutations (it emits none): enough to get the
+/// plan of a mutating program.
+class DeclaredMutatingSssp : public SsspProgram {
+ public:
+  DeclaredMutatingSssp() : SsspProgram(0) {}
+  bool mutates_graph() const override { return true; }
+};
+
+TEST_F(PlansTest, MutatingSuperstepJobHasFourOperatorsAndThreeFlows) {
+  DeclaredMutatingSssp program;
+  SsspProgram::Adapter adapter(&program);
+  ctx_.program = &adapter;
+  JobSpec spec = BuildSuperstepJob(&ctx_);
+  // compute, combine, global-agg, resolve (Figures 3-5).
+  ASSERT_EQ(spec.ops().size(), 4u);
+  ASSERT_EQ(spec.connectors().size(), 3u);
+  EXPECT_EQ(spec.ops()[3].descriptor->name(), "resolve");
+  EXPECT_EQ(spec.ops()[3].num_partitions, cluster_->num_partitions());
+  EXPECT_EQ(FindConnector(spec, 0)->kind, ConnectorKind::kMToNPartition);
+  EXPECT_EQ(FindConnector(spec, 1)->kind, ConnectorKind::kMToOne);
   // D6 mutations repartition like the vertices.
   const ConnectorSpec* muts = FindConnector(spec, 2);
   ASSERT_NE(muts, nullptr);
   EXPECT_EQ(muts->kind, ConnectorKind::kMToNPartition);
+  EXPECT_EQ(muts->dst_op, 3);
 }
 
 TEST_F(PlansTest, MergedConnectorHintSelectsMergingKind) {

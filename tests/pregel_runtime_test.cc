@@ -12,6 +12,7 @@
 #include "graph/generator.h"
 #include "graph/ref_algos.h"
 #include "graph/text_io.h"
+#include "pregel/plans.h"
 #include "pregel/runtime.h"
 
 namespace pregelix {
@@ -152,6 +153,51 @@ TEST_F(PregelRuntimeTest, PageRankMatchesReference) {
     sum += rank;
   }
   EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+// Operator activations run on the cluster's long-lived task threads: once
+// the first superstep has run, neither the rest of the job nor a second job
+// on the same cluster starts a thread.
+TEST_F(PregelRuntimeTest, NoTaskThreadStartsAfterTheFirstSuperstep) {
+  MakeDirected(300, "input/pool");
+  // threads_started() whenever a job for superstep 2 or later is built.
+  std::vector<uint64_t> started;
+  struct TamperGuard {
+    ~TamperGuard() { SetSuperstepSpecTamperForTesting(nullptr); }
+  } guard;
+  SetSuperstepSpecTamperForTesting([&](JobRuntimeContext* ctx, JobSpec*) {
+    if (ctx->current_superstep > 1) {
+      started.push_back(cluster_->threads_started());
+    }
+  });
+
+  PageRankProgram pagerank(5);
+  PageRankProgram::Adapter pagerank_adapter(&pagerank);
+  PregelixJobConfig first;
+  first.name = "pool-pr";
+  first.input_dir = "input/pool";
+  first.output_dir = "output/pool-pr";
+  JobResult result;
+  Status s = runtime_->Run(&pagerank_adapter, first, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const size_t first_job_supersteps = started.size();
+  ASSERT_GE(first_job_supersteps, 2u);
+
+  SsspProgram sssp(0);
+  SsspProgram::Adapter sssp_adapter(&sssp);
+  PregelixJobConfig second = first;
+  second.name = "pool-sssp";
+  second.output_dir = "output/pool-sssp";
+  s = runtime_->Run(&sssp_adapter, second, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_GT(started.size(), first_job_supersteps);
+
+  // The widest job is a superstep: P compute + P combine + 1 global-agg.
+  const uint64_t width = 2 * cluster_->num_partitions() + 1;
+  for (size_t i = 0; i < started.size(); ++i) {
+    EXPECT_EQ(started[i], width) << "superstep job " << i;
+  }
+  EXPECT_EQ(cluster_->threads_started(), width);
 }
 
 TEST_F(PregelRuntimeTest, SsspLeftOuterMatchesBfs) {
