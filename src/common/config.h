@@ -35,7 +35,6 @@ struct ClusterConfig {
   size_t channel_capacity_frames = 16;
 
   std::string temp_root;  ///< scratch root; must be set by the caller
-  uint64_t seed = 42;
 
   /// Observability sinks. nullptr = use the process-wide Tracer::Global()
   /// and MetricsRegistry::Global(); tests pass their own for isolation.

@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+
+#include "common/json.h"
 
 namespace pregelix {
 
 namespace {
-
-void AppendJsonEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 int64_t NowWallMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace pregelix {
@@ -21,28 +22,6 @@ std::string EntryKey(const std::string& name, const MetricLabels& labels) {
     key.append(v);
   }
   return key;
-}
-
-void AppendJsonEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 void WriteLabels(std::ostream& os, const MetricLabels& labels) {

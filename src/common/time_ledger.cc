@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 
@@ -30,27 +31,7 @@ std::string WorkerKey(int worker) {
 
 void AppendJsonString(std::ostream& os, const std::string& s) {
   os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
+  AppendJsonEscaped(os, s);
   os << '"';
 }
 
@@ -139,7 +120,7 @@ bool TimeLedger::CurrentThreadAttached() { return tls_record != nullptr; }
 bool TimeLedger::AttachCurrentThread(int worker, TimeCategory base,
                                      std::string label) {
   TimeLedger& ledger = Global();
-  if (!ledger.enabled() || tls_record != nullptr) return false;
+  if (tls_record != nullptr) return false;
   auto rec = std::make_unique<ThreadRecord>();
   rec->worker = worker;
   rec->label = std::move(label);
@@ -153,9 +134,10 @@ bool TimeLedger::AttachCurrentThread(int worker, TimeCategory base,
   return true;
 }
 
-void TimeLedger::DetachCurrentThread() {
+LedgerAttachment TimeLedger::DetachCurrentThread() {
+  LedgerAttachment out;
   ThreadRecord* r = tls_record;
-  if (r == nullptr) return;
+  if (r == nullptr) return out;
   TimeLedger& ledger = Global();
   const uint64_t now = NowNs();
   Settle(r, now);
@@ -165,10 +147,14 @@ void TimeLedger::DetachCurrentThread() {
     ledger.misuse_count_.fetch_add(static_cast<int64_t>(r->stack.size()),
                                    std::memory_order_relaxed);
   }
-  const int64_t elapsed = static_cast<int64_t>(now - r->attach_ns);
+  out.start_ns = r->attach_ns;
+  out.end_ns = now;
+  const int64_t elapsed = static_cast<int64_t>(out.elapsed_ns());
   int64_t attributed = 0;
-  for (const auto& a : r->acc) {
-    attributed += a.load(std::memory_order_relaxed);
+  for (int c = 0; c < kNumTimeCategories; ++c) {
+    out.ns[static_cast<size_t>(c)] =
+        r->acc[static_cast<size_t>(c)].load(std::memory_order_relaxed);
+    attributed += out.ns[static_cast<size_t>(c)];
   }
   const int64_t drift = elapsed - attributed;
   // Exact by construction: every transition settles against the same clock
@@ -190,6 +176,7 @@ void TimeLedger::DetachCurrentThread() {
       break;
     }
   }
+  return out;
 }
 
 void TimeLedger::FoldLocked(ThreadRecord* rec, uint64_t now_ns) {

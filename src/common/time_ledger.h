@@ -42,9 +42,12 @@
 // pregelix::Mutex — because pregelix::Mutex::lock() calls back into the
 // ledger; the same rule the lock-order detector follows.
 //
-// Threads that never attach pay one thread-local load per guard; a
-// disabled ledger (`SetEnabled(false)`) refuses attaches, so every guard,
-// reattribution, and lock-wait charge in the process becomes inert.
+// Threads that never attach pay one thread-local load per guard.
+//
+// The ledger is the one clock of an operator activation: the executor
+// attaches for the activation, and what the detach returns (its interval
+// and per-category split) is also the activation's EXPLAIN wall and its
+// Chrome-trace event, so every surface reports the same nanoseconds.
 
 namespace pregelix {
 
@@ -86,6 +89,18 @@ inline constexpr const char* kTimeCategoryNames[kNumTimeCategories] = {
 inline const char* TimeCategoryName(TimeCategory c) {
   return kTimeCategoryNames[static_cast<int>(c)];
 }
+
+/// What one attachment measured, returned by the detach: its interval on
+/// TimeLedger::NowNs() and the per-category split of that interval (Σ ns ==
+/// end_ns − start_ns, the conservation invariant). All zero when the thread
+/// was not attached.
+struct LedgerAttachment {
+  uint64_t start_ns = 0;
+  uint64_t end_ns = 0;
+  std::array<int64_t, kNumTimeCategories> ns{};
+
+  uint64_t elapsed_ns() const { return end_ns - start_ns; }
+};
 
 /// A point-in-time copy of the whole ledger: folded (detached) thread time
 /// plus the in-flight time of still-attached threads, all read with one
@@ -137,14 +152,15 @@ class TimeLedger {
   // --- per-thread entry points (all inert on unattached threads) ----------
 
   /// Starts attributing this thread's time, base category `base`. Returns
-  /// false (and stays inert) when already attached or the ledger is
-  /// disabled. `label` names the cell (operator name for task threads).
+  /// false (and stays inert) when already attached. `label` names the cell
+  /// (operator name for task threads).
   static bool AttachCurrentThread(int worker, TimeCategory base,
                                   std::string label = "");
   /// Settles the final interval, verifies conservation (exact on the owner
   /// thread; drift feeds `unattributed_ns`), folds the thread's
-  /// accumulators into the ledger, and detaches.
-  static void DetachCurrentThread();
+  /// accumulators into the ledger, detaches, and returns what the
+  /// attachment measured.
+  static LedgerAttachment DetachCurrentThread();
   static bool CurrentThreadAttached();
 
   /// Moves `ns` already-elapsed nanoseconds from the current category into
@@ -162,13 +178,6 @@ class TimeLedger {
   static uint64_t NowNs();
 
   // --- instance API --------------------------------------------------------
-
-  /// Refusing attaches while disabled makes every guard in the process
-  /// inert; already-attached threads keep their accounting.
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_release);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
 
   TimeLedgerSnapshot TakeSnapshot() const;
 
@@ -201,7 +210,6 @@ class TimeLedger {
   void AddLockWait(const char* name, uint64_t ns);
   void CountMisuse() { misuse_count_.fetch_add(1, std::memory_order_relaxed); }
 
-  std::atomic<bool> enabled_{true};
   std::atomic<int64_t> unattributed_ns_{0};
   std::atomic<int64_t> misuse_count_{0};
 

@@ -1,66 +1,30 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
+
+#include "common/json.h"
+#include "common/time_ledger.h"
 
 namespace pregelix {
 
 namespace {
 
-uint64_t SteadyNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::atomic<uint64_t> g_tracer_id_counter{1};
-
-/// JSON string escaping for span names (categories are static literals from
-/// trace_cat and pass through, but escaping them too is harmless).
-void AppendJsonEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
 Tracer::Tracer()
     : tracer_id_(g_tracer_id_counter.fetch_add(1)),
-      epoch_ns_(SteadyNanos()) {}
+      epoch_ns_(TimeLedger::NowNs()) {}
 
 Tracer::~Tracer() = default;
 
-uint64_t Tracer::NowMicros() const {
-  return (SteadyNanos() - epoch_ns_) / 1000;
+uint64_t Tracer::NowMicros() const { return MicrosAt(TimeLedger::NowNs()); }
+
+uint64_t Tracer::MicrosAt(uint64_t ledger_ns) const {
+  return (ledger_ns - epoch_ns_) / 1000;
 }
 
 Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -17,12 +16,16 @@
 // Operator-level tracing for the dataflow / storage / Pregel stack.
 //
 // A Tracer records nested spans (name, category, worker, start, duration,
-// counter deltas) into per-thread buffers: a recording thread appends to a
+// integer args) into per-thread buffers: a recording thread appends to a
 // buffer only it writes, so the hot path takes no shared lock (the registry
 // lock is paid once per thread, when its buffer is created). Export produces
 // either Chrome `trace_event` JSON — loadable in chrome://tracing and
 // Perfetto, with one track per simulated worker — or a flat per-span-name
 // summary for machine diffing.
+//
+// The timebase is the time ledger's clock (TimeLedger::NowNs), so an
+// operator activation's event, which the executor builds from the ledger
+// attachment it already measured (DESIGN.md §20), lines up with the spans.
 //
 // Cost when off: a span construction is one relaxed atomic load.
 
@@ -44,7 +47,7 @@ inline constexpr const char* kPregel = "pregel";
 inline constexpr int kTraceDriverWorker = -1;
 
 /// One completed span. `args` carries small integer annotations (superstep
-/// number, counter deltas, tuple counts) into the Chrome `args` object.
+/// number, tuple counts, ledger nanoseconds) into the Chrome `args` object.
 struct TraceEvent {
   std::string name;
   const char* category = trace_cat::kDataflow;
@@ -70,6 +73,9 @@ class Tracer {
 
   /// Microseconds since this tracer was constructed (the trace timebase).
   uint64_t NowMicros() const;
+  /// The timebase value of a TimeLedger::NowNs() reading taken after this
+  /// tracer was constructed.
+  uint64_t MicrosAt(uint64_t ledger_ns) const;
 
   /// Appends one finished event to the calling thread's buffer.
   void Record(TraceEvent event);
@@ -112,7 +118,7 @@ class Tracer {
 
   const uint64_t tracer_id_;  ///< process-unique, never reused
   std::atomic<bool> enabled_{false};
-  uint64_t epoch_ns_ = 0;  ///< steady-clock origin of the timebase
+  uint64_t epoch_ns_ = 0;  ///< TimeLedger::NowNs() origin of the timebase
 
   mutable Mutex registry_mutex_{"trace_registry", LockRank::kTraceRegistry};
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_
@@ -125,15 +131,13 @@ class Tracer {
 class TraceSpan {
  public:
   TraceSpan(Tracer* tracer, std::string name, const char* category,
-            int worker, const WorkerMetrics* metrics = nullptr)
+            int worker)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr) {
     if (tracer_ == nullptr) return;
     event_.name = std::move(name);
     event_.category = category;
     event_.worker = worker;
     event_.start_us = tracer_->NowMicros();
-    metrics_ = metrics;
-    if (metrics_ != nullptr) entry_ = metrics_->Snapshot();
   }
 
   ~TraceSpan() { End(); }
@@ -145,27 +149,10 @@ class TraceSpan {
 
   bool active() const { return tracer_ != nullptr; }
 
-  /// Ends the span early (idempotent). Counter deltas against the entry
-  /// snapshot are appended as args when a meter was supplied.
+  /// Ends the span early (idempotent).
   void End() {
     if (tracer_ == nullptr) return;
     event_.duration_us = tracer_->NowMicros() - event_.start_us;
-    if (metrics_ != nullptr) {
-      const MetricsSnapshot d = metrics_->Snapshot() - entry_;
-      if (d.cpu_ops != 0) AddArg("cpu_ops", static_cast<int64_t>(d.cpu_ops));
-      if (d.disk_read_bytes != 0) {
-        AddArg("disk_read_bytes", static_cast<int64_t>(d.disk_read_bytes));
-      }
-      if (d.disk_write_bytes != 0) {
-        AddArg("disk_write_bytes", static_cast<int64_t>(d.disk_write_bytes));
-      }
-      if (d.disk_seeks != 0) {
-        AddArg("disk_seeks", static_cast<int64_t>(d.disk_seeks));
-      }
-      if (d.net_bytes != 0) {
-        AddArg("net_bytes", static_cast<int64_t>(d.net_bytes));
-      }
-    }
     Tracer* t = tracer_;
     tracer_ = nullptr;
     t->Record(std::move(event_));
@@ -173,8 +160,6 @@ class TraceSpan {
 
  private:
   Tracer* tracer_ = nullptr;
-  const WorkerMetrics* metrics_ = nullptr;
-  MetricsSnapshot entry_;
   TraceEvent event_;
 
  public:

@@ -1,7 +1,6 @@
 #include "dataflow/executor.h"
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -259,6 +258,28 @@ class ConnectorSender : public TupleSink {
   bool closed_ = false;
 };
 
+/// The activation's Chrome-trace event, built from its ledger attachment so
+/// the trace carries the nanoseconds the profile and /profilez carry: args
+/// are the partition and every non-zero `<category>_ns`.
+void TraceActivation(Tracer* tracer, const std::string& op_name, int worker,
+                     int partition, const LedgerAttachment& t) {
+  if (!tracer->enabled()) return;
+  TraceEvent event;
+  event.name = op_name;
+  event.category = trace_cat::kOperator;
+  event.worker = worker;
+  event.start_us = tracer->MicrosAt(t.start_ns);
+  event.duration_us = tracer->MicrosAt(t.end_ns) - event.start_us;
+  event.args.emplace_back("partition", partition);
+  for (int c = 0; c < kNumTimeCategories; ++c) {
+    const int64_t ns = t.ns[static_cast<size_t>(c)];
+    if (ns != 0) {
+      event.args.emplace_back(std::string(kTimeCategoryNames[c]) + "_ns", ns);
+    }
+  }
+  tracer->Record(std::move(event));
+}
+
 /// All channels of one connector instance.
 struct ConnectorChannels {
   // For non-merging kinds: one MPSC channel per destination partition.
@@ -294,7 +315,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
 
   std::atomic<bool> abort{false};
-  const auto job_start = std::chrono::steady_clock::now();
+  const uint64_t job_start_ns = TimeLedger::NowNs();
   if (profile != nullptr) {
     profile->InitFromJob(
         spec, [&cluster](int p) { return cluster.worker_of_partition(p); });
@@ -310,22 +331,10 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
     cc.num_src = num_src;
     cc.num_dst = num_dst;
 
-    FrameChannel::Policy policy;
-    switch (c.policy) {
-      case ConnectorSpec::Policy::kPipelined:
-        policy = FrameChannel::Policy::kPipelined;
-        break;
-      case ConnectorSpec::Policy::kSenderMaterialize:
-        policy = FrameChannel::Policy::kSenderMaterialize;
-        break;
-      case ConnectorSpec::Policy::kDefault:
-        policy = c.kind == ConnectorKind::kMToNPartitionMerge
-                     ? FrameChannel::Policy::kSenderMaterialize
-                     : FrameChannel::Policy::kPipelined;
-        break;
-    }
-
     if (c.kind == ConnectorKind::kMToNPartitionMerge) {
+      // Sender-side materialization: a pipelined merging receiver could
+      // deadlock under backpressure, which is why the paper pairs the
+      // merging connector with materialization.
       cc.merging = true;
       cc.channels.resize(static_cast<size_t>(num_src) * num_dst);
       for (int s = 0; s < num_src; ++s) {
@@ -338,7 +347,8 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
                                     std::to_string(cluster.NextFileId());
           cc.channels[static_cast<size_t>(s) * num_dst + d] =
               std::make_unique<FrameChannel>(
-                  config.channel_capacity_frames, policy, spill,
+                  config.channel_capacity_frames,
+                  FrameChannel::Policy::kSenderMaterialize, spill,
                   &cluster.metrics(src_worker), &abort, /*num_senders=*/1);
         }
       }
@@ -347,20 +357,14 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         PREGELIX_CHECK(num_src == num_dst)
             << "one-to-one connector requires equal partition counts";
       }
+      // Every other kind pipelines through one bounded channel per
+      // destination, which never spills.
       cc.channels.resize(num_dst);
       for (int d = 0; d < num_dst; ++d) {
-        // Non-merging materialization spills on the receiver's worker
-        // (multiple senders share the file through the channel lock).
-        const int dst_worker = cluster.worker_of_partition(d);
-        const std::string spill =
-            cluster.worker_dir(dst_worker) + "/conn-" + std::to_string(ci) +
-            "-d" + std::to_string(d) + "-" +
-            std::to_string(cluster.NextFileId());
-        int senders = num_src;
-        if (c.kind == ConnectorKind::kOneToOne) senders = 1;
+        const int senders = c.kind == ConnectorKind::kOneToOne ? 1 : num_src;
         cc.channels[d] = std::make_unique<FrameChannel>(
-            config.channel_capacity_frames, policy, spill,
-            &cluster.metrics(dst_worker), &abort, senders);
+            config.channel_capacity_frames, FrameChannel::Policy::kPipelined,
+            /*spill_path=*/"", /*spill_metrics=*/nullptr, &abort, senders);
       }
     }
   }
@@ -487,31 +491,13 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
                            &first_error]() {
       // Time ledger (DESIGN.md §20): the whole activation is attributed,
       // base category compute, labeled with the operator name so the
-      // category×operator hierarchy can be rebuilt from the cells.
+      // category×operator hierarchy can be rebuilt from the cells. The
+      // attachment is the activation's one timer: its record below feeds
+      // the profile wall and the trace event.
+      const std::string& op_name = spec.ops()[task.op].descriptor->name();
       TimeLedger::AttachCurrentThread(task.ctx->worker, TimeCategory::kCompute,
-                                      spec.ops()[task.op].descriptor->name());
-      Status s;
-      {
-        // One span per operator activation; carries the worker counter
-        // deltas (cpu/disk/net) accrued while the task ran.
-        TraceSpan span(task.ctx->tracer,
-                       spec.ops()[task.op].descriptor->name(),
-                       trace_cat::kOperator, task.ctx->worker,
-                       task.ctx->metrics);
-        span.AddArg("partition", task.partition);
-        if (task.ctx->profile != nullptr) {
-          OperatorProfile* prof = task.ctx->profile;
-          prof->activations.fetch_add(1, std::memory_order_relaxed);
-          const auto t0 = std::chrono::steady_clock::now();
-          s = task.instance->Run(*task.ctx);
-          prof->AddWall(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()));
-        } else {
-          s = task.instance->Run(*task.ctx);
-        }
-      }
+                                      op_name);
+      Status s = task.instance->Run(*task.ctx);
       if (s.ok()) {
         // Close outputs (end-of-stream) and drain unread inputs so upstream
         // senders are never left blocked on a full channel.
@@ -528,16 +514,19 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
       if (!s.ok()) {
         MutexLock lock(&status_mutex);
         if (first_error.ok()) {
-          first_error = Status(s.code(), spec.name() + "/" +
-                                             spec.ops()[task.op]
-                                                 .descriptor->name() +
-                                             "[" +
+          first_error = Status(s.code(), spec.name() + "/" + op_name + "[" +
                                              std::to_string(task.partition) +
                                              "]: " + s.message());
         }
         abort.store(true);
       }
-      TimeLedger::DetachCurrentThread();
+      const LedgerAttachment timed = TimeLedger::DetachCurrentThread();
+      if (task.ctx->profile != nullptr) {
+        task.ctx->profile->activations.fetch_add(1, std::memory_order_relaxed);
+        task.ctx->profile->AddWall(timed.elapsed_ns());
+      }
+      TraceActivation(task.ctx->tracer, op_name, task.ctx->worker,
+                      task.partition, timed);
     });
   }
   {
@@ -565,10 +554,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
 
   if (profile != nullptr) {
-    profile->Finalize(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - job_start)
-            .count()));
+    profile->Finalize(TimeLedger::NowNs() - job_start_ns);
   }
 
   return first_error;

@@ -1,7 +1,6 @@
 #ifndef PREGELIX_DATAFLOW_JOB_H_
 #define PREGELIX_DATAFLOW_JOB_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,35 +30,14 @@ struct ConnectorSpec {
   int key_field = 0;
   /// Tuple width on this edge (needed by the merging receiver).
   int field_count = 2;
-  /// Overrides the default policy (pipelined for everything except the
-  /// merging connector, which defaults to sender-side materializing; a
-  /// pipelined merging connector can deadlock under backpressure, which is
-  /// precisely why the paper pairs it with materialization).
-  enum class Policy { kDefault, kPipelined, kSenderMaterialize };
-  Policy policy = Policy::kDefault;
-  /// Custom route function `(key bytes, n) -> partition`; default hash.
-  std::function<uint32_t(const Slice&, uint32_t)> partitioner;
-  /// Declaration that a custom `partitioner` routes on exactly the raw
-  /// bytes of `key_field` (every pair of equal keys lands on the same
-  /// partition). Required by the verifier on kMToNPartitionMerge edges,
-  /// where routing and merge order must agree on key identity; meaningless
-  /// without a custom partitioner.
-  bool partitioner_routes_on_key = false;
-  /// Verifier escape hatch: acknowledge an explicitly pipelined merging
-  /// connector (a deadlock hazard under backpressure — see Policy above) as
-  /// intentional. Only for tests/tools that guarantee channel capacity
-  /// exceeding the largest sender run.
-  bool unsafe_allow_pipelined_merge = false;
 
   /// Routing and ordering deliberately agree on key identity: Route hashes
   /// the *raw key bytes*, and the sort/merge path orders by those same raw
   /// bytes (NormalizedKeyPrefix is just the first 8 bytes as a big-endian
   /// word — a comparison *prefix*, with ties broken by full byte compare,
   /// never a different key). So equal keys hash to one partition and
-  /// compare equal in the merge; a custom partitioner must preserve exactly
-  /// that (see partitioner_routes_on_key).
+  /// compare equal in the merge.
   uint32_t Route(const Slice& key, uint32_t n) const {
-    if (partitioner) return partitioner(key, n);
     return static_cast<uint32_t>(Hash64(key) % n);
   }
 };

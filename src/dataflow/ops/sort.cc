@@ -273,7 +273,7 @@ Status RunWriter::Finish() {
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  std::vector<std::string> run_paths, const TupleEmitFn& emit) {
   TraceSpan span(config.tracer, "sort.merge", trace_cat::kDataflow,
-                 config.worker, config.metrics);
+                 config.worker);
   span.AddArg("runs", static_cast<int64_t>(run_paths.size()));
   span.AddArg("fanin", config.merge_fanin);
   uint64_t pass_id = 0;
@@ -460,7 +460,7 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
 Status ExternalSortGrouper::SpillBatch() {
   ChargeOps(config_.metrics, &pending_ops_);
   TraceSpan span(config_.tracer, "sort.run_generation", trace_cat::kDataflow,
-                 config_.worker, config_.metrics);
+                 config_.worker);
   span.AddArg("tuples", static_cast<int64_t>(entries_.size()));
   span.AddArg("run", static_cast<int64_t>(next_run_id_));
   if (config_.profile != nullptr) {
@@ -618,7 +618,7 @@ Status HashSortGrouper::SpillTable() {
   ChargeOps(config_.metrics, &pending_ops_);
   if (groups_.empty()) return Status::OK();
   TraceSpan span(config_.tracer, "hashsort.run_generation",
-                 trace_cat::kDataflow, config_.worker, config_.metrics);
+                 trace_cat::kDataflow, config_.worker);
   span.AddArg("groups", static_cast<int64_t>(groups_.size()));
   span.AddArg("run", static_cast<int64_t>(next_run_id_));
   if (config_.profile != nullptr) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace pregelix {
@@ -41,28 +42,6 @@ std::string HumanNs(uint64_t ns) {
     snprintf(buf, sizeof(buf), "%llu ns", static_cast<unsigned long long>(ns));
   }
   return buf;
-}
-
-void JsonEscape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -478,7 +457,7 @@ void PlanProfile::RenderTree(std::ostream& os) const {
 
 void PlanProfile::WriteJson(std::ostream& os, bool include_timing) const {
   os << "{\"job\":\"";
-  JsonEscape(os, job_name_);
+  AppendJsonEscaped(os, job_name_);
   os << "\",\"supersteps_merged\":" << supersteps_merged_;
   if (include_timing) {
     os << ",\"wall_ns\":" << wall_ns_
@@ -488,7 +467,7 @@ void PlanProfile::WriteJson(std::ostream& os, bool include_timing) const {
     for (size_t i = 0; i < critical_path_.size(); ++i) {
       if (i > 0) os << ",";
       os << "\"";
-      JsonEscape(os, ops_[static_cast<size_t>(critical_path_[i])].name);
+      AppendJsonEscaped(os, ops_[static_cast<size_t>(critical_path_[i])].name);
       os << "\"";
     }
     os << "]";
@@ -498,9 +477,9 @@ void PlanProfile::WriteJson(std::ostream& os, bool include_timing) const {
     const PlanOperatorProfile& op = ops_[i];
     if (i > 0) os << ",";
     os << "{\"name\":\"";
-    JsonEscape(os, op.name);
+    AppendJsonEscaped(os, op.name);
     os << "\",\"label\":\"";
-    JsonEscape(os, op.label);
+    AppendJsonEscaped(os, op.label);
     os << "\"";
     auto stats_json = [&](const OperatorStats& s) {
       os << "\"activations\":" << s.activations
@@ -541,9 +520,9 @@ void PlanProfile::WriteJson(std::ostream& os, bool include_timing) const {
     const PlanEdgeProfile& edge = edges_[i];
     if (i > 0) os << ",";
     os << "{\"src\":\"";
-    JsonEscape(os, edge.src_name);
+    AppendJsonEscaped(os, edge.src_name);
     os << "\",\"dst\":\"";
-    JsonEscape(os, edge.dst_name);
+    AppendJsonEscaped(os, edge.dst_name);
     os << "\",\"kind\":\"" << ConnectorKindName(edge.kind)
        << "\",\"tuples_sent\":" << edge.tuples_sent
        << ",\"tuples_recv\":" << edge.tuples_recv

@@ -38,6 +38,7 @@ struct OperatorProfile {
   std::atomic<uint64_t> frames_out{0};
   std::atomic<uint64_t> bytes_in{0};
   std::atomic<uint64_t> bytes_out{0};
+  /// The activations' time-ledger attachments (DESIGN.md §20), summed.
   std::atomic<uint64_t> wall_ns{0};
   std::atomic<uint64_t> mem_hwm_bytes{0};
   std::atomic<uint64_t> spill_count{0};

@@ -52,15 +52,6 @@ std::string EdgeRef(const JobSpec& spec, int ci) {
   return out.str();
 }
 
-ConnectorSpec::Policy EffectivePolicy(const ConnectorSpec& c) {
-  // Mirrors the executor's resolution: the merging connector defaults to
-  // sender-side materialization, everything else to pipelining.
-  if (c.policy != ConnectorSpec::Policy::kDefault) return c.policy;
-  return c.kind == ConnectorKind::kMToNPartitionMerge
-             ? ConnectorSpec::Policy::kSenderMaterialize
-             : ConnectorSpec::Policy::kPipelined;
-}
-
 /// What the connector delivers to each receiving clone, given what the
 /// source output provides per sending clone.
 StreamProperties Delivered(const ConnectorSpec& c, int num_src,
@@ -189,26 +180,6 @@ class Verifier {
         Add("partition-m-to-one", -1, ci,
             EdgeRef(spec_, ci) + ": kMToOne gathers into exactly 1 dst partition, got " +
                 std::to_string(dst_parts));
-      }
-      if (c.kind == ConnectorKind::kMToNPartitionMerge) {
-        if (EffectivePolicy(c) == ConnectorSpec::Policy::kPipelined &&
-            src_parts > 1 && !c.unsafe_allow_pipelined_merge) {
-          Add("merge-pipelined-deadlock", -1, ci,
-              EdgeRef(spec_, ci) +
-                  ": pipelined merging connector with " +
-                  std::to_string(src_parts) +
-                  " senders is a deadlock hazard under backpressure; use "
-                  "Policy::kSenderMaterialize (or acknowledge with "
-                  "unsafe_allow_pipelined_merge)");
-        }
-        if (c.partitioner && !c.partitioner_routes_on_key) {
-          Add("merge-partitioner-key", -1, ci,
-              EdgeRef(spec_, ci) +
-                  ": custom partitioner on a merging connector must declare "
-                  "partitioner_routes_on_key (routing and merge order must "
-                  "agree on the raw bytes of key_field " +
-                  std::to_string(c.key_field) + ")");
-        }
       }
     }
   }
@@ -424,11 +395,7 @@ class Verifier {
       if (c.kind != ConnectorKind::kMToNPartitionMerge) continue;
       const size_t src_parts =
           static_cast<size_t>(spec_.ops()[c.src_op].num_partitions);
-      const size_t per_run =
-          EffectivePolicy(c) == ConnectorSpec::Policy::kPipelined
-              ? opts_.channel_capacity_frames * opts_.frame_size
-              : opts_.frame_size;
-      pinned_frames[c.dst_op] += src_parts * per_run;
+      pinned_frames[c.dst_op] += src_parts * opts_.frame_size;
       pinned_via[c.dst_op] = ci;
     }
     for (int i = 0; i < num_ops_; ++i) {
@@ -461,7 +428,6 @@ PlanVerifyOptions PlanVerifyOptionsFrom(const ClusterConfig& config) {
   PlanVerifyOptions opts;
   opts.worker_ram_bytes = config.worker_ram_bytes;
   opts.frame_size = config.frame_size;
-  opts.channel_capacity_frames = config.channel_capacity_frames;
   return opts;
 }
 

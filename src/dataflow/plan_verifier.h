@@ -14,11 +14,11 @@
 // thread starts: structural invariants (index validity, acyclicity,
 // single-writer inputs, connectivity, partition-count compatibility per
 // connector kind), declared physical properties (sortedness-by-key,
-// partitioned-by-key, materialized vs pipelined) propagated topologically
-// through the connector graph and checked against each consumer's declared
-// requirements, and budget feasibility against the byte-accounted memory
-// budgets. Violations render as a multi-line, compiler-style diagnostic
-// naming the offending operator/edge and the failed rule.
+// partitioned-by-key) propagated topologically through the connector graph
+// and checked against each consumer's declared requirements, and budget
+// feasibility against the byte-accounted memory budgets. Violations render
+// as a multi-line, compiler-style diagnostic naming the offending
+// operator/edge and the failed rule.
 //
 // Enforcement points: executor admission (RunJob), every kAuto plan switch
 // (PlanOptimizer::ResolveAndPublishPlan — a rejected switch falls back to
@@ -35,7 +35,6 @@ class MetricsRegistry;
 struct PlanVerifyOptions {
   size_t worker_ram_bytes = 0;
   size_t frame_size = 32 * 1024;
-  size_t channel_capacity_frames = 16;
 };
 
 /// The options RunJob admission uses for `config`'s cluster.

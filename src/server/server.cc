@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "common/fault_injection.h"
+#include "common/json.h"
 #include "common/time_ledger.h"
 
 namespace pregelix {
@@ -34,34 +35,6 @@ constexpr const char* kEndpoints[] = {
     "/events",     // journal replay: ?since=<seq>, JSONL in seq order
     "/profilez",   // time ledger: JSON, or ?format=collapsed flame stacks
 };
-
-void AppendJsonEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 uint64_t NowSteadyNanos() {
   return static_cast<uint64_t>(

@@ -180,10 +180,6 @@ commands:
       --profile                 collect per-operator plan profiles (see explain)
       --stall-factor=F          warn when a superstep exceeds F x the trailing
                                 mean wall time (default 4, <=0 disables)
-      --time-ledger=on|off      worker time ledger: attribute all wall time of
-                                engine threads to a closed category set with a
-                                conservation check (default on; see /profilez
-                                and explain --time-ledger)
       --verify                  statically verify the job's physical plans
                                 (structure, declared stream properties,
                                 memory budgets) and abort before running if
@@ -301,21 +297,27 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
   printf("\n== EXPLAIN ANALYZE: cumulative superstep plan ==\n%s",
          tree.str().c_str());
 
+  // Shares of the summed operator wall: operators that run at once each
+  // count their own attached time, so the plan wall is no denominator.
   const int top_k = static_cast<int>(flags.GetInt("top", 3));
   const std::vector<int> top = profile.TopByWall(top_k);
   if (!top.empty()) {
-    printf("\n== top %zu operators by wall time ==\n", top.size());
+    uint64_t op_wall_ns = 0;
+    for (const PlanOperatorProfile& op : profile.ops()) {
+      op_wall_ns += op.total.wall_ns;
+    }
+    printf("\n== top %zu operators by wall time (share of %.3f ms summed "
+           "operator wall) ==\n",
+           top.size(), static_cast<double>(op_wall_ns) / 1e6);
     for (size_t rank = 0; rank < top.size(); ++rank) {
       const PlanOperatorProfile& op = profile.ops()[top[rank]];
       const double share =
-          profile.wall_ns() == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(op.total.wall_ns) /
-                    static_cast<double>(profile.wall_ns());
-      printf("%2zu. %-28s %9.3f ms  (%5.1f%% of plan wall, skew %.2fx%s)\n",
-             rank + 1, op.name.c_str(),
-             static_cast<double>(op.total.wall_ns) / 1e6, share, op.skew,
-             op.on_critical_path ? ", on critical path" : "");
+          op_wall_ns == 0 ? 0.0
+                          : 100.0 * static_cast<double>(op.total.wall_ns) /
+                                static_cast<double>(op_wall_ns);
+      printf("%2zu. %-28s %9.3f ms  (%5.1f%%, skew %.2fx%s)\n", rank + 1,
+             op.name.c_str(), static_cast<double>(op.total.wall_ns) / 1e6,
+             share, op.skew, op.on_critical_path ? ", on critical path" : "");
     }
   }
 
@@ -368,9 +370,7 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
     if (!out.good()) return Status::IoError("short write to " + json_path);
     printf("\nplan profile in %s\n", json_path.c_str());
   }
-  if (flags.Has("time-ledger") && flags.Get("time-ledger") != "off") {
-    PrintTimeLedger();
-  }
+  if (flags.Has("time-ledger")) PrintTimeLedger();
   return Status::OK();
 }
 
@@ -501,11 +501,6 @@ Status RunCommand(const Flags& flags, bool explain) {
   std::shared_ptr<PregelProgram> adapter;
   PREGELIX_RETURN_NOT_OK(MakeAlgorithmAdapter(flags, algorithm, &adapter));
 
-  // Disable before any thread attaches: every guard, reattribution, and
-  // lock-wait charge in the process becomes inert.
-  if (flags.Get("time-ledger", "on") == "off") {
-    TimeLedger::Global().SetEnabled(false);
-  }
   DistributedFileSystem dfs(flags.Get("dfs"));
   TempDir scratch("pregelix-cli");
 
@@ -518,10 +513,11 @@ Status RunCommand(const Flags& flags, bool explain) {
   const std::string metrics_json = flags.Get("metrics-json");
   const std::string metrics_prom = flags.Get("metrics-prom");
   const std::string events_out = flags.Get("events-out");
-  // Deliberately leaked: the crash-dump exit hooks may fire after this
-  // function (and main) return, and they read these objects.
-  Tracer& tracer = *new Tracer();
-  MetricsRegistry& registry = *new MetricsRegistry();
+  // Deliberately leaked, but reachable through these statics: the
+  // crash-dump exit hooks may fire after this function (and main) return,
+  // and they read these objects.
+  static Tracer& tracer = *new Tracer();
+  static MetricsRegistry& registry = *new MetricsRegistry();
   if (!trace_out.empty()) {
     tracer.Enable();
     config.tracer = &tracer;

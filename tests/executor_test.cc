@@ -187,33 +187,6 @@ TEST_F(ExecutorTest, MergingConnectorDeliversSortedStreams) {
   }
 }
 
-TEST_F(ExecutorTest, PipelinedMergePolicyOverrideAlsoWorks) {
-  // With ample channel capacity a pipelined merging connector is safe and
-  // must produce the same sorted result.
-  ClusterConfig config = MakeConfig(2);
-  config.channel_capacity_frames = 1024;
-  SimulatedCluster cluster(config);
-  Collected collected;
-  JobSpec spec;
-  const int gen = spec.AddOperator(MakeGenerator(200, /*sorted=*/true), 2);
-  const int sink = spec.AddOperator(MakeCollector(), 2);
-  ConnectorSpec conn;
-  conn.src_op = gen;
-  conn.dst_op = sink;
-  conn.kind = ConnectorKind::kMToNPartitionMerge;
-  conn.policy = ConnectorSpec::Policy::kPipelined;
-  // The verifier flags a pipelined merge as a deadlock hazard; this test
-  // guarantees channel capacity larger than any sender run, so acknowledge.
-  conn.unsafe_allow_pipelined_merge = true;
-  spec.Connect(conn);
-
-  ASSERT_TRUE(RunJob(cluster, spec, &collected).ok());
-  EXPECT_EQ(collected.Total(), 400u);
-  for (auto& [p, tuples] : collected.by_partition) {
-    EXPECT_TRUE(std::is_sorted(tuples.begin(), tuples.end()));
-  }
-}
-
 TEST_F(ExecutorTest, BackpressureDoesNotDeadlockPipelines) {
   // Tiny channels, big data: senders must block and resume correctly.
   ClusterConfig config = MakeConfig(2);

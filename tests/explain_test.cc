@@ -44,11 +44,12 @@ struct TestEnv {
         GenerateWebmapLike(dfs, "input/g", 3, 800, 6.0, 42, &stats).ok());
   }
 
-  JobResult Sssp(JoinStrategy join = JoinStrategy::kFullOuter) {
+  JobResult Sssp(JoinStrategy join = JoinStrategy::kFullOuter,
+                 const std::string& name = "explain-sssp") {
     SsspProgram program(1);
     SsspProgram::Adapter adapter(&program);
     PregelixJobConfig job;
-    job.name = "explain-sssp";
+    job.name = name;
     job.input_dir = "input/g";
     job.join = join;
     job.profile_plan = true;
@@ -234,11 +235,14 @@ TEST(ExplainTest, SpillsSurfaceUnderTinyBudget) {
 }
 
 TEST(ExplainTest, ProfileJsonIsByteIdenticalAcrossRuns) {
+  // The job name carries a control character, which the export must keep
+  // (escaped as \u0001), not blank.
+  const std::string name = "explain\x01sssp";
   std::string first;
   std::string second;
   {
     TestEnv run;
-    const JobResult result = run.Sssp();
+    const JobResult result = run.Sssp(JoinStrategy::kFullOuter, name);
     ASSERT_NE(result.plan_profile, nullptr);
     std::ostringstream os;
     result.plan_profile->WriteJson(os, /*include_timing=*/false);
@@ -246,7 +250,7 @@ TEST(ExplainTest, ProfileJsonIsByteIdenticalAcrossRuns) {
   }
   {
     TestEnv run;
-    const JobResult result = run.Sssp();
+    const JobResult result = run.Sssp(JoinStrategy::kFullOuter, name);
     ASSERT_NE(result.plan_profile, nullptr);
     std::ostringstream os;
     result.plan_profile->WriteJson(os, /*include_timing=*/false);
@@ -254,6 +258,9 @@ TEST(ExplainTest, ProfileJsonIsByteIdenticalAcrossRuns) {
   }
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+  EXPECT_NE(first.find("{\"job\":\"explain\\u0001sssp-superstep-"),
+            std::string::npos)
+      << first;
   // The timing-free export must not leak any wall-clock field.
   EXPECT_EQ(first.find("wall_ns"), std::string::npos);
   EXPECT_EQ(first.find("skew"), std::string::npos);

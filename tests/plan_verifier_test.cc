@@ -217,65 +217,6 @@ TEST(PlanVerifierTest, MergeFedByUndeclaredSortOrderRejected) {
   EXPECT_NE(msg.find("declares unsorted"), std::string::npos) << msg;
 }
 
-TEST(PlanVerifierTest, ExplicitlyPipelinedMergeIsDeadlockHazard) {
-  JobSpec spec;
-  auto gen = Op("gen");
-  gen->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary});
-  spec.AddOperator(gen, 4);
-  spec.AddOperator(Op("sink"), 4);
-  ConnectorSpec c = Edge(0, 0, 1, 0, ConnectorKind::kMToNPartitionMerge);
-  c.policy = ConnectorSpec::Policy::kPipelined;
-  spec.Connect(c);
-  const std::string msg =
-      ExpectOnly(VerifyPlan(spec), "merge-pipelined-deadlock");
-  EXPECT_NE(msg.find("deadlock hazard"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("4 senders"), std::string::npos) << msg;
-
-  // Single sender: nothing to interleave, no hazard.
-  JobSpec single;
-  auto gen1 = Op("gen");
-  gen1->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary});
-  single.AddOperator(gen1, 1);
-  single.AddOperator(Op("sink"), 4);
-  single.Connect(c);
-  EXPECT_TRUE(VerifyPlan(single).ok()) << VerifyPlan(single).Render("single");
-
-  // The escape hatch acknowledges the hazard explicitly.
-  JobSpec waived;
-  auto gen2 = Op("gen");
-  gen2->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary});
-  waived.AddOperator(gen2, 4);
-  waived.AddOperator(Op("sink"), 4);
-  c.unsafe_allow_pipelined_merge = true;
-  waived.Connect(c);
-  EXPECT_TRUE(VerifyPlan(waived).ok()) << VerifyPlan(waived).Render("waived");
-}
-
-TEST(PlanVerifierTest, CustomPartitionerOnMergeMustDeclareKeyRouting) {
-  JobSpec spec;
-  auto gen = Op("gen");
-  gen->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary});
-  spec.AddOperator(gen, 4);
-  spec.AddOperator(Op("sink"), 4);
-  ConnectorSpec c = Edge(0, 0, 1, 0, ConnectorKind::kMToNPartitionMerge);
-  c.partitioner = [](const Slice&, uint32_t) { return 0u; };
-  spec.Connect(c);
-  const std::string msg =
-      ExpectOnly(VerifyPlan(spec), "merge-partitioner-key");
-  EXPECT_NE(msg.find("partitioner_routes_on_key"), std::string::npos) << msg;
-
-  // Declaring the routing contract clears it.
-  JobSpec declared;
-  auto gen2 = Op("gen");
-  gen2->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary});
-  declared.AddOperator(gen2, 4);
-  declared.AddOperator(Op("sink"), 4);
-  c.partitioner_routes_on_key = true;
-  declared.Connect(c);
-  EXPECT_TRUE(VerifyPlan(declared).ok())
-      << VerifyPlan(declared).Render("declared");
-}
-
 TEST(PlanVerifierTest, UnmetInputRequirementRejected) {
   JobSpec spec;
   spec.AddOperator(Op("gen"), 4);

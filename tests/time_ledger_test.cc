@@ -3,12 +3,15 @@
 // accounting, guard-misuse counting, and end-to-end surface consistency —
 // after a full PageRank run, /profilez (JSON and collapsed), the Prometheus
 // exposition, and TakeSnapshot must all report the same totals, with zero
-// unattributed nanoseconds.
+// unattributed nanoseconds, and EXPLAIN and the trace must report the
+// ledger's per-operator nanoseconds exactly.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,7 +24,9 @@
 #include "common/mutex.h"
 #include "common/temp_dir.h"
 #include "common/time_ledger.h"
+#include "common/trace.h"
 #include "dataflow/cluster.h"
+#include "dataflow/plan_profile.h"
 #include "dfs/dfs.h"
 #include "graph/generator.h"
 #include "pregel/runtime.h"
@@ -214,23 +219,6 @@ TEST(TimeLedgerTest, ContendedMutexChargesLockWaitTable) {
   EXPECT_TRUE(found);
 }
 
-TEST(TimeLedgerTest, DisabledLedgerRefusesAttachesAndStaysEmpty) {
-  TimeLedger& ledger = TimeLedger::Global();
-  ledger.Reset();
-  ledger.SetEnabled(false);
-  EXPECT_FALSE(
-      TimeLedger::AttachCurrentThread(0, TimeCategory::kCompute, "off"));
-  {
-    ScopedTimeCategory sort(TimeCategory::kSort);
-    SpinFor(100'000);
-  }
-  ledger.SetEnabled(true);
-  const TimeLedgerSnapshot snap = ledger.TakeSnapshot();
-  EXPECT_EQ(snap.elapsed_ns, 0);
-  EXPECT_EQ(snap.attributed_ns(), 0);
-  EXPECT_EQ(snap.misuse_count, 0);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end surface consistency
 
@@ -241,7 +229,10 @@ int64_t JsonInt(const std::string& json, const std::string& key) {
   return std::strtoll(json.c_str() + pos + needle.size(), nullptr, 10);
 }
 
-TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
+/// One PageRank run; with `profiled`, EXPLAIN profiling and a tracer are
+/// on too, and the profile and the trace must read the ledger's
+/// nanoseconds.
+void CheckFullRunSurfaces(bool profiled) {
   TimeLedger& ledger = TimeLedger::Global();
   ledger.Reset();
   server::JobStatusRegistry::Global().Reset();
@@ -249,6 +240,9 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
 
   TempDir dir("ledger-e2e");
   DistributedFileSystem dfs(dir.Sub("dfs"));
+  Tracer tracer;
+  if (profiled) tracer.Enable();
+  std::shared_ptr<const PlanProfile> profile;
   {
     ClusterConfig config;
     config.num_workers = 2;
@@ -256,6 +250,7 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
     config.worker_ram_bytes = 8u << 20;
     config.frame_size = 8 * 1024;
     config.temp_root = dir.Sub("cluster");
+    config.tracer = &tracer;
     SimulatedCluster cluster(config);
     PregelixRuntime runtime(&cluster, &dfs);
     GraphStats stats;
@@ -268,9 +263,11 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
     job.name = "ledger-e2e";
     job.job_id = "ledger-e2e";
     job.input_dir = "input/g";
+    job.profile_plan = profiled;
     JobResult result;
     ASSERT_TRUE(runtime.Run(&adapter, job, &result).ok());
     ASSERT_GE(result.supersteps, 6);
+    profile = result.plan_profile;
   }
   // Cluster destroyed: every engine thread has detached, so the ledger is
   // static and all surfaces below must agree exactly.
@@ -282,6 +279,34 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
   EXPECT_EQ(snap.attributed_ns(), snap.elapsed_ns);
   EXPECT_GT(snap.ns(TimeCategory::kCompute), 0);
   EXPECT_GT(snap.ns(TimeCategory::kBarrierWait), 0);
+
+  // One timer per operator activation: for every superstep operator, the
+  // cumulative EXPLAIN wall, the ledger's cells under its label and the
+  // `<category>_ns` args of its trace events are the same nanoseconds.
+  if (profiled) {
+    ASSERT_NE(profile, nullptr);
+    std::map<std::string, int64_t> ledger_ns;
+    for (const TimeLedgerSnapshot::Cell& cell : snap.cells) {
+      for (int64_t ns : cell.ns) ledger_ns[cell.label] += ns;
+    }
+    std::map<std::string, int64_t> trace_ns;
+    for (const TraceEvent& e : tracer.Collect()) {
+      if (std::strcmp(e.category, trace_cat::kOperator) != 0) continue;
+      for (const auto& [key, value] : e.args) {
+        if (key.size() > 3 && key.compare(key.size() - 3, 3, "_ns") == 0) {
+          trace_ns[e.name] += value;
+        }
+      }
+    }
+    ASSERT_FALSE(profile->ops().empty());
+    for (const PlanOperatorProfile& op : profile->ops()) {
+      SCOPED_TRACE(op.name);
+      const int64_t wall = static_cast<int64_t>(op.total.wall_ns);
+      EXPECT_GT(wall, 0);
+      EXPECT_EQ(wall, ledger_ns[op.name]);
+      EXPECT_EQ(wall, trace_ns[op.name]);
+    }
+  }
 
   // /profilez JSON: byte-for-byte what WriteJson produces, with the same
   // totals the snapshot reports.
@@ -378,6 +403,13 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
   std::ostringstream events;
   EventJournal::Global().WriteJsonl(events, journal_start, 0);
   EXPECT_NE(events.str().find("ledger_ns"), std::string::npos);
+}
+
+TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
+  for (const bool profiled : {false, true}) {
+    SCOPED_TRACE(profiled ? "profiled and traced" : "plain");
+    CheckFullRunSurfaces(profiled);
+  }
 }
 
 }  // namespace

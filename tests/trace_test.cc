@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/metrics.h"
-
 namespace pregelix {
 namespace {
 
@@ -84,27 +82,6 @@ TEST(TracerTest, EndIsIdempotentAndEarly) {
   span.End();
   span.End();  // no double-record
   EXPECT_EQ(tracer.event_count(), 1u);
-}
-
-TEST(TracerTest, MetricsDeltasBecomeArgs) {
-  Tracer tracer;
-  tracer.Enable();
-  WorkerMetrics metrics;
-  metrics.AddCpuOps(5);
-  {
-    TraceSpan span(&tracer, "metered", trace_cat::kOperator, 0, &metrics);
-    metrics.AddCpuOps(37);
-    metrics.AddNet(1024);
-  }
-  const std::vector<TraceEvent> events = tracer.Collect();
-  ASSERT_EQ(events.size(), 1u);
-  int64_t cpu = -1, net = -1;
-  for (const auto& [key, value] : events[0].args) {
-    if (key == "cpu_ops") cpu = value;
-    if (key == "net_bytes") net = value;
-  }
-  EXPECT_EQ(cpu, 37);  // delta, not the absolute counter
-  EXPECT_EQ(net, 1024);
 }
 
 TEST(TracerTest, PerThreadBuffersMergeInCollect) {
@@ -236,15 +213,14 @@ size_t CountOccurrences(const std::string& text, const std::string& needle) {
 TEST(TracerTest, ChromeTraceJsonParsesBack) {
   Tracer tracer;
   tracer.Enable();
-  WorkerMetrics metrics;
   {
     TraceSpan span(&tracer, "load \"quoted\"\n", trace_cat::kPregel,
                    kTraceDriverWorker);
     span.AddArg("superstep", 1);
   }
   {
-    TraceSpan span(&tracer, "op", trace_cat::kOperator, 2, &metrics);
-    metrics.AddCpuOps(9);
+    TraceSpan span(&tracer, "op", trace_cat::kOperator, 2);
+    span.AddArg("compute_ns", 9);
   }
 
   std::ostringstream os;

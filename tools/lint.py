@@ -73,6 +73,12 @@ INVENTORIES = [
         excluded=("src/common/event_journal.h",
                   "src/common/event_journal.cc"),
         convention=("layer.event", DOTTED)),
+    Inventory(  # DESIGN.md §18
+        "verifier rules", "rule", "added", "rule table", "Rule table",
+        r"`([a-z][a-z0-9-]*)`",
+        calls=(r'\bAdd\(\s*"([^"]+)"',),
+        roots=("src/dataflow",),
+        convention=("word-word", r"^[a-z][a-z0-9]*(-[a-z][a-z0-9]*)+$")),
     Inventory(  # DESIGN.md §20
         "ledger categories", "time category", "declared", "category table",
         "Category table", r"`([a-z][a-z0-9_]*)`",
