@@ -30,13 +30,13 @@ class QueueSource : public FrameSource {
   FrameChannel* channel_;
 };
 
-/// Profiling decorator over an operator input: meters frames/bytes/tuples
-/// into the consumer's OperatorProfile and the receive side of the
-/// connector's EdgeProfile. Only instantiated when the job is profiled.
+/// Decorator over every operator input: meters each delivered frame once
+/// into the consumer clone's profile and the receive side of the
+/// connector's EdgeProfile.
 class ProfilingSource : public FrameSource {
  public:
   ProfilingSource(std::unique_ptr<FrameSource> inner, int field_count,
-                  OperatorProfile* op, EdgeProfile* edge)
+                  OperatorStats* op, EdgeProfile* edge)
       : inner_(std::move(inner)),
         accessor_(field_count),
         op_(op),
@@ -46,9 +46,9 @@ class ProfilingSource : public FrameSource {
     if (!inner_->Next(frame)) return false;
     accessor_.Reset(Slice(*frame));
     const uint64_t tuples = static_cast<uint64_t>(accessor_.tuple_count());
-    op_->frames_in.fetch_add(1, std::memory_order_relaxed);
-    op_->bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
-    op_->tuples_in.fetch_add(tuples, std::memory_order_relaxed);
+    ++op_->frames_in;
+    op_->bytes_in += frame->size();
+    op_->tuples_in += tuples;
     edge_->tuples_recv.fetch_add(tuples, std::memory_order_relaxed);
     return true;
   }
@@ -56,7 +56,7 @@ class ProfilingSource : public FrameSource {
  private:
   std::unique_ptr<FrameSource> inner_;
   FrameTupleAccessor accessor_;
-  OperatorProfile* op_;
+  OperatorStats* op_;
   EdgeProfile* edge_;
 };
 
@@ -99,7 +99,7 @@ class MergingSource : public FrameSource {
       if (!appender_.AppendRaw(tuple)) {
         // Frame full: hand it out; the winning tuple stays for next round.
         *frame = appender_.Take();
-        if (metrics_ != nullptr) metrics_->AddCpuOps(emitted);
+        metrics_->AddCpuOps(emitted);
         return true;
       }
       ++emitted;
@@ -108,7 +108,7 @@ class MergingSource : public FrameSource {
         Advance(c, /*initial=*/false);
       }
     }
-    if (metrics_ != nullptr) metrics_->AddCpuOps(emitted);
+    metrics_->AddCpuOps(emitted);
     if (!appender_.empty()) {
       *frame = appender_.Take();
       return true;
@@ -154,8 +154,9 @@ class MergingSource : public FrameSource {
 };
 
 /// Sender side of every connector: routes tuples to per-destination frames
-/// and pushes full frames into the destination channels, metering network
-/// bytes for cross-worker hops.
+/// and pushes full frames into the destination channels. Appending a tuple
+/// meters nothing; each flushed frame publishes its tuples, its bytes and,
+/// for a cross-worker hop, its network bytes once to every sink.
 class ConnectorSender : public TupleSink {
  public:
   struct Destination {
@@ -168,7 +169,7 @@ class ConnectorSender : public TupleSink {
                   int routing_fanout, int src_worker, size_t frame_size,
                   int field_count, WorkerMetrics* metrics,
                   MetricsRegistry* registry, const std::string& src_op_name,
-                  OperatorProfile* op_profile, EdgeProfile* edge_profile)
+                  OperatorStats* op_profile, EdgeProfile* edge_profile)
       : spec_(spec),
         dests_(std::move(dests)),
         routing_fanout_(routing_fanout),
@@ -180,15 +181,13 @@ class ConnectorSender : public TupleSink {
     for (size_t i = 0; i < dests_.size(); ++i) {
       appenders_.emplace_back(frame_size, field_count);
     }
-    if (registry != nullptr) {
-      const MetricLabels labels{{"operator", src_op_name},
-                                {"worker", std::to_string(src_worker_)}};
-      tuples_out_ = registry->GetCounter("pregelix.dataflow.tuples_out", labels);
-      frames_out_ = registry->GetCounter("pregelix.dataflow.connector_frames",
-                                         labels);
-      bytes_out_ = registry->GetCounter("pregelix.dataflow.connector_bytes",
-                                        labels);
-    }
+    const MetricLabels labels{{"operator", src_op_name},
+                              {"worker", std::to_string(src_worker_)}};
+    tuples_out_ = registry->GetCounter("pregelix.dataflow.tuples_out", labels);
+    frames_out_ =
+        registry->GetCounter("pregelix.dataflow.connector_frames", labels);
+    bytes_out_ =
+        registry->GetCounter("pregelix.dataflow.connector_bytes", labels);
   }
 
   Status Append(std::span<const Slice> fields) override {
@@ -203,12 +202,6 @@ class ConnectorSender : public TupleSink {
     if (!appender.Append(fields)) {
       PREGELIX_RETURN_NOT_OK(Flush(d));
       PREGELIX_CHECK(appender.Append(fields)) << "tuple cannot fit any frame";
-    }
-    if (metrics_ != nullptr) metrics_->AddCpuOps(1);
-    if (tuples_out_ != nullptr) tuples_out_->Increment();
-    if (op_profile_ != nullptr) {
-      op_profile_->tuples_out.fetch_add(1, std::memory_order_relaxed);
-      edge_profile_->tuples_sent.fetch_add(1, std::memory_order_relaxed);
     }
     return Status::OK();
   }
@@ -225,22 +218,24 @@ class ConnectorSender : public TupleSink {
 
  private:
   Status Flush(size_t d) {
-    if (appenders_[d].empty()) return Status::OK();
-    std::string frame = appenders_[d].Take();
-    if (metrics_ != nullptr && dests_[d].dst_worker != src_worker_) {
-      metrics_->AddNet(frame.size());
-    }
-    if (frames_out_ != nullptr) {
-      frames_out_->Increment();
-      bytes_out_->Add(frame.size());
-    }
-    if (op_profile_ != nullptr) {
-      op_profile_->frames_out.fetch_add(1, std::memory_order_relaxed);
-      op_profile_->bytes_out.fetch_add(frame.size(),
-                                       std::memory_order_relaxed);
-      edge_profile_->frames.fetch_add(1, std::memory_order_relaxed);
-      edge_profile_->bytes.fetch_add(frame.size(), std::memory_order_relaxed);
-    }
+    FrameTupleAppender& appender = appenders_[d];
+    if (appender.empty()) return Status::OK();
+    const uint64_t tuples = static_cast<uint64_t>(appender.tuple_count());
+    std::string frame = appender.Take();
+    const uint64_t bytes = frame.size();
+    // The sinks: the cost meter, the registry, the clone's profile and the
+    // edge's profile.
+    metrics_->AddCpuOps(tuples);
+    if (dests_[d].dst_worker != src_worker_) metrics_->AddNet(bytes);
+    tuples_out_->Add(tuples);
+    frames_out_->Increment();
+    bytes_out_->Add(bytes);
+    op_profile_->tuples_out += tuples;
+    ++op_profile_->frames_out;
+    op_profile_->bytes_out += bytes;
+    edge_profile_->tuples_sent.fetch_add(tuples, std::memory_order_relaxed);
+    edge_profile_->frames.fetch_add(1, std::memory_order_relaxed);
+    edge_profile_->bytes.fetch_add(bytes, std::memory_order_relaxed);
     return dests_[d].channel->Put(std::move(frame));
   }
 
@@ -249,11 +244,11 @@ class ConnectorSender : public TupleSink {
   int routing_fanout_;
   int src_worker_;
   WorkerMetrics* metrics_;
-  Counter* tuples_out_ = nullptr;
-  Counter* frames_out_ = nullptr;
-  Counter* bytes_out_ = nullptr;
-  OperatorProfile* op_profile_;  ///< null when the job runs unprofiled
-  EdgeProfile* edge_profile_;    ///< non-null iff op_profile_ is
+  Counter* tuples_out_;
+  Counter* frames_out_;
+  Counter* bytes_out_;
+  OperatorStats* op_profile_;
+  EdgeProfile* edge_profile_;
   std::vector<FrameTupleAppender> appenders_;
   bool closed_ = false;
 };
@@ -299,7 +294,13 @@ struct ConnectorChannels {
 }  // namespace
 
 Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
-              void* runtime_context, PlanProfile* profile) {
+              void* runtime_context) {
+  PlanProfile profile;
+  return RunJob(cluster, spec, runtime_context, profile);
+}
+
+Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
+              void* runtime_context, PlanProfile& profile) {
   const ClusterConfig& config = cluster.config();
 
   // --- Admission: static plan verification (DESIGN.md §18) ----------------
@@ -316,10 +317,8 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
 
   std::atomic<bool> abort{false};
   const uint64_t job_start_ns = TimeLedger::NowNs();
-  if (profile != nullptr) {
-    profile->InitFromJob(
-        spec, [&cluster](int p) { return cluster.worker_of_partition(p); });
-  }
+  profile.InitFromJob(
+      spec, [&cluster](int p) { return cluster.worker_of_partition(p); });
 
   // --- Build channels per connector ---------------------------------------
   std::vector<ConnectorChannels> conn_channels(spec.connectors().size());
@@ -397,9 +396,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
       PREGELIX_CHECK(EnsureDir(ctx->scratch_dir));
       ctx->config = &config;
       ctx->runtime_context = runtime_context;
-      if (profile != nullptr) {
-        ctx->profile = profile->slot(static_cast<int>(oi), p);
-      }
+      ctx->profile = profile.slot(static_cast<int>(oi), p);
 
       // Inputs, ordered by dst_input index.
       std::vector<std::pair<int, std::unique_ptr<FrameSource>>> inputs;
@@ -420,12 +417,10 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         } else {
           src = std::make_unique<QueueSource>(cc.at(0, p));
         }
-        if (profile != nullptr) {
-          src = std::make_unique<ProfilingSource>(
-              std::move(src), c.field_count, ctx->profile,
-              profile->edge_slot(static_cast<int>(ci)));
-        }
-        inputs.emplace_back(c.dst_input, std::move(src));
+        inputs.emplace_back(
+            c.dst_input, std::make_unique<ProfilingSource>(
+                             std::move(src), c.field_count, ctx->profile,
+                             profile.edge_slot(static_cast<int>(ci))));
       }
       std::sort(inputs.begin(), inputs.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -464,8 +459,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
                 &c, std::move(dests), fanout, ctx->worker, config.frame_size,
                 c.field_count, ctx->metrics, ctx->registry,
                 entry.descriptor->name(), ctx->profile,
-                profile != nullptr ? profile->edge_slot(static_cast<int>(ci))
-                                   : nullptr));
+                profile.edge_slot(static_cast<int>(ci))));
       }
       std::sort(outputs.begin(), outputs.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -521,10 +515,8 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         abort.store(true);
       }
       const LedgerAttachment timed = TimeLedger::DetachCurrentThread();
-      if (task.ctx->profile != nullptr) {
-        task.ctx->profile->activations.fetch_add(1, std::memory_order_relaxed);
-        task.ctx->profile->AddWall(timed.elapsed_ns());
-      }
+      ++task.ctx->profile->activations;
+      task.ctx->profile->wall_ns += timed.elapsed_ns();
       TraceActivation(task.ctx->tracer, op_name, task.ctx->worker,
                       task.partition, timed);
     });
@@ -553,10 +545,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
     }
   }
 
-  if (profile != nullptr) {
-    profile->Finalize(TimeLedger::NowNs() - job_start_ns);
-  }
-
+  profile.Finalize(TimeLedger::NowNs() - job_start_ns);
   return first_error;
 }
 

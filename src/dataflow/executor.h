@@ -21,13 +21,17 @@ namespace pregelix {
 /// `runtime_context` is passed through to every TaskContext (the per-job
 /// state hook used by the Pregelix layer).
 ///
-/// `profile`, when non-null, turns on plan profiling for this job: the
-/// executor initializes it from the spec, hands each task its
-/// (operator, partition) slot, meters every connector edge, times each
-/// activation, and finalizes the tree (skew + critical path) before
-/// returning. Null costs nothing beyond one pointer test per site.
+/// Every job is profiled: the executor initializes `profile` from the spec,
+/// hands each task its (operator, partition) slot, meters every connector
+/// edge once per frame, times each activation, and finalizes the tree
+/// (skew + critical path) before returning.
 Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
-              void* runtime_context = nullptr, PlanProfile* profile = nullptr);
+              void* runtime_context, PlanProfile& profile);
+
+/// The same, with a job-local profile the caller does not read (load,
+/// dump, checkpoint and recovery jobs).
+Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
+              void* runtime_context = nullptr);
 
 }  // namespace pregelix
 

@@ -18,7 +18,7 @@
 
 namespace pregelix {
 
-struct OperatorProfile;  // dataflow/plan_profile.h
+struct OperatorStats;  // dataflow/plan_profile.h
 
 /// Inert: perfbench/perfbench.cc still reads these names; drop them when the
 /// benchmark next changes. Every counter is 0.
@@ -69,10 +69,11 @@ struct SortConfig {
   Tracer* tracer = nullptr;  ///< optional; spans for run generation vs merge
   int worker = 0;            ///< worker id stamped on sort spans
   int merge_fanin = 16;
-  /// Plan-profile slot of the driving operator clone (null = unprofiled).
-  /// The groupers record their memory high-water mark at spill/finish
-  /// boundaries and each spilled run's byte volume into it.
-  OperatorProfile* profile = nullptr;
+  /// Plan-profile slot of the driving operator clone (null when a kernel
+  /// runs outside RunJob, as in the kernel tests and benches). The groupers
+  /// record their memory high-water mark at spill/finish boundaries and each
+  /// spilled run's byte volume into it.
+  OperatorStats* profile = nullptr;
   /// Inert: perfbench/perfbench.cc still sets it; nothing reads it.
   OverlapRuntime* overlap = nullptr;
 };

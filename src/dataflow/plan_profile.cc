@@ -75,46 +75,25 @@ OperatorStats& OperatorStats::operator+=(const OperatorStats& o) {
   return *this;
 }
 
-OperatorStats SnapshotProfile(const OperatorProfile& p) {
-  OperatorStats s;
-  s.activations = p.activations.load(std::memory_order_relaxed);
-  s.tuples_in = p.tuples_in.load(std::memory_order_relaxed);
-  s.tuples_out = p.tuples_out.load(std::memory_order_relaxed);
-  s.frames_in = p.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = p.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = p.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = p.bytes_out.load(std::memory_order_relaxed);
-  s.wall_ns = p.wall_ns.load(std::memory_order_relaxed);
-  s.mem_hwm_bytes = p.mem_hwm_bytes.load(std::memory_order_relaxed);
-  s.spill_count = p.spill_count.load(std::memory_order_relaxed);
-  s.spill_bytes = p.spill_bytes.load(std::memory_order_relaxed);
-  return s;
-}
-
 void PlanProfile::InitFromJob(
     const JobSpec& spec, const std::function<int(int)>& worker_of_partition) {
   job_name_ = spec.name();
   ops_.clear();
   edges_.clear();
-  live_ops_.clear();
   live_edges_.clear();
-  partition_worker_.clear();
 
   ops_.reserve(spec.ops().size());
-  live_ops_.resize(spec.ops().size());
-  partition_worker_.resize(spec.ops().size());
   for (size_t oi = 0; oi < spec.ops().size(); ++oi) {
     PlanOperatorProfile op;
     op.op = static_cast<int>(oi);
     op.name = spec.ops()[oi].descriptor->name();
-    ops_.push_back(std::move(op));
     const int parts = spec.ops()[oi].num_partitions;
-    live_ops_[oi].reserve(static_cast<size_t>(parts));
-    partition_worker_[oi].reserve(static_cast<size_t>(parts));
+    op.partitions.resize(static_cast<size_t>(parts));
     for (int p = 0; p < parts; ++p) {
-      live_ops_[oi].push_back(std::make_unique<OperatorProfile>());
-      partition_worker_[oi].push_back(worker_of_partition(p));
+      op.partitions[static_cast<size_t>(p)].partition = p;
+      op.partitions[static_cast<size_t>(p)].worker = worker_of_partition(p);
     }
+    ops_.push_back(std::move(op));
   }
 
   edges_.reserve(spec.connectors().size());
@@ -134,17 +113,6 @@ void PlanProfile::InitFromJob(
 void PlanProfile::Finalize(uint64_t job_wall_ns) {
   PREGELIX_CHECK(!finalized_) << "PlanProfile finalized twice";
   wall_ns_ = job_wall_ns;
-  for (size_t oi = 0; oi < live_ops_.size(); ++oi) {
-    PlanOperatorProfile& op = ops_[oi];
-    op.partitions.reserve(live_ops_[oi].size());
-    for (size_t p = 0; p < live_ops_[oi].size(); ++p) {
-      PartitionStats ps;
-      ps.partition = static_cast<int>(p);
-      ps.worker = partition_worker_[oi][p];
-      ps.stats = SnapshotProfile(*live_ops_[oi][p]);
-      op.partitions.push_back(std::move(ps));
-    }
-  }
   for (size_t ci = 0; ci < live_edges_.size(); ++ci) {
     const EdgeProfile& live = *live_edges_[ci];
     PlanEdgeProfile& edge = edges_[ci];
@@ -153,9 +121,7 @@ void PlanProfile::Finalize(uint64_t job_wall_ns) {
     edge.frames = live.frames.load(std::memory_order_relaxed);
     edge.bytes = live.bytes.load(std::memory_order_relaxed);
   }
-  live_ops_.clear();
   live_edges_.clear();
-  partition_worker_.clear();
   finalized_ = true;
   ComputeDerived();
 }

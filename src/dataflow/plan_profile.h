@@ -1,6 +1,7 @@
 #ifndef PREGELIX_DATAFLOW_PLAN_PROFILE_H_
 #define PREGELIX_DATAFLOW_PLAN_PROFILE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -14,57 +15,23 @@
 // EXPLAIN ANALYZE for dataflow plans (see DESIGN.md "Plan profiling &
 // EXPLAIN").
 //
-// The executor allocates one OperatorProfile per (operator, partition) clone
-// and one EdgeProfile per connector when a PlanProfile is handed to RunJob;
-// every counter is a relaxed atomic the task threads (and the sort/group-by
-// kernels underneath them) add into. After the job joins, Finalize()
-// condenses the live slots into a plain tree mirroring the JobSpec DAG, with
-// min/median/max wall time per operator (-> skew factor) and the operator
-// chain on the slowest worker (-> critical path).
-//
-// With profiling off no slots exist: TaskContext::profile is null and every
-// instrumentation site is a single pointer test.
+// Every RunJob is profiled. The executor hands each (operator, partition)
+// clone its OperatorStats slot and each connector an EdgeProfile. A clone's
+// slot is plain: only its own task thread (and the sort/group-by kernels that
+// thread drives) writes it, once per frame or spill, and it is read after
+// RunJob joins the threads. After the join, Finalize() completes the tree
+// mirroring the JobSpec DAG, with min/median/max wall time per operator
+// (-> skew factor) and the operator chain on the slowest worker (-> critical
+// path).
 
 namespace pregelix {
 
-/// Live accumulation slot for one (operator, partition) activation. All
-/// fields are relaxed atomics: written by the owning task thread plus any
-/// kernel it drives, read only after the executor joins the job's threads.
-struct OperatorProfile {
-  std::atomic<uint64_t> activations{0};
-  std::atomic<uint64_t> tuples_in{0};
-  std::atomic<uint64_t> tuples_out{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  /// The activations' time-ledger attachments (DESIGN.md §20), summed.
-  std::atomic<uint64_t> wall_ns{0};
-  std::atomic<uint64_t> mem_hwm_bytes{0};
-  std::atomic<uint64_t> spill_count{0};
-  std::atomic<uint64_t> spill_bytes{0};
-
-  void AddWall(uint64_t ns) {
-    wall_ns.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void AddSpill(uint64_t bytes) {
-    spill_count.fetch_add(1, std::memory_order_relaxed);
-    spill_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  /// CAS-max; call at spill/finish boundaries, not per tuple.
-  void UpdateMemHwm(uint64_t bytes) {
-    uint64_t prev = mem_hwm_bytes.load(std::memory_order_relaxed);
-    while (bytes > prev &&
-           !mem_hwm_bytes.compare_exchange_weak(prev, bytes,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-};
-
-/// Live accumulation slot for one connector. tuples_sent / frames / bytes
-/// are metered on the sender side; tuples_recv on the receiver side, so
-/// `tuples_sent == tuples_recv` is the tuple-conservation invariant across
-/// the exchange (frames may be re-batched by a merging receiver).
+/// Live accumulation slot for one connector, shared by its senders and
+/// receivers, so its counters are relaxed atomics; each side adds once per
+/// frame. tuples_sent / frames / bytes are metered on the sender side,
+/// tuples_recv on the receiver side, so `tuples_sent == tuples_recv` is the
+/// tuple-conservation invariant across the exchange (frames may be
+/// re-batched by a merging receiver).
 struct EdgeProfile {
   std::atomic<uint64_t> tuples_sent{0};
   std::atomic<uint64_t> tuples_recv{0};
@@ -72,8 +39,9 @@ struct EdgeProfile {
   std::atomic<uint64_t> bytes{0};
 };
 
-/// Plain (non-atomic) counter bundle; the unit the finalized tree is built
-/// from and merged with.
+/// Counters of one (operator, partition) clone, or their sum over clones:
+/// the live slot a clone's task thread writes and the unit the finalized
+/// tree is built from and merged with.
 struct OperatorStats {
   uint64_t activations = 0;
   uint64_t tuples_in = 0;
@@ -82,15 +50,22 @@ struct OperatorStats {
   uint64_t frames_out = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
+  /// The activations' time-ledger attachments (DESIGN.md §20), summed.
   uint64_t wall_ns = 0;
   uint64_t mem_hwm_bytes = 0;  ///< merged with max, not sum
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
 
+  void AddSpill(uint64_t bytes) {
+    ++spill_count;
+    spill_bytes += bytes;
+  }
+  /// Call at spill/finish boundaries, not per tuple.
+  void UpdateMemHwm(uint64_t bytes) {
+    mem_hwm_bytes = std::max(mem_hwm_bytes, bytes);
+  }
   OperatorStats& operator+=(const OperatorStats& o);
 };
-
-OperatorStats SnapshotProfile(const OperatorProfile& p);
 
 /// One partition clone of an operator in the finalized tree.
 struct PartitionStats {
@@ -139,19 +114,21 @@ class PlanProfile {
   PlanProfile(const PlanProfile&) = delete;
   PlanProfile& operator=(const PlanProfile&) = delete;
 
-  /// Mirrors the JobSpec DAG and allocates the live slots.
+  /// Mirrors the JobSpec DAG, one zeroed PartitionStats per clone, and
+  /// allocates the live edge slots.
   void InitFromJob(const JobSpec& spec,
                    const std::function<int(int)>& worker_of_partition);
 
-  OperatorProfile* slot(int op, int partition) {
-    return live_ops_[static_cast<size_t>(op)][static_cast<size_t>(partition)]
-        .get();
+  OperatorStats* slot(int op, int partition) {
+    return &ops_[static_cast<size_t>(op)]
+                .partitions[static_cast<size_t>(partition)]
+                .stats;
   }
   EdgeProfile* edge_slot(int connector) {
     return live_edges_[static_cast<size_t>(connector)].get();
   }
 
-  /// Condenses the live slots into the finalized tree and computes the
+  /// Reads the live edge slots into the finalized tree and computes the
   /// skew / critical-path attribution. `job_wall_ns` is the end-to-end wall
   /// time of the RunJob call.
   void Finalize(uint64_t job_wall_ns);
@@ -206,12 +183,11 @@ class PlanProfile {
   int supersteps_merged_ = 1;
   uint64_t wall_ns_ = 0;
 
-  // Live phase.
-  std::vector<std::vector<std::unique_ptr<OperatorProfile>>> live_ops_;
+  // Live phase only; Finalize reads them into edges_.
   std::vector<std::unique_ptr<EdgeProfile>> live_edges_;
-  std::vector<std::vector<int>> partition_worker_;  ///< [op][partition]
 
-  // Finalized phase.
+  // The tree. Its PartitionStats are the live operator slots until
+  // Finalize.
   std::vector<PlanOperatorProfile> ops_;
   std::vector<PlanEdgeProfile> edges_;
   int slowest_worker_ = -1;

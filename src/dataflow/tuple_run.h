@@ -15,7 +15,8 @@ namespace pregelix {
 
 /// Tuple-granular writer over a frame run file. Used for the materialized
 /// relations of a Pregelix job (the per-partition Msg runs, checkpoints,
-/// pending-update buffers).
+/// pending-update buffers). It counts the tuples, frames and bytes it
+/// writes, so an operator can report a relation it writes as its output.
 class TupleRunWriter {
  public:
   TupleRunWriter(std::string path, size_t frame_size, int field_count,
@@ -29,8 +30,7 @@ class TupleRunWriter {
       PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(path_, metrics_, &file_));
     }
     if (!appender_.Append(fields)) {
-      PREGELIX_RETURN_NOT_OK(file_->AppendBlock(appender_.FinalizeView()));
-      appender_.Reset();
+      PREGELIX_RETURN_NOT_OK(WriteFrame());
       if (!appender_.Append(fields)) {
         return Status::Internal("tuple cannot fit in an empty frame");
       }
@@ -44,25 +44,37 @@ class TupleRunWriter {
       // Create an empty run so readers see a valid (empty) relation.
       PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(path_, metrics_, &file_));
     }
-    if (!appender_.empty()) {
-      PREGELIX_RETURN_NOT_OK(file_->AppendBlock(appender_.FinalizeView()));
-      appender_.Reset();
-    }
+    if (!appender_.empty()) PREGELIX_RETURN_NOT_OK(WriteFrame());
     return file_->Finish();
   }
 
   uint64_t count() const { return count_; }
+  uint64_t frames() const { return frames_; }
+  uint64_t bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
  private:
+  Status WriteFrame() {
+    const std::string& frame = appender_.FinalizeView();
+    ++frames_;
+    bytes_ += frame.size();
+    PREGELIX_RETURN_NOT_OK(file_->AppendBlock(frame));
+    appender_.Reset();
+    return Status::OK();
+  }
+
   std::string path_;
   WorkerMetrics* metrics_;
   FrameTupleAppender appender_;
   std::unique_ptr<RunFileWriter> file_;
   uint64_t count_ = 0;
+  uint64_t frames_ = 0;
+  uint64_t bytes_ = 0;
 };
 
-/// Tuple-granular cursor over a frame run file.
+/// Tuple-granular cursor over a frame run file. It counts the tuples,
+/// frames and bytes of the frames it loads, so an operator can report a
+/// relation it reads as its input.
 class TupleRunReader {
  public:
   TupleRunReader(std::string path, int field_count, WorkerMetrics* metrics)
@@ -89,6 +101,10 @@ class TupleRunReader {
 
   Slice field(int f) const { return accessor_.field(index_, f); }
 
+  uint64_t count() const { return count_; }
+  uint64_t frames() const { return frames_; }
+  uint64_t bytes() const { return bytes_; }
+
  private:
   Status Advance() {
     for (;;) {
@@ -99,6 +115,9 @@ class TupleRunReader {
       }
       PREGELIX_RETURN_NOT_OK(s);
       accessor_.Reset(Slice(frame_));
+      ++frames_;
+      bytes_ += frame_.size();
+      count_ += static_cast<uint64_t>(accessor_.tuple_count());
       if (accessor_.tuple_count() > 0) {
         index_ = 0;
         valid_ = true;
@@ -114,6 +133,9 @@ class TupleRunReader {
   int index_ = 0;
   bool valid_ = false;
   WorkerMetrics* metrics_;
+  uint64_t count_ = 0;
+  uint64_t frames_ = 0;
+  uint64_t bytes_ = 0;
 };
 
 }  // namespace pregelix

@@ -69,10 +69,8 @@ struct PregelixJobConfig {
   GroupByConnector groupby_connector = GroupByConnector::kUnmerged;
   VertexStorage storage = VertexStorage::kBTree;
 
-  /// Plan profiling (EXPLAIN ANALYZE): collect a per-operator PlanProfile
-  /// for every superstep job, attach it to the SuperstepStats, and keep the
-  /// cumulative job profile on the JobResult. Off by default; off costs one
-  /// null-pointer test per instrumentation site.
+  /// Inert: perfbench/perfbench.cc still sets it; nothing reads it. Every
+  /// job is profiled (DESIGN.md §14).
   bool profile_plan = false;
 
   /// Stall watchdog: warn (log + metrics) when a superstep runs longer than

@@ -478,11 +478,9 @@ class ComputeDriver final : public MessageSink {
 /// Index full outer join strategy (Figure 8 left): single-pass merge of the
 /// sorted Msg run with the full Vertex index scan.
 Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
-                     ComputeDriver* driver) {
+                     TupleRunReader& msg, ComputeDriver* driver) {
   PartitionState& state = ctx->partitions[task.partition];
 
-  TupleRunReader msg(state.msg_path, 2, task.metrics);
-  PREGELIX_RETURN_NOT_OK(msg.Init());
   std::unique_ptr<IndexIterator> vertex = state.vertex_index->NewIterator();
   PREGELIX_RETURN_NOT_OK(vertex->SeekToFirst());
 
@@ -529,11 +527,9 @@ Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
 /// with the Vid live-vertex index (plus resolve-added vids), probing the
 /// Vertex index per resulting key.
 Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
-                     ComputeDriver* driver) {
+                     TupleRunReader& msg, ComputeDriver* driver) {
   PartitionState& state = ctx->partitions[task.partition];
 
-  TupleRunReader msg(state.msg_path, 2, task.metrics);
-  PREGELIX_RETURN_NOT_OK(msg.Init());
   std::unique_ptr<IndexIterator> vid_it;
   if (state.vid_index != nullptr) {
     vid_it = state.vid_index->NewIterator();
@@ -597,12 +593,21 @@ Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
 }
 
 /// One compute clone: the superstep's join feeds the compute UDF, and
-/// Finish runs once the join has dropped its cursors over the inputs.
+/// Finish runs once the join has dropped its cursors over the inputs. The
+/// Msg relation the join read is the clone's input in its profile.
 Status RunComputeOp(JobRuntimeContext* ctx, TaskContext& task, bool loj) {
   ComputeDriver driver(ctx, task);
   PREGELIX_RETURN_NOT_OK(driver.Init());
-  PREGELIX_RETURN_NOT_OK(loj ? LeftOuterJoin(ctx, task, &driver)
-                             : FullOuterJoin(ctx, task, &driver));
+  {
+    TupleRunReader msg(ctx->partitions[task.partition].msg_path, 2,
+                       task.metrics);
+    PREGELIX_RETURN_NOT_OK(msg.Init());
+    PREGELIX_RETURN_NOT_OK(loj ? LeftOuterJoin(ctx, task, msg, &driver)
+                               : FullOuterJoin(ctx, task, msg, &driver));
+    task.profile->tuples_in += msg.count();
+    task.profile->frames_in += msg.frames();
+    task.profile->bytes_in += msg.bytes();
+  }
   return driver.Finish();
 }
 
@@ -649,6 +654,10 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
     PREGELIX_RETURN_NOT_OK(grouper->Finish(emit));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
+  // The Msg relation it writes is the operator's output in its profile.
+  task.profile->tuples_out += writer.count();
+  task.profile->frames_out += writer.frames();
+  task.profile->bytes_out += writer.bytes();
   state.next_msg_path = path;
   state.next_msg_count = writer.count();
   state.next_msg_bytes = payload_bytes;

@@ -168,13 +168,8 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   }
 
   // EXPLAIN ANALYZE support: one PlanProfile per superstep, merged into a
-  // cumulative job profile. Null when profiling is off — the executor and
-  // kernels then skip every instrumentation site on a pointer test. A kAuto
-  // job forces profiling on: the optimizer's combiner-reduction and skew
-  // signals only exist in the profile.
-  const bool profile_plan = config.profile_plan || ctx->optimizer != nullptr;
-  std::shared_ptr<PlanProfile> cumulative;
-  if (profile_plan) cumulative = std::make_shared<PlanProfile>();
+  // cumulative job profile.
+  auto cumulative = std::make_shared<PlanProfile>();
 
   // Flags a superstep that runs far past the trailing-mean wall time while
   // it is still running (wedged exchange, pathological skew).
@@ -305,12 +300,10 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
         ResolveAndPublishPlan(ctx, cluster_->registry(), &plan_record));
     result->plan_decisions.push_back(plan_record);
     JobSpec spec = BuildSuperstepJob(ctx);
-    std::shared_ptr<PlanProfile> step_profile;
-    if (profile_plan) step_profile = std::make_shared<PlanProfile>();
+    auto step_profile = std::make_shared<PlanProfile>();
     const int64_t stalls_before = watchdog.stall_count();
     watchdog.Arm(superstep);
-    const Status step_status =
-        RunJob(*cluster_, spec, ctx, step_profile.get());
+    const Status step_status = RunJob(*cluster_, spec, ctx, *step_profile);
     watchdog.Disarm(
         static_cast<uint64_t>((WallSeconds() - step_wall) * 1e9));
     const bool stalled = watchdog.stall_count() > stalls_before;
@@ -339,16 +332,12 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
             ? 1.0
             : static_cast<double>(cache_hits) /
                   static_cast<double>(cache_hits + cache_misses);
-    if (step_profile != nullptr) {
-      AttachPaperPlanLabels(step_profile.get());
-      stats.bytes_shuffled = step_profile->TotalShuffleBytes();
-      stats.spill_count = step_profile->TotalSpillCount();
-      stats.spill_bytes = step_profile->TotalSpillBytes();
-      cumulative->MergeFrom(*step_profile);
-      stats.profile = std::move(step_profile);
-    } else {
-      stats.bytes_shuffled = stats.cluster_delta.net_bytes;
-    }
+    AttachPaperPlanLabels(step_profile.get());
+    stats.bytes_shuffled = step_profile->TotalShuffleBytes();
+    stats.spill_count = step_profile->TotalSpillCount();
+    stats.spill_bytes = step_profile->TotalSpillBytes();
+    cumulative->MergeFrom(*step_profile);
+    stats.profile = std::move(step_profile);
 
     // Feed the completed superstep back to the chooser; the next superstep's
     // Decide consumes exactly these observations.
@@ -362,15 +351,11 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       fb.spill_count = stats.spill_count;
       fb.spill_bytes = stats.spill_bytes;
       fb.stalled = stalled;
-      if (stats.profile != nullptr) {
-        for (const PlanOperatorProfile& op : stats.profile->ops()) {
-          if (op.name == "combine-msgs") {
-            fb.groupby_skew = op.skew;
-            // combine-msgs is a sink (its profile tuples_out stays 0): what
-            // it wrote are the superstep's combined messages.
-            fb.combine_tuples_in = op.total.tuples_in;
-            fb.combine_tuples_out = static_cast<uint64_t>(ctx->gs.messages);
-          }
+      for (const PlanOperatorProfile& op : stats.profile->ops()) {
+        if (op.name == "combine-msgs") {
+          fb.groupby_skew = op.skew;
+          fb.combine_tuples_in = op.total.tuples_in;
+          fb.combine_tuples_out = op.total.tuples_out;
         }
       }
       ctx->optimizer->Observe(fb);
@@ -405,14 +390,10 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       for (int c = 0; c < kNumTimeCategories; ++c) {
         brief.ledger_ns[c] = ledger_after[c] - ledger_before[c];
       }
-      std::string profile_json;
-      if (cumulative != nullptr) {
-        std::ostringstream pos;
-        cumulative->WriteJson(pos, /*include_timing=*/false);
-        profile_json = pos.str();
-      }
-      server::JobStatusRegistry::Global().OnSuperstep(
-          ctx->job_id, brief, std::move(profile_json));
+      std::ostringstream profile_json;
+      cumulative->WriteJson(profile_json, /*include_timing=*/false);
+      server::JobStatusRegistry::Global().OnSuperstep(ctx->job_id, brief,
+                                                      profile_json.str());
       std::vector<std::pair<std::string, std::string>> step_kv = {
           {"live", std::to_string(stats.live_vertices)},
           {"messages", std::to_string(stats.messages)},
@@ -477,7 +458,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
         Delta(before, cluster_->SnapshotAll()), cost_params_);
   }
 
-  if (cumulative != nullptr) result->plan_profile = std::move(cumulative);
+  result->plan_profile = std::move(cumulative);
   result->supersteps = ctx->gs.superstep;
   result->final_gs = ctx->gs;
   result->total_sim_seconds = result->load_sim_seconds +

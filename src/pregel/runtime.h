@@ -33,16 +33,15 @@ struct SuperstepStats {
   GroupByConnector connector_used = GroupByConnector::kUnmerged;
   MetricsSnapshot cluster_delta;  ///< summed counters across workers
 
-  /// Connector bytes moved this superstep (from the plan profile when
-  /// profiling is on; the cross-worker net-bytes delta otherwise).
+  /// Connector bytes moved this superstep (the plan profile's edges).
   uint64_t bytes_shuffled = 0;
   /// Buffer-cache hit ratio over this superstep's accesses (1.0 when the
   /// superstep touched the cache not at all).
   double cache_hit_ratio = 1.0;
-  /// Group-by/sort spills this superstep (profiling on; 0 otherwise).
+  /// Group-by/sort spills this superstep (from the plan profile).
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
-  /// Per-operator plan profile of this superstep's job (profiling on).
+  /// Per-operator plan profile of this superstep's job.
   std::shared_ptr<const PlanProfile> profile;
 };
 
@@ -60,8 +59,8 @@ struct JobResult {
   /// One record per executed superstep: the plan the chooser resolved plus
   /// whether/why it switched (kAuto; static plans record themselves too).
   std::vector<PlanDecisionRecord> plan_decisions;
-  /// Cumulative plan profile over all supersteps (profiling on): operators
-  /// merged by name, so an adaptive job shows both compute variants.
+  /// Cumulative plan profile over all supersteps: operators merged by name,
+  /// so an adaptive job shows both compute variants.
   std::shared_ptr<const PlanProfile> plan_profile;
 };
 

@@ -83,7 +83,7 @@ struct JobStatus {
 
   std::deque<SuperstepBrief> recent;  ///< newest last, bounded window
   /// Cumulative plan profile as deterministic (timing-free) JSON; empty
-  /// when the job runs without --profile.
+  /// until the job's first superstep completes.
   std::string profile_json;
 };
 

@@ -12,16 +12,19 @@
 //
 // Run with no arguments for full usage.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "algorithms/algorithms.h"
 #include "common/crash_dump.h"
@@ -177,7 +180,6 @@ commands:
       --checkpoint-interval=K   checkpoint every K supersteps (default off)
       --max-supersteps=K        safety bound (default 1000)
       --stats                   print per-superstep statistics
-      --profile                 collect per-operator plan profiles (see explain)
       --stall-factor=F          warn when a superstep exceeds F x the trailing
                                 mean wall time (default 4, <=0 disables)
       --verify                  statically verify the job's physical plans
@@ -224,6 +226,7 @@ commands:
 global flags:
       --log-level=debug|info|warn|error   minimum log level (overrides the
                                 PREGELIX_LOG_LEVEL environment variable)
+A flag the command does not list is an error.
 )");
   return 2;
 }
@@ -287,9 +290,6 @@ void PrintTimeLedger() {
 /// hottest operators, a per-superstep rollup, and the optional
 /// deterministic JSON export.
 Status PrintExplain(const Flags& flags, const JobResult& result) {
-  if (result.plan_profile == nullptr) {
-    return Status::InvalidArgument("explain: no plan profile was collected");
-  }
   const PlanProfile& profile = *result.plan_profile;
 
   std::ostringstream tree;
@@ -491,7 +491,6 @@ Status RunCommand(const Flags& flags, bool explain) {
   job.max_supersteps = static_cast<int>(flags.GetInt("max-supersteps", 1000));
   job.checkpoint_interval =
       static_cast<int>(flags.GetInt("checkpoint-interval", 0));
-  job.profile_plan = explain || flags.Has("profile");
   if (flags.Has("stall-factor")) {
     job.stall_factor = std::stod(flags.Get("stall-factor"));
   }
@@ -754,10 +753,54 @@ Status ScaleUpCommand(const Flags& flags) {
   return Status::OK();
 }
 
+/// One CLI command and the flags it reads, besides the global `--dfs` and
+/// `--log-level`.
+struct Command {
+  std::string name;
+  std::vector<std::string> flags;
+  std::function<Status(const Flags&)> run;
+};
+
+std::vector<Command> Commands() {
+  // A job's plans: what run, explain and verify all read.
+  const std::vector<std::string> plan = {
+      "algorithm", "source", "iterations", "input", "output", "workers",
+      "worker-ram-mb", "join", "groupby", "connector", "storage"};
+  std::vector<std::string> run = plan;
+  run.insert(run.end(),
+             {"max-supersteps", "checkpoint-interval", "stall-factor",
+              "stats", "verify", "all-plans", "trace-out", "metrics-json",
+              "metrics-prom", "admin-port", "events-out"});
+  std::vector<std::string> explain = run;
+  explain.insert(explain.end(), {"top", "profile-json", "time-ledger"});
+  std::vector<std::string> verify = plan;
+  verify.push_back("configured-only");
+  return {
+      {"generate",
+       {"type", "vertices", "degree", "out", "parts", "seed"},
+       GenerateCommand},
+      {"scaleup", {"input", "out", "factor", "parts"}, ScaleUpCommand},
+      {"sample", {"input", "out", "vertices", "parts", "seed"}, SampleCommand},
+      {"stats", {"input"}, StatsCommand},
+      {"run", run,
+       [](const Flags& f) { return RunCommand(f, /*explain=*/false); }},
+      {"explain", explain,
+       [](const Flags& f) { return RunCommand(f, /*explain=*/true); }},
+      {"verify", verify, VerifyCommand},
+      {"serve", {"admin-port", "serve-seconds"}, ServeCommand},
+  };
+}
+
 int Main(int argc, char** argv) {
   InitLogLevelFromEnv();
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const std::vector<Command> commands = Commands();
+  const Command* cmd = nullptr;
+  for (const Command& c : commands) {
+    if (c.name == command) cmd = &c;
+  }
+  if (cmd == nullptr) return Usage();
   Flags flags;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -773,6 +816,17 @@ int Main(int argc, char** argv) {
       flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
   }
+  // A flag the command does not read fails before anything runs, so a
+  // misspelt or removed flag never runs silently with its default.
+  for (const auto& [key, value] : flags.values) {
+    if (key == "dfs" || key == "log-level") continue;
+    if (std::find(cmd->flags.begin(), cmd->flags.end(), key) ==
+        cmd->flags.end()) {
+      fprintf(stderr, "error: unknown flag --%s for pregelix %s\n",
+              key.c_str(), command.c_str());
+      return 1;
+    }
+  }
   if (flags.Has("log-level")) {
     LogLevel level;
     if (!ParseLogLevel(flags.Get("log-level"), &level)) {
@@ -786,26 +840,7 @@ int Main(int argc, char** argv) {
     fprintf(stderr, "--dfs=<root-dir> is required\n");
     return Usage();
   }
-  Status s;
-  if (command == "serve") {
-    s = ServeCommand(flags);
-  } else if (command == "verify") {
-    s = VerifyCommand(flags);
-  } else if (command == "run") {
-    s = RunCommand(flags, /*explain=*/false);
-  } else if (command == "explain") {
-    s = RunCommand(flags, /*explain=*/true);
-  } else if (command == "generate") {
-    s = GenerateCommand(flags);
-  } else if (command == "stats") {
-    s = StatsCommand(flags);
-  } else if (command == "sample") {
-    s = SampleCommand(flags);
-  } else if (command == "scaleup") {
-    s = ScaleUpCommand(flags);
-  } else {
-    return Usage();
-  }
+  const Status s = cmd->run(flags);
   if (!s.ok()) {
     fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;

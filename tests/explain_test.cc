@@ -1,6 +1,7 @@
 // EXPLAIN ANALYZE plan profiles: collection on a real SSSP job, tuple
-// conservation across every connector, spill accounting under small and
-// large group-by budgets, deterministic JSON export, and the stall
+// conservation across every connector and the Msg relation, one count on
+// every surface (profile, SuperstepStats, registry), spill accounting under
+// small and large group-by budgets, deterministic JSON export, and the stall
 // watchdog.
 
 #include <gtest/gtest.h>
@@ -29,14 +30,16 @@ namespace {
 /// One disposable environment per run, so back-to-back runs share nothing
 /// (the determinism test depends on that).
 struct TestEnv {
-  explicit TestEnv(size_t groupby_budget = 0) : dir("explain-test"),
-                                            dfs(dir.Sub("dfs")) {
+  explicit TestEnv(size_t groupby_budget = 0,
+                   MetricsRegistry* registry = nullptr)
+      : dir("explain-test"), dfs(dir.Sub("dfs")) {
     config.num_workers = 2;
     config.partitions_per_worker = 2;
     config.worker_ram_bytes = 8u << 20;
     config.frame_size = 8 * 1024;
     if (groupby_budget != 0) config.groupby_memory_bytes = groupby_budget;
     config.temp_root = dir.Sub("cluster");
+    config.metrics_registry = registry;
     cluster = std::make_unique<SimulatedCluster>(config);
     runtime = std::make_unique<PregelixRuntime>(cluster.get(), &dfs);
     GraphStats stats;
@@ -52,7 +55,6 @@ struct TestEnv {
     job.name = name;
     job.input_dir = "input/g";
     job.join = join;
-    job.profile_plan = true;
     JobResult result;
     Status s = runtime->Run(&adapter, job, &result);
     EXPECT_TRUE(s.ok()) << s.ToString();
@@ -148,7 +150,6 @@ TEST(ExplainTest, MutatingProgramProfilesOneResolveRow) {
   PregelixJobConfig job;
   job.name = "explain-mutate";
   job.input_dir = "input/g";
-  job.profile_plan = true;
   JobResult result;
   const Status s = run.runtime->Run(&adapter, job, &result);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -184,27 +185,98 @@ TEST(ExplainTest, FrontierIsNonZeroOnEverySuperstepThatSentMessages) {
   EXPECT_EQ(live_reads_zero, messaging_steps);
 }
 
-TEST(ExplainTest, TupleConservationAcrossEveryConnector) {
-  TestEnv run;
-  const JobResult result = run.Sssp(JoinStrategy::kAuto);
-  ASSERT_NE(result.plan_profile, nullptr);
-
-  // Cumulative and per-superstep: what a connector's producers appended is
-  // exactly what its consumers saw (the executor drains channels even when
-  // a consumer finishes early, so nothing leaks).
-  for (const PlanEdgeProfile& e : result.plan_profile->edges()) {
-    EXPECT_EQ(e.tuples_sent, e.tuples_recv)
-        << e.src_name << " -> " << e.dst_name << " ["
-        << ConnectorKindName(e.kind) << "]";
+/// Summed counters of the operators whose name starts with `prefix`.
+OperatorStats OpTotal(const PlanProfile& profile, const std::string& prefix) {
+  OperatorStats total;
+  for (const PlanOperatorProfile& op : profile.ops()) {
+    if (op.name.rfind(prefix, 0) == 0) total += op.total;
   }
-  for (const SuperstepStats& s : result.superstep_stats) {
-    ASSERT_NE(s.profile, nullptr);
-    for (const PlanEdgeProfile& e : s.profile->edges()) {
+  return total;
+}
+
+TEST(ExplainTest, TupleConservationAcrossEveryConnector) {
+  {
+    TestEnv run;
+    const JobResult result = run.Sssp(JoinStrategy::kAuto);
+    ASSERT_NE(result.plan_profile, nullptr);
+
+    // Cumulative and per-superstep: what a connector's producers appended
+    // is exactly what its consumers saw (the executor drains channels even
+    // when a consumer finishes early, so nothing leaks).
+    for (const PlanEdgeProfile& e : result.plan_profile->edges()) {
       EXPECT_EQ(e.tuples_sent, e.tuples_recv)
-          << "superstep " << s.superstep << ": " << e.src_name << " -> "
-          << e.dst_name;
+          << e.src_name << " -> " << e.dst_name << " ["
+          << ConnectorKindName(e.kind) << "]";
+    }
+    for (const SuperstepStats& s : result.superstep_stats) {
+      ASSERT_NE(s.profile, nullptr);
+      for (const PlanEdgeProfile& e : s.profile->edges()) {
+        EXPECT_EQ(e.tuples_sent, e.tuples_recv)
+            << "superstep " << s.superstep << ": " << e.src_name << " -> "
+            << e.dst_name;
+      }
+    }
+
+    // The Msg relation flows into compute: what combine-msgs wrote in
+    // superstep s - 1 (its combined messages) is what either compute
+    // variant read in superstep s.
+    ASSERT_GT(result.superstep_stats.size(), 2u);
+    for (size_t i = 1; i < result.superstep_stats.size(); ++i) {
+      const SuperstepStats& prev = result.superstep_stats[i - 1];
+      const SuperstepStats& s = result.superstep_stats[i];
+      const uint64_t compute_in = OpTotal(*s.profile, "compute-").tuples_in;
+      EXPECT_EQ(compute_in, OpTotal(*prev.profile, "combine-msgs").tuples_out)
+          << "superstep " << s.superstep;
+      EXPECT_EQ(compute_in, static_cast<uint64_t>(prev.messages))
+          << "superstep " << s.superstep;
     }
   }
+
+  // The default plan, on a test-local registry: every superstep is
+  // profiled, its shuffled bytes are its connector bytes, and the
+  // registry's per-frame connector counters agree with the profile's edges.
+  MetricsRegistry registry;
+  TestEnv run(/*groupby_budget=*/0, &registry);
+  const JobResult result = run.Sssp();
+  ASSERT_NE(result.plan_profile, nullptr);
+  ASSERT_GT(result.supersteps, 1);
+  for (const SuperstepStats& s : result.superstep_stats) {
+    ASSERT_NE(s.profile, nullptr) << "superstep " << s.superstep;
+    uint64_t connector_bytes = 0;
+    for (const PlanEdgeProfile& e : s.profile->edges()) {
+      connector_bytes += e.bytes;
+    }
+    EXPECT_GT(connector_bytes, 0u);
+    EXPECT_EQ(s.bytes_shuffled, connector_bytes)
+        << "superstep " << s.superstep;
+  }
+  int edges = 0;
+  for (const PlanOperatorProfile& op : result.plan_profile->ops()) {
+    uint64_t tuples = 0, frames = 0, bytes = 0;
+    for (const PlanEdgeProfile& e : result.plan_profile->edges()) {
+      if (e.src_name != op.name) continue;
+      if (e.frames > 0) ++edges;
+      tuples += e.tuples_sent;
+      frames += e.frames;
+      bytes += e.bytes;
+    }
+    uint64_t reg_tuples = 0, reg_frames = 0, reg_bytes = 0;
+    for (int w = 0; w < run.config.num_workers; ++w) {
+      const MetricLabels labels{{"operator", op.name},
+                                {"worker", std::to_string(w)}};
+      reg_tuples += registry.CounterValue("pregelix.dataflow.tuples_out",
+                                          labels);
+      reg_frames += registry.CounterValue(
+          "pregelix.dataflow.connector_frames", labels);
+      reg_bytes += registry.CounterValue("pregelix.dataflow.connector_bytes",
+                                         labels);
+    }
+    SCOPED_TRACE(op.name);
+    EXPECT_EQ(reg_tuples, tuples);
+    EXPECT_EQ(reg_frames, frames);
+    EXPECT_EQ(reg_bytes, bytes);
+  }
+  EXPECT_GE(edges, 2);  // compute -> combine-msgs and compute -> global-agg
 }
 
 TEST(ExplainTest, NoSpillsWithAmpleBudget) {
@@ -265,23 +337,6 @@ TEST(ExplainTest, ProfileJsonIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(first.find("wall_ns"), std::string::npos);
   EXPECT_EQ(first.find("skew"), std::string::npos);
   EXPECT_EQ(first.find("critical_path"), std::string::npos);
-}
-
-TEST(ExplainTest, ProfilingOffLeavesNoProfileBehind) {
-  TestEnv run;
-  SsspProgram program(1);
-  SsspProgram::Adapter adapter(&program);
-  PregelixJobConfig job;
-  job.name = "no-profile";
-  job.input_dir = "input/g";
-  job.profile_plan = false;
-  JobResult result;
-  ASSERT_TRUE(run.runtime->Run(&adapter, job, &result).ok());
-  EXPECT_EQ(result.plan_profile, nullptr);
-  for (const SuperstepStats& s : result.superstep_stats) {
-    EXPECT_EQ(s.profile, nullptr);
-    EXPECT_EQ(s.spill_count, 0u);
-  }
 }
 
 TEST(ExplainTest, StallWatchdogFlagsARunawaySuperstep) {

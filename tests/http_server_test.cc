@@ -396,7 +396,6 @@ TEST(HttpServerE2eTest, LiveScrapeDuringPageRank) {
   job.name = "e2e-pagerank";
   job.job_id = "e2e-pagerank";
   job.input_dir = "input/g";
-  job.profile_plan = true;
 
   std::atomic<bool> done{false};
   Status job_status;
