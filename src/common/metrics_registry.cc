@@ -1,7 +1,6 @@
 #include "common/metrics_registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "common/json.h"
@@ -76,12 +75,9 @@ void AppendPromEscaped(std::ostream& os, const std::string& s) {
   }
 }
 
-/// Writes `{k="v",...}` (or nothing when empty), with an optional extra
-/// trailing pair — used for the `le` bound of histogram buckets.
-void WritePromLabels(std::ostream& os, const MetricLabels& labels,
-                     const char* extra_key = nullptr,
-                     const std::string& extra_value = std::string()) {
-  if (labels.kv.empty() && extra_key == nullptr) return;
+/// Writes `{k="v",...}`, or nothing when empty.
+void WritePromLabels(std::ostream& os, const MetricLabels& labels) {
+  if (labels.kv.empty()) return;
   os << "{";
   bool first = true;
   for (const auto& [k, v] : labels.kv) {
@@ -91,21 +87,7 @@ void WritePromLabels(std::ostream& os, const MetricLabels& labels,
     AppendPromEscaped(os, v);
     os << "\"";
   }
-  if (extra_key != nullptr) {
-    if (!first) os << ",";
-    os << extra_key << "=\"";
-    AppendPromEscaped(os, extra_value);
-    os << "\"";
-  }
   os << "}";
-}
-
-/// Inclusive upper bound of histogram bucket i: 0 for bucket 0 (which holds
-/// only the value 0), 2^i - 1 for bucket i >= 1.
-uint64_t BucketUpperBound(int i) {
-  if (i <= 0) return 0;
-  if (i >= 64) return ~0ull;
-  return (uint64_t{1} << i) - 1;
 }
 
 }  // namespace
@@ -122,55 +104,6 @@ void MetricLabels::Normalize() {
       ++i;
     }
   }
-}
-
-void Histogram::Observe(uint64_t value) {
-  int bucket = 0;
-  if (value > 0) {
-    bucket = 64 - __builtin_clzll(value);  // floor(log2(v)) + 1
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  // Release after the bucket update so a snapshot reading count (acquire)
-  // sees every bucket increment it counts; with both relaxed, Percentile
-  // could observe count == n but fewer than n bucket increments and walk
-  // off the end of the populated buckets.
-  count_.fetch_add(1, std::memory_order_release);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (value > prev &&
-         !max_.compare_exchange_weak(prev, value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-uint64_t Histogram::Percentile(double p) const {
-  const uint64_t n = count();
-  if (n == 0) return 0;
-  p = std::max(0.0, std::min(100.0, p));
-  // Rank of the requested observation (1-based ceiling).
-  uint64_t rank = static_cast<uint64_t>(p / 100.0 * static_cast<double>(n));
-  if (rank == 0) rank = 1;
-  uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      if (i == 0) return 0;
-      // Upper bound of bucket i = 2^i - 1; clamp to the observed max.
-      const uint64_t upper =
-          i >= 64 ? ~0ull : (uint64_t{1} << i) - 1;
-      return std::min(upper, max());
-    }
-  }
-  return max();
-}
-
-uint64_t Histogram::SnapshotBuckets(uint64_t out[kNumBuckets]) const {
-  uint64_t total = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += out[i];
-  }
-  return total;
 }
 
 MetricsRegistry::Entry* MetricsRegistry::GetOrCreateLocked(
@@ -193,9 +126,6 @@ MetricsRegistry::Entry* MetricsRegistry::GetOrCreateLocked(
       break;
     case Kind::kGauge:
       entry.gauge = std::make_unique<Gauge>();
-      break;
-    case Kind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>();
       break;
   }
   return &entries_.emplace(key, std::move(entry)).first->second;
@@ -221,13 +151,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
   MutexLock lock(&mutex_);
   return GetOrCreateLocked(name, std::move(labels), Kind::kGauge)
       ->gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         MetricLabels labels) {
-  MutexLock lock(&mutex_);
-  return GetOrCreateLocked(name, std::move(labels), Kind::kHistogram)
-      ->histogram.get();
 }
 
 uint64_t MetricsRegistry::CounterValue(const std::string& name,
@@ -281,16 +204,6 @@ void MetricsRegistry::WriteKindLocked(std::ostream& os, Kind kind) const {
       case Kind::kGauge:
         os << ",\"value\":" << entry.gauge->value();
         break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        char mean[32];
-        snprintf(mean, sizeof(mean), "%.3f", h.mean());
-        os << ",\"count\":" << h.count() << ",\"sum\":" << h.sum()
-           << ",\"mean\":" << mean << ",\"p50\":" << h.Percentile(50)
-           << ",\"p90\":" << h.Percentile(90)
-           << ",\"p99\":" << h.Percentile(99) << ",\"max\":" << h.max();
-        break;
-      }
     }
     os << "}";
   }
@@ -302,8 +215,6 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   WriteKindLocked(os, Kind::kCounter);
   os << "],\"gauges\":[";
   WriteKindLocked(os, Kind::kGauge);
-  os << "],\"histograms\":[";
-  WriteKindLocked(os, Kind::kHistogram);
   os << "]}";
 }
 
@@ -329,9 +240,7 @@ void MetricsRegistry::WritePrometheus(std::ostream& os) const {
     if (!any_family || entry.name != current_family) {
       any_family = true;
       current_family = entry.name;
-      const char* type = entry.kind == Kind::kCounter   ? "counter"
-                         : entry.kind == Kind::kGauge   ? "gauge"
-                                                        : "histogram";
+      const char* type = entry.kind == Kind::kCounter ? "counter" : "gauge";
       os << "# HELP " << pname << " " << entry.name << "\n";
       os << "# TYPE " << pname << " " << type << "\n";
     }
@@ -346,35 +255,6 @@ void MetricsRegistry::WritePrometheus(std::ostream& os) const {
         WritePromLabels(os, entry.labels);
         os << " " << entry.gauge->value() << "\n";
         break;
-      case Kind::kHistogram: {
-        // Snapshot the buckets once and derive _count from the snapshot so
-        // the +Inf bucket equals _count under concurrent Observe.
-        uint64_t buckets[Histogram::kNumBuckets];
-        const uint64_t total =
-            entry.histogram->SnapshotBuckets(buckets);
-        int highest = 0;
-        for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-          if (buckets[i] != 0) highest = i;
-        }
-        uint64_t cumulative = 0;
-        for (int i = 0; i <= highest; ++i) {
-          cumulative += buckets[i];
-          os << pname << "_bucket";
-          WritePromLabels(os, entry.labels, "le",
-                          std::to_string(BucketUpperBound(i)));
-          os << " " << cumulative << "\n";
-        }
-        os << pname << "_bucket";
-        WritePromLabels(os, entry.labels, "le", "+Inf");
-        os << " " << total << "\n";
-        os << pname << "_sum";
-        WritePromLabels(os, entry.labels);
-        os << " " << entry.histogram->sum() << "\n";
-        os << pname << "_count";
-        WritePromLabels(os, entry.labels);
-        os << " " << total << "\n";
-        break;
-      }
     }
   }
 }

@@ -18,7 +18,7 @@
 // Labeled metrics for the dataflow / storage / Pregel stack.
 //
 // A MetricsRegistry hands out pointers to named, labeled instruments
-// (counters, gauges, histograms). Lookup-or-create takes the registry lock
+// (counters and gauges). Lookup-or-create takes the registry lock
 // once; the returned pointer is stable for the registry's lifetime, so hot
 // paths capture it at setup time and then pay one relaxed atomic op per
 // update. This subsumes the five fixed WorkerMetrics counters: those remain
@@ -70,46 +70,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Histogram over non-negative integer observations (e.g. microseconds,
-/// bytes). Power-of-two buckets: bucket 0 holds value 0, bucket i holds
-/// [2^(i-1), 2^i). Observe is wait-free; percentiles are estimated at the
-/// upper bound of the bucket containing the requested rank, which bounds
-/// the error by the bucket width.
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 65;
-
-  void Observe(uint64_t value);
-
-  // Acquire pairs with the release in Observe: a snapshot that reads
-  // count == n is guaranteed to see at least n bucket increments, so
-  // Percentile's rank walk cannot run past the populated buckets while a
-  // concurrent Observe is mid-flight.
-  uint64_t count() const { return count_.load(std::memory_order_acquire); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  double mean() const {
-    const uint64_t n = count();
-    return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-  }
-
-  /// Value at percentile p in [0, 100]. 0 when empty.
-  uint64_t Percentile(double p) const;
-
-  /// Copies the bucket counters into `out` (kNumBuckets slots) and returns
-  /// their sum. Exposition derives its `_count` from this sum — not from
-  /// count() — so the `+Inf` bucket always equals `_count` even while
-  /// concurrent Observe calls are mid-flight between the bucket increment
-  /// and the count increment.
-  uint64_t SnapshotBuckets(uint64_t out[kNumBuckets]) const;
-
- private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> max_{0};
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -121,7 +81,6 @@ class MetricsRegistry {
   /// Registering the same name as two different instrument kinds aborts.
   Counter* GetCounter(const std::string& name, MetricLabels labels = {});
   Gauge* GetGauge(const std::string& name, MetricLabels labels = {});
-  Histogram* GetHistogram(const std::string& name, MetricLabels labels = {});
 
   /// Test/inspection helpers: value of an instrument, 0 if absent.
   uint64_t CounterValue(const std::string& name,
@@ -137,17 +96,14 @@ class MetricsRegistry {
 
   /// Flat JSON dump:
   ///   {"counters":[{"name":...,"labels":{...},"value":N},...],
-  ///    "gauges":[...],
-  ///    "histograms":[{...,"count":N,"sum":N,"mean":X,"p50":N,...}]}
+  ///    "gauges":[...]}
   /// Deterministically ordered by (name, labels).
   void WriteJson(std::ostream& os) const;
   Status ExportJson(const std::string& path) const;
 
   /// Prometheus text exposition (format version 0.0.4): one HELP/TYPE pair
   /// per metric family, metric names sanitized to [a-zA-Z0-9_:] ('.' maps
-  /// to '_'), label values escaped (backslash, double quote, newline), and
-  /// histograms rendered as cumulative `_bucket{le="..."}` series over the
-  /// power-of-two bucket bounds plus `+Inf`, `_sum`, and `_count`.
+  /// to '_'), and label values escaped (backslash, double quote, newline).
   void WritePrometheus(std::ostream& os) const;
   Status ExportPrometheus(const std::string& path) const;
 
@@ -155,7 +111,7 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge };
 
   struct Entry {
     std::string name;
@@ -163,7 +119,6 @@ class MetricsRegistry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
   };
 
   Entry* GetOrCreateLocked(const std::string& name, MetricLabels labels,

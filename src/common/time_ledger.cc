@@ -134,28 +134,36 @@ bool TimeLedger::AttachCurrentThread(int worker, TimeCategory base,
   return true;
 }
 
-LedgerAttachment TimeLedger::DetachCurrentThread() {
+LedgerAttachment TimeLedger::PeekCurrentThread() {
   LedgerAttachment out;
   ThreadRecord* r = tls_record;
   if (r == nullptr) return out;
-  TimeLedger& ledger = Global();
   const uint64_t now = NowNs();
   Settle(r, now);
+  out.start_ns = r->attach_ns;
+  out.end_ns = now;
+  for (int c = 0; c < kNumTimeCategories; ++c) {
+    out.ns[static_cast<size_t>(c)] =
+        r->acc[static_cast<size_t>(c)].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+LedgerAttachment TimeLedger::DetachCurrentThread() {
+  ThreadRecord* r = tls_record;
+  if (r == nullptr) return LedgerAttachment{};
+  TimeLedger& ledger = Global();
+  const LedgerAttachment out = PeekCurrentThread();
+  const uint64_t now = out.end_ns;
   // Guards that outlive their thread's attachment are misuse; the time they
   // bracketed is already settled, so conservation is unaffected.
   if (!r->stack.empty()) {
     ledger.misuse_count_.fetch_add(static_cast<int64_t>(r->stack.size()),
                                    std::memory_order_relaxed);
   }
-  out.start_ns = r->attach_ns;
-  out.end_ns = now;
   const int64_t elapsed = static_cast<int64_t>(out.elapsed_ns());
   int64_t attributed = 0;
-  for (int c = 0; c < kNumTimeCategories; ++c) {
-    out.ns[static_cast<size_t>(c)] =
-        r->acc[static_cast<size_t>(c)].load(std::memory_order_relaxed);
-    attributed += out.ns[static_cast<size_t>(c)];
-  }
+  for (int64_t ns : out.ns) attributed += ns;
   const int64_t drift = elapsed - attributed;
   // Exact by construction: every transition settles against the same clock
   // this detach read. Any residue is a ledger bug, not measurement noise.

@@ -161,6 +161,11 @@ class TimeLedger {
   /// accumulators into the ledger, detaches, and returns what the
   /// attachment measured.
   static LedgerAttachment DetachCurrentThread();
+  /// What this thread's attachment has measured so far (its interval up to
+  /// now and that interval's split), leaving it attached; all zero when the
+  /// thread is not attached. Two reads bracket a span of this thread's own
+  /// time without a whole-ledger snapshot.
+  static LedgerAttachment PeekCurrentThread();
   static bool CurrentThreadAttached();
 
   /// Moves `ns` already-elapsed nanoseconds from the current category into

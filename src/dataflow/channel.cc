@@ -31,7 +31,6 @@ Status FrameChannel::Put(std::string frame) {
       PREGELIX_RETURN_NOT_OK(
           RunFileWriter::Open(spill_path_, spill_metrics_, &spill_writer_));
     }
-    ++frames_;
     return spill_writer_->AppendBlock(frame);
   }
   {
@@ -45,7 +44,6 @@ Status FrameChannel::Put(std::string frame) {
     }
   }
   queue_.push_back(std::move(frame));
-  ++frames_;
   cv_.NotifyAll();
   return Status::OK();
 }

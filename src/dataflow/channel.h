@@ -55,11 +55,6 @@ class FrameChannel {
   /// receive failure is never mistaken for a clean end-of-stream.
   Status fault_status() const;
 
-  uint64_t frames_transferred() const EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    return frames_;
-  }
-
  private:
   bool AllSendersDone() const REQUIRES(mutex_) { return senders_open_ == 0; }
 
@@ -73,7 +68,6 @@ class FrameChannel {
   CondVar cv_;
   std::deque<std::string> queue_ GUARDED_BY(mutex_);
   int senders_open_ GUARDED_BY(mutex_);
-  uint64_t frames_ GUARDED_BY(mutex_) = 0;
   Status fault_status_ GUARDED_BY(mutex_);
 
   // Materializing mode state (single consumer streams the spill file, but

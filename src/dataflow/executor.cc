@@ -14,7 +14,9 @@
 #include "dataflow/channel.h"
 #include "dataflow/frame.h"
 #include "dataflow/operator.h"
+#include "dataflow/ops/loser_tree.h"
 #include "dataflow/plan_verifier.h"
+#include "dataflow/tuple_run.h"
 
 namespace pregelix {
 
@@ -60,94 +62,63 @@ class ProfilingSource : public FrameSource {
   EdgeProfile* edge_;
 };
 
+/// One sender's stream at a merging receiver: the run reader's tuple cursor
+/// refilled from the sender's channel instead of a run file. A failed
+/// receive is parked on the channel and surfaced by RunJob, so the stream
+/// just ends and the cursor itself never fails.
+class ChannelCursor final : public TupleCursor {
+ public:
+  ChannelCursor(FrameChannel* channel, int field_count)
+      : TupleCursor(field_count), channel_(channel) {}
+
+  Status Init() { return Advance(); }
+
+ private:
+  Status NextFrame(std::string* frame) override {
+    return channel_->Get(frame) ? Status::OK() : Status::NotFound();
+  }
+
+  FrameChannel* channel_;
+};
+
 /// Receiver side of the m-to-n partitioning merging connector: merges the
-/// per-sender sorted frame streams into one sorted stream, tuple by tuple
-/// (the paper's "priority queue" coordination at the receiver).
+/// per-sender sorted frame streams into one sorted stream (the paper's
+/// "priority queue" coordination at the receiver) with the sort's loser
+/// tree, whose tie rule delivers equal keys in sender order.
 class MergingSource : public FrameSource {
  public:
-  MergingSource(std::vector<FrameChannel*> channels, int field_count,
+  MergingSource(const std::vector<FrameChannel*>& channels, int field_count,
                 int key_field, size_t frame_size, WorkerMetrics* metrics)
-      : channels_(std::move(channels)),
-        key_field_(key_field),
-        frame_size_(frame_size),
+      : tree_(cursors_, key_field),
         metrics_(metrics),
         appender_(frame_size, field_count) {
-    cursors_.reserve(channels_.size());
-    for (size_t i = 0; i < channels_.size(); ++i) {
-      cursors_.push_back(Cursor{std::string(), FrameTupleAccessor(field_count),
-                                0, false, channels_[i]});
+    for (FrameChannel* channel : channels) {
+      cursors_.push_back(std::make_unique<ChannelCursor>(channel, field_count));
     }
   }
 
   bool Next(std::string* frame) override {
     if (!primed_) {
-      for (Cursor& c : cursors_) Advance(c, /*initial=*/true);
+      for (auto& cursor : cursors_) PREGELIX_CHECK_OK(cursor->Init());
+      tree_.Init();
       primed_ = true;
     }
     uint64_t emitted = 0;
-    for (;;) {
-      int best = -1;
-      for (size_t i = 0; i < cursors_.size(); ++i) {
-        if (!cursors_[i].valid) continue;
-        if (best < 0 || Key(cursors_[i]).compare(Key(cursors_[best])) < 0) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;
-      Cursor& c = cursors_[best];
-      const Slice tuple = c.accessor.tuple_bytes(c.index);
-      if (!appender_.AppendRaw(tuple)) {
-        // Frame full: hand it out; the winning tuple stays for next round.
-        *frame = appender_.Take();
-        metrics_->AddCpuOps(emitted);
-        return true;
-      }
+    // A full frame goes out; the winning tuple stays for the next call.
+    while (tree_.winner() >= 0 &&
+           appender_.AppendRaw(tree_.winner_cursor().tuple_bytes())) {
       ++emitted;
-      ++c.index;
-      if (c.index >= c.accessor.tuple_count()) {
-        Advance(c, /*initial=*/false);
-      }
+      PREGELIX_CHECK_OK(tree_.AdvanceWinner());
     }
     metrics_->AddCpuOps(emitted);
-    if (!appender_.empty()) {
-      *frame = appender_.Take();
-      return true;
-    }
-    return false;
+    if (appender_.empty()) return false;
+    *frame = appender_.Take();
+    return true;
   }
 
  private:
-  struct Cursor {
-    std::string frame;
-    FrameTupleAccessor accessor;
-    int index = 0;
-    bool valid = false;
-    FrameChannel* channel;
-  };
-
-  Slice Key(const Cursor& c) const {
-    return c.accessor.field(c.index, key_field_);
-  }
-
-  void Advance(Cursor& c, bool initial) {
-    for (;;) {
-      if (!c.channel->Get(&c.frame)) {
-        c.valid = false;
-        return;
-      }
-      c.accessor.Reset(Slice(c.frame));
-      if (c.accessor.tuple_count() > 0) {
-        c.index = 0;
-        c.valid = true;
-        return;
-      }
-    }
-  }
-
-  std::vector<FrameChannel*> channels_;
-  std::vector<Cursor> cursors_;
-  int key_field_;
-  size_t frame_size_;
+  std::vector<std::unique_ptr<ChannelCursor>> cursors_;
+  LoserTree<ChannelCursor> tree_;
   WorkerMetrics* metrics_;
   FrameTupleAppender appender_;
   bool primed_ = false;
@@ -412,8 +383,8 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
             column.push_back(cc.at(s, p));
           }
           src = std::make_unique<MergingSource>(
-              std::move(column), c.field_count, c.key_field,
-              config.frame_size, ctx->metrics);
+              column, c.field_count, c.key_field, config.frame_size,
+              ctx->metrics);
         } else {
           src = std::make_unique<QueueSource>(cc.at(0, p));
         }
@@ -515,8 +486,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         abort.store(true);
       }
       const LedgerAttachment timed = TimeLedger::DetachCurrentThread();
-      ++task.ctx->profile->activations;
-      task.ctx->profile->wall_ns += timed.elapsed_ns();
+      task.ctx->profile->AddActivation(timed);
       TraceActivation(task.ctx->tracer, op_name, task.ctx->worker,
                       task.partition, timed);
     });

@@ -98,43 +98,6 @@ class FrameTupleAppender {
   std::vector<uint32_t> slots_;
 };
 
-/// Convenience owned tuple: field storage plus slice views, for ops that
-/// need to hold a tuple beyond its frame's lifetime.
-class OwnedTuple {
- public:
-  OwnedTuple() = default;
-
-  void Clear() {
-    storage_.clear();
-    ends_.clear();
-  }
-  void AddField(const Slice& s) {
-    storage_.append(s.data(), s.size());
-    ends_.push_back(storage_.size());
-  }
-  int field_count() const { return static_cast<int>(ends_.size()); }
-  Slice field(int f) const {
-    const size_t start = f == 0 ? 0 : ends_[f - 1];
-    return Slice(storage_.data() + start, ends_[f] - start);
-  }
-  std::vector<Slice> fields() const {
-    std::vector<Slice> out;
-    out.reserve(ends_.size());
-    for (int f = 0; f < field_count(); ++f) out.push_back(field(f));
-    return out;
-  }
-
-  /// Copies tuple t of an accessor.
-  void CopyFrom(const FrameTupleAccessor& acc, int t) {
-    Clear();
-    for (int f = 0; f < acc.field_count(); ++f) AddField(acc.field(t, f));
-  }
-
- private:
-  std::string storage_;
-  std::vector<size_t> ends_;
-};
-
 }  // namespace pregelix
 
 #endif  // PREGELIX_DATAFLOW_FRAME_H_

@@ -11,7 +11,9 @@
 #include "common/serde.h"
 #include "common/time_ledger.h"
 #include "dataflow/operator.h"
+#include "dataflow/ops/loser_tree.h"
 #include "dataflow/plan_profile.h"
+#include "dataflow/tuple_run.h"
 #include "io/file.h"
 
 namespace pregelix {
@@ -26,160 +28,10 @@ void ChargeOps(WorkerMetrics* metrics, uint64_t* ops) {
   *ops = 0;
 }
 
-/// Sequential cursor over one run file.
-class RunCursor {
- public:
-  RunCursor(std::string path, int field_count, WorkerMetrics* metrics)
-      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
-
-  Status Init() {
-    PREGELIX_RETURN_NOT_OK(RunFileReader::Open(path_, metrics_, &reader_));
-    return Advance();
-  }
-
-  bool Valid() const { return valid_; }
-
-  Status Next() {
-    ++index_;
-    if (index_ >= accessor_.tuple_count()) {
-      return Advance();
-    }
-    return Status::OK();
-  }
-
-  Slice field(int f) const { return accessor_.field(index_, f); }
-  int field_count() const { return accessor_.field_count(); }
-
-  /// Removes the backing file (runs are single-use).
-  void Discard() {
-    reader_.reset();
-    DeleteFileIfExists(path_);
-  }
-
- private:
-  Status Advance() {
-    for (;;) {
-      Status s = reader_->NextBlock(&frame_);
-      if (s.IsNotFound()) {
-        valid_ = false;
-        return Status::OK();
-      }
-      PREGELIX_RETURN_NOT_OK(s);
-      accessor_.Reset(Slice(frame_));
-      if (accessor_.tuple_count() > 0) {
-        index_ = 0;
-        valid_ = true;
-        return Status::OK();
-      }
-    }
-  }
-
-  std::string path_;
-  std::unique_ptr<RunFileReader> reader_;
-  std::string frame_;
-  FrameTupleAccessor accessor_;
-  int index_ = 0;
-  bool valid_ = false;
-  WorkerMetrics* metrics_;
-};
-
-/// Tournament loser tree over the run cursors, keyed on the 8-byte
-/// normalized key prefix (see NormalizedKeyPrefix in slice.h). Selecting
-/// the next tuple of a k-way merge is O(log k) integer comparisons along
-/// one root path instead of the O(k) full-key scan it replaces; the full
-/// Slice compare runs only on a prefix tie.
-///
-/// Ordering invariant: a leaf beats another iff its key is strictly
-/// smaller, or the keys are equal and its cursor index is lower. The index
-/// tie-break reproduces the emission order of the previous linear scan
-/// (lowest cursor wins among equal keys), which the differential suite
-/// pins down as byte-identical output.
-///
-/// Layout: leaves are the k cursors padded to the next power of two `cap_`
-/// with exhausted sentinels (-1, beaten by everything); tree_[1..cap_-1]
-/// store the *loser* of the match played at that node, and the overall
-/// winner is kept in winner_. Exhausting a cursor just turns its leaf into
-/// a sentinel; no removal is needed.
-class LoserTree {
- public:
-  LoserTree(std::vector<std::unique_ptr<RunCursor>>& cursors, int key_field)
-      : cursors_(cursors), key_field_(key_field) {}
-
-  void Init() {
-    const int k = static_cast<int>(cursors_.size());
-    cap_ = 1;
-    while (cap_ < k) cap_ <<= 1;
-    norm_.assign(k, 0);
-    for (int i = 0; i < k; ++i) Refresh(i);
-    tree_.assign(cap_, -1);
-    // One bottom-up replay: winners[p] is the winner of the subtree at p.
-    std::vector<int> winners(2 * cap_, -1);
-    for (int i = 0; i < k; ++i) {
-      winners[cap_ + i] = cursors_[i]->Valid() ? i : -1;
-    }
-    for (int p = cap_ - 1; p >= 1; --p) {
-      const int a = winners[2 * p];
-      const int b = winners[2 * p + 1];
-      if (Beats(b, a)) {
-        winners[p] = b;
-        tree_[p] = a;
-      } else {
-        winners[p] = a;
-        tree_[p] = b;
-      }
-    }
-    winner_ = winners[1];  // with cap_ == 1 this is leaf 0 itself
-  }
-
-  /// Cursor index holding the smallest key; -1 once every run is drained.
-  int winner() const { return winner_; }
-  /// Cached normalized prefix of the winner's key.
-  uint64_t winner_norm() const { return norm_[winner_]; }
-
-  /// Consumes the winner's current tuple and replays its root path.
-  Status AdvanceWinner() {
-    const int i = winner_;
-    PREGELIX_RETURN_NOT_OK(fault::MaybeFail("sort.merge.refill"));
-    PREGELIX_RETURN_NOT_OK(cursors_[i]->Next());
-    Refresh(i);
-    int contender = cursors_[i]->Valid() ? i : -1;
-    for (int node = (cap_ + i) / 2; node >= 1; node /= 2) {
-      if (Beats(tree_[node], contender)) std::swap(tree_[node], contender);
-    }
-    winner_ = contender;
-    return Status::OK();
-  }
-
- private:
-  void Refresh(int i) {
-    if (cursors_[i]->Valid()) {
-      norm_[i] = NormalizedKeyPrefix(cursors_[i]->field(key_field_));
-    }
-  }
-
-  /// Strictly-before in merge order; -1 marks an exhausted leaf.
-  bool Beats(int a, int b) const {
-    if (a < 0) return false;
-    if (b < 0) return true;
-    if (norm_[a] != norm_[b]) return norm_[a] < norm_[b];
-    const int c = cursors_[a]->field(key_field_).compare(
-        cursors_[b]->field(key_field_));
-    if (c != 0) return c < 0;
-    return a < b;
-  }
-
-  std::vector<std::unique_ptr<RunCursor>>& cursors_;
-  const int key_field_;
-  int cap_ = 1;
-  std::vector<int> tree_;
-  std::vector<uint64_t> norm_;
-  int winner_ = -1;
-};
-
-/// Merges the given cursors in key order, optionally combining equal keys,
-/// and feeds `emit`. `apply_finish` controls whether the combiner's final
-/// transform runs (only on the last pass).
-Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
+/// Merges the given run cursors in key order, optionally combining equal
+/// keys, and feeds `emit`. `apply_finish` controls whether the combiner's
+/// final transform runs (only on the last pass).
+Status MergeCursors(std::vector<std::unique_ptr<TupleRunReader>>& cursors,
                     int key_field, const GroupCombiner& combiner,
                     bool apply_finish, WorkerMetrics* metrics,
                     const TupleEmitFn& emit) {
@@ -187,28 +39,34 @@ Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
   // phase; nested I/O scopes in the run-file/file layers suspend it.
   ScopedTimeCategory merge(TimeCategory::kMerge);
   uint64_t tuples = 0;
-  LoserTree tree(cursors, key_field);
+  LoserTree<TupleRunReader> tree(cursors, key_field);
   tree.Init();
+  // The sort merge's advance passes the fault point "sort.merge.refill"
+  // once per consumed tuple. The shared tree hits none, so a
+  // merging-connector receive never fires it.
+  auto advance = [&tree]() -> Status {
+    PREGELIX_RETURN_NOT_OK(fault::MaybeFail("sort.merge.refill"));
+    return tree.AdvanceWinner();
+  };
   if (combiner.valid()) {
     // Group-key and accumulator buffers persist across groups: assignment
     // reuses their capacity, so steady state allocates nothing per group.
     std::string group_key;
     std::string acc;
     while (tree.winner() >= 0) {
-      RunCursor& w = *cursors[tree.winner()];
+      TupleRunReader& w = tree.winner_cursor();
       const uint64_t group_norm = tree.winner_norm();
       const Slice first_key = w.field(0);
       group_key.assign(first_key.data(), first_key.size());
       combiner.init(w.field(1), &acc);
-      PREGELIX_RETURN_NOT_OK(tree.AdvanceWinner());
+      PREGELIX_RETURN_NOT_OK(advance());
       ++tuples;
-      // Fold in every other tuple with the same key. The tree pops equal
-      // keys lowest-cursor-first and drains each cursor's equal-key prefix
-      // before moving on, matching the previous cursor-order fold.
+      // Fold in every other tuple with the same key, in run order (the
+      // tree's tie rule).
       while (tree.winner() >= 0 && tree.winner_norm() == group_norm &&
-             cursors[tree.winner()]->field(0) == Slice(group_key)) {
-        combiner.step(cursors[tree.winner()]->field(1), &acc);
-        PREGELIX_RETURN_NOT_OK(tree.AdvanceWinner());
+             tree.winner_cursor().field(0) == Slice(group_key)) {
+        combiner.step(tree.winner_cursor().field(1), &acc);
+        PREGELIX_RETURN_NOT_OK(advance());
         ++tuples;
       }
       if (apply_finish && combiner.finish) combiner.finish(&acc);
@@ -218,13 +76,13 @@ Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
   } else {
     std::vector<Slice> fields;
     while (tree.winner() >= 0) {
-      RunCursor& c = *cursors[tree.winner()];
+      TupleRunReader& c = tree.winner_cursor();
       fields.clear();
       for (int f = 0; f < c.field_count(); ++f) {
         fields.push_back(c.field(f));
       }
       PREGELIX_RETURN_NOT_OK(emit(fields));
-      PREGELIX_RETURN_NOT_OK(tree.AdvanceWinner());
+      PREGELIX_RETURN_NOT_OK(advance());
       ++tuples;
     }
   }
@@ -232,43 +90,27 @@ Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
   return Status::OK();
 }
 
-}  // namespace
-
-namespace internal_sort {
-
-// ---------------------------------------------------------------------------
-// RunWriter
-
-RunWriter::RunWriter(const SortConfig& config, const std::string& path)
-    : appender_(config.frame_size, config.field_count), path_(path) {
-  open_status_ = RunFileWriter::Open(path, config.metrics, &file_);
-}
-
-Status RunWriter::Append(std::span<const Slice> fields) {
-  PREGELIX_RETURN_NOT_OK(open_status_);
-  if (!appender_.Append(fields)) {
-    const Slice block = appender_.FinalizeView();
-    bytes_written_ += block.size();
-    PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
-    appender_.Reset();
-    PREGELIX_CHECK(appender_.Append(fields));
+/// One merge pass: opens `paths`, merges them into `emit` and deletes them
+/// (runs are single-use).
+Status MergePass(const SortConfig& config, const GroupCombiner& combiner,
+                 std::span<const std::string> paths, bool apply_finish,
+                 const TupleEmitFn& emit) {
+  std::vector<std::unique_ptr<TupleRunReader>> cursors;
+  for (const std::string& path : paths) {
+    cursors.push_back(std::make_unique<TupleRunReader>(
+        path, config.field_count, config.metrics));
+    PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
   }
+  PREGELIX_RETURN_NOT_OK(MergeCursors(cursors, config.key_field, combiner,
+                                      apply_finish, config.metrics, emit));
+  cursors.clear();
+  for (const std::string& path : paths) DeleteFileIfExists(path);
   return Status::OK();
 }
 
-Status RunWriter::Finish() {
-  PREGELIX_RETURN_NOT_OK(open_status_);
-  if (!appender_.empty()) {
-    const Slice block = appender_.FinalizeView();
-    bytes_written_ += block.size();
-    PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
-    appender_.Reset();
-  }
-  return file_->Finish();
-}
+}  // namespace
 
-// ---------------------------------------------------------------------------
-// MergeRuns
+namespace internal_sort {
 
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  std::vector<std::string> run_paths, const TupleEmitFn& emit) {
@@ -276,45 +118,29 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  config.worker);
   span.AddArg("runs", static_cast<int64_t>(run_paths.size()));
   span.AddArg("fanin", config.merge_fanin);
+  const size_t fanin = static_cast<size_t>(config.merge_fanin);
   uint64_t pass_id = 0;
   // Intermediate passes until the fan-in fits.
-  while (static_cast<int>(run_paths.size()) > config.merge_fanin) {
+  while (run_paths.size() > fanin) {
     std::vector<std::string> next_paths;
-    for (size_t start = 0; start < run_paths.size();
-         start += config.merge_fanin) {
-      const size_t end =
-          std::min(run_paths.size(), start + config.merge_fanin);
-      std::vector<std::unique_ptr<RunCursor>> cursors;
-      for (size_t i = start; i < end; ++i) {
-        cursors.push_back(std::make_unique<RunCursor>(
-            run_paths[i], config.field_count, config.metrics));
-        PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
-      }
-      const std::string out_path = config.scratch_prefix + "-merge-" +
-                                   std::to_string(pass_id++) ;
-      RunWriter writer(config, out_path);
-      PREGELIX_RETURN_NOT_OK(MergeCursors(
-          cursors, config.key_field, combiner, /*apply_finish=*/false,
-          config.metrics,
-          [&](std::span<const Slice> fields) { return writer.Append(fields); }));
+    for (size_t start = 0; start < run_paths.size(); start += fanin) {
+      const std::span<const std::string> group =
+          std::span<const std::string>(run_paths).subspan(
+              start, std::min(fanin, run_paths.size() - start));
+      TupleRunWriter writer(
+          config.scratch_prefix + "-merge-" + std::to_string(pass_id++),
+          config.frame_size, config.field_count, config.metrics);
+      PREGELIX_RETURN_NOT_OK(
+          MergePass(config, combiner, group, /*apply_finish=*/false,
+                    [&](std::span<const Slice> fields) {
+                      return writer.Append(fields);
+                    }));
       PREGELIX_RETURN_NOT_OK(writer.Finish());
-      for (auto& cursor : cursors) cursor->Discard();
-      next_paths.push_back(out_path);
+      next_paths.push_back(writer.path());
     }
     run_paths = std::move(next_paths);
   }
-  // Final pass.
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  for (const std::string& path : run_paths) {
-    cursors.push_back(std::make_unique<RunCursor>(path, config.field_count,
-                                                  config.metrics));
-    PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
-  }
-  PREGELIX_RETURN_NOT_OK(MergeCursors(cursors, config.key_field, combiner,
-                                      /*apply_finish=*/true, config.metrics,
-                                      emit));
-  for (auto& cursor : cursors) cursor->Discard();
-  return Status::OK();
+  return MergePass(config, combiner, run_paths, /*apply_finish=*/true, emit);
 }
 
 }  // namespace internal_sort
@@ -466,16 +292,14 @@ Status ExternalSortGrouper::SpillBatch() {
   if (config_.profile != nullptr) {
     config_.profile->UpdateMemHwm(BatchBytes());
   }
-  const std::string path =
-      config_.scratch_prefix + "-run-" + std::to_string(next_run_id_++);
-  internal_sort::RunWriter writer(config_, path);
+  TupleRunWriter writer(
+      config_.scratch_prefix + "-run-" + std::to_string(next_run_id_++),
+      config_.frame_size, config_.field_count, config_.metrics);
   PREGELIX_RETURN_NOT_OK(DrainBatchSorted(
       [&](std::span<const Slice> fields) { return writer.Append(fields); }));
   PREGELIX_RETURN_NOT_OK(writer.Finish());
-  if (config_.profile != nullptr) {
-    config_.profile->AddSpill(writer.bytes_written());
-  }
-  run_paths_.push_back(path);
+  if (config_.profile != nullptr) config_.profile->AddSpill(writer.bytes());
+  run_paths_.push_back(writer.path());
   return Status::OK();
 }
 
@@ -629,18 +453,16 @@ Status HashSortGrouper::SpillTable() {
   if (config_.metrics != nullptr) {
     config_.metrics->AddCpuOps(order.size());
   }
-  const std::string path =
-      config_.scratch_prefix + "-hrun-" + std::to_string(next_run_id_++);
-  internal_sort::RunWriter writer(config_, path);
+  TupleRunWriter writer(
+      config_.scratch_prefix + "-hrun-" + std::to_string(next_run_id_++),
+      config_.frame_size, config_.field_count, config_.metrics);
   for (uint32_t g : order) {
     const Slice out[2] = {GroupKey(groups_[g]), Slice(groups_[g].acc)};
     PREGELIX_RETURN_NOT_OK(writer.Append(out));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
-  if (config_.profile != nullptr) {
-    config_.profile->AddSpill(writer.bytes_written());
-  }
-  run_paths_.push_back(path);
+  if (config_.profile != nullptr) config_.profile->AddSpill(writer.bytes());
+  run_paths_.push_back(writer.path());
   // Spilling means the table outgrew the budget. TableBytes() charges
   // capacities, so the memory must actually be released here — a cleared
   // table that keeps its high-water capacity would sit at the budget

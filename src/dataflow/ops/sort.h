@@ -13,8 +13,6 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/trace.h"
-#include "dataflow/frame.h"
-#include "io/run_file.h"
 
 namespace pregelix {
 
@@ -307,29 +305,12 @@ class PreclusteredGrouper {
 
 namespace internal_sort {
 
-/// K-way merge (with optional combining) over run files written by the
-/// groupers; shared by both spilling implementations. Multi-pass when the
-/// number of runs exceeds the fan-in.
+/// K-way merge (with optional combining) over runs written by the groupers
+/// with TupleRunWriter; shared by both spilling implementations. Multi-pass
+/// when the number of runs exceeds the fan-in. Deletes each run once its
+/// pass has read it.
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  std::vector<std::string> run_paths, const TupleEmitFn& emit);
-
-/// Writes tuples to a run file as frames. Helper for the groupers.
-class RunWriter {
- public:
-  RunWriter(const SortConfig& config, const std::string& path);
-  Status Append(std::span<const Slice> fields);
-  Status Finish();
-
-  /// Frame bytes written to the run file so far (complete after Finish).
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  FrameTupleAppender appender_;
-  std::unique_ptr<RunFileWriter> file_;
-  std::string path_;
-  Status open_status_;
-  uint64_t bytes_written_ = 0;
-};
 
 }  // namespace internal_sort
 

@@ -69,6 +69,7 @@ OperatorStats& OperatorStats::operator+=(const OperatorStats& o) {
   bytes_in += o.bytes_in;
   bytes_out += o.bytes_out;
   wall_ns += o.wall_ns;
+  for (int c = 0; c < kNumTimeCategories; ++c) ledger_ns[c] += o.ledger_ns[c];
   mem_hwm_bytes = std::max(mem_hwm_bytes, o.mem_hwm_bytes);
   spill_count += o.spill_count;
   spill_bytes += o.spill_bytes;
@@ -325,6 +326,16 @@ uint64_t PlanProfile::TotalSpillCount() const {
 uint64_t PlanProfile::TotalSpillBytes() const {
   uint64_t total = 0;
   for (const PlanOperatorProfile& op : ops_) total += op.total.spill_bytes;
+  return total;
+}
+
+std::array<int64_t, kNumTimeCategories> PlanProfile::TotalLedgerNs() const {
+  std::array<int64_t, kNumTimeCategories> total{};
+  for (const PlanOperatorProfile& op : ops_) {
+    for (int c = 0; c < kNumTimeCategories; ++c) {
+      total[c] += op.total.ledger_ns[c];
+    }
+  }
   return total;
 }
 

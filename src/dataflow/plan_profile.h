@@ -2,6 +2,7 @@
 #define PREGELIX_DATAFLOW_PLAN_PROFILE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/time_ledger.h"
 #include "dataflow/job.h"
 
 // EXPLAIN ANALYZE for dataflow plans (see DESIGN.md "Plan profiling &
@@ -50,12 +52,20 @@ struct OperatorStats {
   uint64_t frames_out = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  /// The activations' time-ledger attachments (DESIGN.md §20), summed.
+  /// The activations' time-ledger attachments (DESIGN.md §20), summed:
+  /// their wall and its per-category split.
   uint64_t wall_ns = 0;
+  std::array<int64_t, kNumTimeCategories> ledger_ns{};
   uint64_t mem_hwm_bytes = 0;  ///< merged with max, not sum
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
 
+  /// Counts one activation, timed by the attachment its detach returned.
+  void AddActivation(const LedgerAttachment& timed) {
+    ++activations;
+    wall_ns += timed.elapsed_ns();
+    for (int c = 0; c < kNumTimeCategories; ++c) ledger_ns[c] += timed.ns[c];
+  }
   void AddSpill(uint64_t bytes) {
     ++spill_count;
     spill_bytes += bytes;
@@ -150,7 +160,6 @@ class PlanProfile {
   const std::vector<PlanEdgeProfile>& edges() const { return edges_; }
   uint64_t wall_ns() const { return wall_ns_; }
   int supersteps_merged() const { return supersteps_merged_; }
-  void set_supersteps_merged(int n) { supersteps_merged_ = n; }
   int slowest_worker() const { return slowest_worker_; }
   uint64_t critical_path_wall_ns() const { return critical_path_wall_ns_; }
   /// Operator indexes (into ops()) of the critical path, source to sink.
@@ -161,6 +170,9 @@ class PlanProfile {
   uint64_t TotalShuffleBytes() const;
   uint64_t TotalSpillCount() const;
   uint64_t TotalSpillBytes() const;
+  /// Per-category time of every activation: the plan's own thread time,
+  /// whatever else runs in the process.
+  std::array<int64_t, kNumTimeCategories> TotalLedgerNs() const;
 
   /// Indexes of the k operators with the largest total wall time.
   std::vector<int> TopByWall(int k) const;

@@ -13,10 +13,12 @@
 
 namespace pregelix {
 
-/// Tuple-granular writer over a frame run file. Used for the materialized
-/// relations of a Pregelix job (the per-partition Msg runs, checkpoints,
-/// pending-update buffers). It counts the tuples, frames and bytes it
-/// writes, so an operator can report a relation it writes as its output.
+/// Tuple-granular writer over a frame run file: the dataflow layer's one run
+/// writer. It writes the materialized relations of a Pregelix job (the
+/// per-partition Msg runs, checkpoints, pending-update buffers) and the
+/// spilled runs of the sort kernels. It counts the tuples, frames and bytes
+/// it writes, so an operator can report a relation it writes as its output
+/// and a sort kernel its spill volume.
 class TupleRunWriter {
  public:
   TupleRunWriter(std::string path, size_t frame_size, int field_count,
@@ -72,24 +74,18 @@ class TupleRunWriter {
   uint64_t bytes_ = 0;
 };
 
-/// Tuple-granular cursor over a frame run file. It counts the tuples,
-/// frames and bytes of the frames it loads, so an operator can report a
-/// relation it reads as its input.
-class TupleRunReader {
+/// Tuple-granular cursor over a stream of frames: the one accessor, index
+/// and refill loop behind every run reader and every input of a k-way merge
+/// (LoserTree). The per-tuple calls are inline; only the per-frame refill,
+/// NextFrame, is virtual. It counts the tuples, frames and bytes of the
+/// frames it loads, so an operator can report a relation it reads as its
+/// input.
+class TupleCursor {
  public:
-  TupleRunReader(std::string path, int field_count, WorkerMetrics* metrics)
-      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
-
-  /// Opens and positions at the first tuple. A missing file yields an empty
-  /// (immediately invalid) cursor.
-  Status Init() {
-    Status s = RunFileReader::Open(path_, metrics_, &reader_);
-    if (!s.ok()) {
-      valid_ = false;
-      return Status::OK();
-    }
-    return Advance();
-  }
+  explicit TupleCursor(int field_count) : accessor_(field_count) {}
+  TupleCursor(const TupleCursor&) = delete;
+  TupleCursor& operator=(const TupleCursor&) = delete;
+  virtual ~TupleCursor() = default;
 
   bool Valid() const { return valid_; }
 
@@ -100,15 +96,23 @@ class TupleRunReader {
   }
 
   Slice field(int f) const { return accessor_.field(index_, f); }
+  /// The current tuple's encoded bytes, for FrameTupleAppender::AppendRaw.
+  Slice tuple_bytes() const { return accessor_.tuple_bytes(index_); }
+  int field_count() const { return accessor_.field_count(); }
 
   uint64_t count() const { return count_; }
   uint64_t frames() const { return frames_; }
   uint64_t bytes() const { return bytes_; }
 
- private:
+ protected:
+  /// Loads the stream's next frame into *frame; NotFound at its end.
+  virtual Status NextFrame(std::string* frame) = 0;
+
+  /// Positions at the first tuple of the next non-empty frame, or makes the
+  /// cursor invalid at the end of the stream.
   Status Advance() {
     for (;;) {
-      Status s = reader_->NextBlock(&frame_);
+      Status s = NextFrame(&frame_);
       if (s.IsNotFound()) {
         valid_ = false;
         return Status::OK();
@@ -126,16 +130,40 @@ class TupleRunReader {
     }
   }
 
-  std::string path_;
-  std::unique_ptr<RunFileReader> reader_;
+ private:
   std::string frame_;
   FrameTupleAccessor accessor_;
   int index_ = 0;
   bool valid_ = false;
-  WorkerMetrics* metrics_;
   uint64_t count_ = 0;
   uint64_t frames_ = 0;
   uint64_t bytes_ = 0;
+};
+
+/// Cursor over a frame run file: the dataflow layer's one run reader.
+class TupleRunReader final : public TupleCursor {
+ public:
+  TupleRunReader(std::string path, int field_count, WorkerMetrics* metrics)
+      : TupleCursor(field_count), path_(std::move(path)), metrics_(metrics) {}
+
+  /// Opens the run and positions at its first tuple. An empty path is the
+  /// empty relation (no Msg before superstep 1). A run that cannot be
+  /// opened, a missing one included, is an error and never an empty
+  /// relation.
+  Status Init() {
+    if (path_.empty()) return Status::OK();
+    PREGELIX_RETURN_NOT_OK(RunFileReader::Open(path_, metrics_, &reader_));
+    return Advance();
+  }
+
+ private:
+  Status NextFrame(std::string* frame) override {
+    return reader_->NextBlock(frame);
+  }
+
+  std::string path_;
+  WorkerMetrics* metrics_;
+  std::unique_ptr<RunFileReader> reader_;
 };
 
 }  // namespace pregelix

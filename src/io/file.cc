@@ -117,8 +117,9 @@ RandomAccessFile::RandomAccessFile(int fd, std::string path, uint64_t size,
     : fd_(fd), path_(std::move(path)), size_(size), metrics_(metrics) {}
 
 Status RandomAccessFile::Open(const std::string& path, WorkerMetrics* metrics,
-                              std::unique_ptr<RandomAccessFile>* out) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+                              std::unique_ptr<RandomAccessFile>* out,
+                              bool read_only) {
+  int fd = ::open(path.c_str(), read_only ? O_RDONLY : O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError(ErrnoMessage("open " + path));
   }

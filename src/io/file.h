@@ -47,8 +47,12 @@ class WritableFile {
 /// Positional-read file (pread).
 class RandomAccessFile {
  public:
+  /// Opens for reads and in-place writes, creating a missing file (the
+  /// buffer cache's page files). `read_only` opens an existing file for
+  /// reads only: a missing file is an IoError and nothing is created.
   static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     std::unique_ptr<RandomAccessFile>* out);
+                     std::unique_ptr<RandomAccessFile>* out,
+                     bool read_only = false);
   ~RandomAccessFile();
 
   RandomAccessFile(const RandomAccessFile&) = delete;

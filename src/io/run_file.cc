@@ -31,7 +31,8 @@ Status RunFileWriter::Finish() { return file_->Close(); }
 Status RunFileReader::Open(const std::string& path, WorkerMetrics* metrics,
                            std::unique_ptr<RunFileReader>* out) {
   std::unique_ptr<RandomAccessFile> file;
-  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(path, metrics, &file));
+  PREGELIX_RETURN_NOT_OK(
+      RandomAccessFile::Open(path, metrics, &file, /*read_only=*/true));
   out->reset(new RunFileReader(std::move(file)));
   return Status::OK();
 }

@@ -42,6 +42,8 @@ class RunFileWriter {
 /// Sequential reader over a run file.
 class RunFileReader {
  public:
+  /// Opens an existing run read-only; a missing run is an error and
+  /// nothing is created.
   static Status Open(const std::string& path, WorkerMetrics* metrics,
                      std::unique_ptr<RunFileReader>* out);
 

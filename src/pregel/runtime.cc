@@ -285,11 +285,11 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
                         trace_cat::kPregel, kTraceDriverWorker);
     const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
     const std::pair<uint64_t, uint64_t> cache_before = cache_counts();
-    // Time-ledger delta for this superstep (DESIGN.md §20). Snapshots fold
-    // in-flight time of attached threads, so the delta is a faithful
-    // per-superstep attribution up to one in-flight interval of jitter.
-    const std::array<int64_t, kNumTimeCategories> ledger_before =
-        TimeLedger::Global().TakeSnapshot().category_ns;
+    // Time-ledger split of this superstep (DESIGN.md §20): the job's own
+    // threads only, its activations (the step profile) plus the driver's
+    // own attachment over the superstep, so neither another job nor the
+    // observability server's threads leak into it.
+    const LedgerAttachment driver_before = TimeLedger::PeekCurrentThread();
     const double step_wall = WallSeconds();
     // Resolve (and publish: fault point, journal, metrics, /jobs/<id>) the
     // physical plan before generating the superstep job. BuildSuperstepJob
@@ -385,10 +385,10 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       brief.spill_count = stats.spill_count;
       brief.left_outer_join = stats.used_left_outer_join;
       brief.plan = PlanDecisionString(plan_record.plan);
-      const std::array<int64_t, kNumTimeCategories> ledger_after =
-          TimeLedger::Global().TakeSnapshot().category_ns;
+      const LedgerAttachment driver_after = TimeLedger::PeekCurrentThread();
+      brief.ledger_ns = stats.profile->TotalLedgerNs();
       for (int c = 0; c < kNumTimeCategories; ++c) {
-        brief.ledger_ns[c] = ledger_after[c] - ledger_before[c];
+        brief.ledger_ns[c] += driver_after.ns[c] - driver_before.ns[c];
       }
       std::ostringstream profile_json;
       cumulative->WriteJson(profile_json, /*include_timing=*/false);

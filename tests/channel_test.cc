@@ -9,6 +9,7 @@
 #include "common/temp_dir.h"
 #include "dataflow/channel.h"
 #include "dataflow/tuple_run.h"
+#include "io/file.h"
 
 namespace pregelix {
 namespace {
@@ -151,10 +152,21 @@ TEST(TupleRunTest, WriteReadRoundTrip) {
   EXPECT_FALSE(reader.Valid());
 }
 
-TEST(TupleRunTest, MissingFileIsEmpty) {
-  TupleRunReader reader("/nonexistent/path/run", 2, nullptr);
-  ASSERT_TRUE(reader.Init().ok());
-  EXPECT_FALSE(reader.Valid());
+// Only an empty path is the empty relation. A missing run is an error, not
+// an empty relation, and opening it creates nothing.
+TEST(TupleRunTest, EmptyPathIsEmptyAndMissingRunIsAnError) {
+  TupleRunReader none("", 2, nullptr);
+  ASSERT_TRUE(none.Init().ok());
+  EXPECT_FALSE(none.Valid());
+
+  TempDir dir("tuple-run-missing");
+  const std::string missing = dir.path() + "/lost-run";
+  TupleRunReader lost(missing, 2, nullptr);
+  EXPECT_FALSE(lost.Init().ok());
+  EXPECT_FALSE(FileExists(missing));
+
+  TupleRunReader no_dir(dir.path() + "/no-such-dir/run", 2, nullptr);
+  EXPECT_FALSE(no_dir.Init().ok());
 }
 
 TEST(TupleRunTest, EmptyRunIsValidRelation) {

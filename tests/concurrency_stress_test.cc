@@ -285,51 +285,5 @@ TEST_F(ConcurrencyStressTest, ConcurrentTenantsMatchTheirSerialRuns) {
   EXPECT_GE(cluster_->threads_started(), pool_after_serial);
 }
 
-TEST_F(ConcurrencyStressTest, HistogramSnapshotsDuringConcurrentObserves) {
-  // Regression stress for the Observe/count ordering: a snapshot that
-  // reads count == n must see >= n bucket increments, so the percentile
-  // walk can never run past the populated buckets.
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("stress.histogram");
-
-  constexpr int kWriters = 3;
-  constexpr uint64_t kObservations = 20000;
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([h, w] {
-      for (uint64_t i = 0; i < kObservations; ++i) {
-        h->Observe(i << (w % 3));
-      }
-    });
-  }
-
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      const uint64_t n = h->count();
-      const uint64_t p50 = h->Percentile(50);
-      const uint64_t p100 = h->Percentile(100);
-      if (n > 0) {
-        EXPECT_LE(p50, p100);
-        // Bucketed upper-bound estimate: never past the largest observable
-        // value's bucket ((kObservations - 1) << 2 < 2^20).
-        EXPECT_LT(p100, uint64_t{1} << 21);
-      }
-      std::ostringstream json;
-      registry.WriteJson(json);
-      std::this_thread::yield();
-    }
-  });
-
-  for (std::thread& t : writers) t.join();
-  done.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  EXPECT_EQ(h->count(), kWriters * kObservations);
-  EXPECT_EQ(h->max(), (kObservations - 1) << 2);
-}
-
 }  // namespace
 }  // namespace pregelix

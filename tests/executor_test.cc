@@ -35,19 +35,16 @@ struct Collected {
   }
 };
 
-/// Source operator: emits `count` (vid, payload) tuples per partition.
-/// `sorted` both staggers the vids into key order and declares the
-/// sortedness (the verifier demands the declaration on merge edges).
+/// Source operator: every partition emits the same `count` (vid, payload)
+/// tuples, vids 0..count-1 in key order, each payload naming its sender.
+/// `sorted` declares that order (the verifier demands the declaration on
+/// merge edges).
 std::shared_ptr<OperatorDescriptor> MakeGenerator(int count,
                                                   bool sorted = false) {
   auto gen = std::make_shared<LambdaOperatorDescriptor>(
-      "gen", [count, sorted](TaskContext& ctx) -> Status {
+      "gen", [count](TaskContext& ctx) -> Status {
         for (int i = 0; i < count; ++i) {
-          const int64_t vid =
-              sorted ? static_cast<int64_t>(i) * ctx.num_partitions +
-                           ctx.partition
-                     : static_cast<int64_t>(i);
-          const std::string key = OrderedKeyI64(vid);
+          const std::string key = OrderedKeyI64(i);
           const std::string payload =
               "from-p" + std::to_string(ctx.partition);
           const Slice t[2] = {Slice(key), Slice(payload)};
@@ -90,6 +87,21 @@ class ExecutorTest : public ::testing::Test {
     config.frame_size = 1024;
     config.channel_capacity_frames = 4;
     return config;
+  }
+
+  /// Four sorted generators of 400 tuples each into four collectors over
+  /// the m-to-n partitioning merging connector.
+  static JobSpec MergingJob() {
+    JobSpec spec;
+    const int gen = spec.AddOperator(MakeGenerator(400, /*sorted=*/true), 4);
+    const int sink = spec.AddOperator(MakeCollector(), 4);
+    ConnectorSpec conn;
+    conn.src_op = gen;
+    conn.dst_op = sink;
+    conn.kind = ConnectorKind::kMToNPartitionMerge;
+    conn.field_count = 2;
+    spec.Connect(conn);
+    return spec;
   }
 
   TempDir dir_{"executor-test"};
@@ -165,26 +177,43 @@ TEST_F(ExecutorTest, OneToOneStaysLocal) {
 TEST_F(ExecutorTest, MergingConnectorDeliversSortedStreams) {
   SimulatedCluster cluster(MakeConfig(4));
   Collected collected;
-  JobSpec spec;
-  // Sorted generators + identity routing on vid ranges: use hash routing but
-  // verify per-partition arrival order is key-sorted (the merge property).
-  const int gen = spec.AddOperator(MakeGenerator(400, /*sorted=*/true), 4);
-  const int sink = spec.AddOperator(MakeCollector(), 4);
-  ConnectorSpec conn;
-  conn.src_op = gen;
-  conn.dst_op = sink;
-  conn.kind = ConnectorKind::kMToNPartitionMerge;
-  conn.field_count = 2;
-  spec.Connect(conn);
-
-  ASSERT_TRUE(RunJob(cluster, spec, &collected).ok());
+  ASSERT_TRUE(RunJob(cluster, MergingJob(), &collected).ok());
   EXPECT_EQ(collected.Total(), 1600u);
+  // Each of the four senders sends every key once, so each key a receiver
+  // holds arrives four times: keys in order, and equal keys in sender
+  // order, sender 0 first.
   for (auto& [p, tuples] : collected.by_partition) {
-    for (size_t i = 1; i < tuples.size(); ++i) {
-      EXPECT_LE(tuples[i - 1].first, tuples[i].first)
-          << "partition " << p << " out of order at " << i;
+    ASSERT_EQ(tuples.size() % 4, 0u) << "partition " << p;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      EXPECT_EQ(tuples[i].second, "from-p" + std::to_string(i % 4))
+          << "partition " << p << " at " << i;
+      if (i % 4 != 0) {
+        EXPECT_EQ(tuples[i - 1].first, tuples[i].first)
+            << "partition " << p << " at " << i;
+      } else if (i > 0) {
+        EXPECT_LT(tuples[i - 1].first, tuples[i].first)
+            << "partition " << p << " out of order at " << i;
+      }
     }
   }
+}
+
+// "sort.merge.refill" belongs to the sort merge: a merging-connector
+// receive runs the same loser tree but never hits it.
+TEST_F(ExecutorTest, MergingConnectorNeverHitsTheSortRefillFaultPoint) {
+  fault::FaultSpec fail_first;
+  fail_first.trigger = fault::Trigger::kNthHit;
+  fail_first.n = 1;
+  fault::FaultInjector::Global().Arm("sort.merge.refill", fail_first);
+  SimulatedCluster cluster(MakeConfig(4));
+  Collected collected;
+  const Status s = RunJob(cluster, MergingJob(), &collected);
+  const fault::PointStats stats =
+      fault::FaultInjector::Global().Stats("sort.merge.refill");
+  fault::FaultInjector::Global().Reset();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(collected.Total(), 1600u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 TEST_F(ExecutorTest, BackpressureDoesNotDeadlockPipelines) {

@@ -119,19 +119,5 @@ TEST(FrameTest, ManyTuplesRoundTrip) {
   }
 }
 
-TEST(OwnedTupleTest, CopyAndAccess) {
-  OwnedTuple t;
-  t.AddField(Slice("one"));
-  t.AddField(Slice(""));
-  t.AddField(Slice("three"));
-  EXPECT_EQ(t.field_count(), 3);
-  EXPECT_EQ(t.field(0).ToString(), "one");
-  EXPECT_EQ(t.field(1).ToString(), "");
-  EXPECT_EQ(t.field(2).ToString(), "three");
-  auto fields = t.fields();
-  EXPECT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[2].ToString(), "three");
-}
-
 }  // namespace
 }  // namespace pregelix

@@ -361,6 +361,16 @@ int64_t JsonInt(const std::string& json, const std::string& key) {
   return std::strtoll(json.c_str() + pos + needle.size(), nullptr, 10);
 }
 
+/// Extracts the string value of `"key":"..."` (no escaped quotes in it);
+/// empty when absent.
+std::string JsonString(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  const size_t pos = json.find(needle);
+  if (pos == std::string::npos) return "";
+  const size_t start = pos + needle.size();
+  return json.substr(start, json.find('"', start) - start);
+}
+
 TEST(HttpServerE2eTest, LiveScrapeDuringPageRank) {
   TempDir dir("server-e2e");
   DistributedFileSystem dfs(dir.Sub("dfs"));
@@ -468,6 +478,12 @@ TEST(HttpServerE2eTest, LiveScrapeDuringPageRank) {
     }
     if (line.find("\"category\":\"superstep.end\"") != std::string::npos) {
       ++ends;
+      // A superstep's ledger split is this job's own thread time: the
+      // server's parked (idle) and request (serve) threads stay out of it.
+      const std::string ledger = JsonString(line, "ledger_ns");
+      EXPECT_FALSE(ledger.empty()) << line;
+      EXPECT_EQ(ledger.find("idle="), std::string::npos) << line;
+      EXPECT_EQ(ledger.find("serve="), std::string::npos) << line;
     }
     if (line.find("\"category\":\"job.start\"") != std::string::npos) {
       saw_start = true;

@@ -60,43 +60,6 @@ TEST(MetricsRegistryTest, StablePointersAcrossLookups) {
   EXPECT_EQ(registry.GaugeValue("pregelix.test.g"), 0);
 }
 
-TEST(HistogramTest, PercentilesBracketObservations) {
-  Histogram h;
-  // 100 observations: 1..100.
-  for (uint64_t v = 1; v <= 100; ++v) h.Observe(v);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.sum(), 5050u);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_EQ(h.max(), 100u);
-  // Power-of-two buckets bound the estimate: the true p50 is 50, which lives
-  // in bucket [32,64) whose upper bound is 63; p99=99 lives in [64,128) whose
-  // bound clamps to max()=100.
-  EXPECT_GE(h.Percentile(50), 50u);
-  EXPECT_LE(h.Percentile(50), 63u);
-  EXPECT_GE(h.Percentile(99), 99u);
-  EXPECT_LE(h.Percentile(99), 100u);
-  EXPECT_EQ(h.Percentile(100), 100u);
-}
-
-TEST(HistogramTest, ZeroAndEmptyEdges) {
-  Histogram h;
-  EXPECT_EQ(h.Percentile(50), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  h.Observe(0);
-  h.Observe(0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.Percentile(50), 0u);
-  EXPECT_EQ(h.Percentile(100), 0u);
-}
-
-TEST(HistogramTest, LargeValues) {
-  Histogram h;
-  h.Observe(1);
-  h.Observe(uint64_t{1} << 40);
-  EXPECT_EQ(h.max(), uint64_t{1} << 40);
-  EXPECT_EQ(h.Percentile(100), uint64_t{1} << 40);
-}
-
 TEST(MetricsRegistryTest, ConcurrentUpdatesAreLossless) {
   MetricsRegistry registry;
   constexpr int kThreads = 4;
@@ -106,17 +69,11 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesAreLossless) {
     threads.emplace_back([&registry]() {
       // Every thread resolves the same instruments and hammers them.
       Counter* c = registry.GetCounter("pregelix.test.concurrent");
-      Histogram* h = registry.GetHistogram("pregelix.test.latency");
-      for (int i = 0; i < kIncrements; ++i) {
-        c->Increment();
-        h->Observe(static_cast<uint64_t>(i % 128));
-      }
+      for (int i = 0; i < kIncrements; ++i) c->Increment();
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(registry.CounterValue("pregelix.test.concurrent"),
-            static_cast<uint64_t>(kThreads) * kIncrements);
-  EXPECT_EQ(registry.GetHistogram("pregelix.test.latency")->count(),
             static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
@@ -126,19 +83,15 @@ TEST(MetricsRegistryTest, JsonDumpContainsAllKinds) {
       .GetCounter("pregelix.buffer.hits", MetricLabels{{"worker", "0"}})
       ->Add(42);
   registry.GetGauge("pregelix.worker.net_bytes")->Set(-1);
-  registry.GetHistogram("pregelix.op.micros")->Observe(10);
   std::ostringstream os;
   registry.WriteJson(os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"counters\":["), std::string::npos);
   EXPECT_NE(json.find("\"gauges\":["), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"pregelix.buffer.hits\""), std::string::npos);
   EXPECT_NE(json.find("\"labels\":{\"worker\":\"0\"}"), std::string::npos);
   EXPECT_NE(json.find("\"value\":42"), std::string::npos);
   EXPECT_NE(json.find("\"value\":-1"), std::string::npos);
-  EXPECT_NE(json.find("\"p50\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos);
 }
 
 }  // namespace

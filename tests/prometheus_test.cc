@@ -1,15 +1,10 @@
-// Prometheus text-exposition writer: golden format, label escaping, metric
-// name sanitization, and histogram bucket cumulativity — including under
-// concurrent Observe, where the +Inf bucket must still equal _count.
+// Prometheus text-exposition writer: golden format, label escaping and
+// metric name sanitization.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/metrics_registry.h"
 
@@ -90,104 +85,6 @@ TEST(PrometheusTest, NameSanitization) {
   EXPECT_NE(text.find("pregelix_storage_probes 1\n"), std::string::npos);
   // Leading digit gets a '_' prefix; '-', '.', '+' all map to '_'.
   EXPECT_NE(text.find("_0weird_name_with_chars 1\n"), std::string::npos);
-}
-
-TEST(PrometheusTest, HistogramBucketsAreCumulative) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("pregelix.test.latency");
-  h->Observe(0);   // bucket le="0"
-  h->Observe(1);   // bucket le="1"
-  h->Observe(3);   // bucket le="3"
-  h->Observe(3);   // bucket le="3"
-  h->Observe(100); // bucket le="127"
-
-  const std::string text = Expose(registry);
-  EXPECT_NE(text.find("# TYPE pregelix_test_latency histogram\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{le=\"0\"} 1\n"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{le=\"1\"} 2\n"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{le=\"3\"} 4\n"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{le=\"127\"} 5\n"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{le=\"+Inf\"} 5\n"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_sum 107\n"), std::string::npos);
-  EXPECT_NE(text.find("pregelix_test_latency_count 5\n"), std::string::npos);
-}
-
-TEST(PrometheusTest, HistogramLabelsComposeWithLe) {
-  MetricsRegistry registry;
-  registry
-      .GetHistogram("pregelix.test.latency", MetricLabels{{"op", "sort"}})
-      ->Observe(2);
-  const std::string text = Expose(registry);
-  EXPECT_NE(text.find("pregelix_test_latency_bucket{op=\"sort\",le=\"3\"} 1"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("pregelix_test_latency_sum{op=\"sort\"} 2"),
-            std::string::npos) << text;
-}
-
-/// Parses every `<family>_bucket{...le="B"} V` line of one histogram and
-/// checks (a) counts are non-decreasing in bucket order as printed, and
-/// (b) the +Inf bucket equals the _count sample.
-void CheckScrape(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line;
-  uint64_t prev = 0;
-  uint64_t inf = 0;
-  uint64_t count = 0;
-  bool saw_inf = false;
-  bool saw_count = false;
-  while (std::getline(lines, line)) {
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos);
-    if (line.compare(0, 22, "pregelix_test_ops_buck") == 0) {
-      const uint64_t v = std::stoull(line.substr(space + 1));
-      ASSERT_GE(v, prev) << "bucket counts regressed: " << line;
-      prev = v;
-      if (line.find("le=\"+Inf\"") != std::string::npos) {
-        inf = v;
-        saw_inf = true;
-      }
-    } else if (line.compare(0, 24, "pregelix_test_ops_count ") == 0) {
-      count = std::stoull(line.substr(space + 1));
-      saw_count = true;
-    }
-  }
-  ASSERT_TRUE(saw_inf);
-  ASSERT_TRUE(saw_count);
-  EXPECT_EQ(inf, count) << "scrape is internally inconsistent:\n" << text;
-}
-
-TEST(PrometheusTest, BucketCumulativityUnderConcurrentObserve) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("pregelix.test.ops");
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 3; ++t) {
-    writers.emplace_back([h, &stop, t]() {
-      uint64_t v = static_cast<uint64_t>(t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        h->Observe(v % 1024);
-        v = v * 2862933555777941757ull + 3037000493ull;  // splmix step
-      }
-    });
-  }
-
-  for (int scrape = 0; scrape < 50; ++scrape) {
-    CheckScrape(Expose(registry));
-  }
-  stop = true;
-  for (std::thread& t : writers) t.join();
-
-  // Quiescent: count() and the bucket-derived total agree again.
-  uint64_t buckets[Histogram::kNumBuckets];
-  EXPECT_EQ(h->SnapshotBuckets(buckets), h->count());
-  CheckScrape(Expose(registry));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -10,6 +11,7 @@
 #include "common/serde.h"
 #include "common/temp_dir.h"
 #include "dataflow/ops/sort.h"
+#include "dataflow/tuple_run.h"
 #include "counting_allocator.h"
 
 namespace pregelix {
@@ -379,15 +381,16 @@ TEST_F(SortTest, MergeRunsCombinesAcrossRunAndPassBoundaries) {
   auto write_run = [&](int id,
                        std::vector<std::pair<const std::string*, std::string>>
                            tuples) {
-    const std::string path = dir_.path() + "/hand-run-" + std::to_string(id);
-    internal_sort::RunWriter writer(config, path);
+    TupleRunWriter writer(dir_.path() + "/hand-run-" + std::to_string(id),
+                          config.frame_size, config.field_count,
+                          config.metrics);
     for (const auto& [key, payload] : tuples) {
       const std::string item = ListItem(payload);
       const Slice t[2] = {Slice(*key), Slice(item)};
       EXPECT_TRUE(writer.Append(t).ok());
     }
     EXPECT_TRUE(writer.Finish().ok());
-    return path;
+    return writer.path();
   };
   std::vector<std::string> runs;
   runs.push_back(write_run(0, {{&k5, "a"}}));
@@ -448,6 +451,44 @@ TEST_F(SortTest, CombinerGroupsStraddleRunsAndPasses) {
                   })
                   .ok());
   EXPECT_EQ(groups, static_cast<int>(expected.size()));
+}
+
+// Runs are single-use scratch: a spilling, multi-pass, combining group-by
+// deletes every run it wrote (the spilled runs and each intermediate pass's
+// output) once the merge has read it, leaving nothing under its prefix.
+TEST_F(SortTest, MergeDeletesEveryRunItRead) {
+  SortConfig config = MakeConfig(512);
+  config.merge_fanin = 2;
+  ExternalSortGrouper grouper(config, MinDoubleCombiner());
+  Random rnd(23);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string k =
+        OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(100)));
+    std::string payload;
+    PutDouble(&payload, rnd.NextDouble());
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    ASSERT_TRUE(grouper.Add(t).ok());
+  }
+  ASSERT_GT(grouper.runs_spilled(), 4);  // at least two merge passes
+  auto leftover_runs = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir_.path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("sort-", 0) == 0) names.push_back(name);
+    }
+    return names;
+  };
+  EXPECT_FALSE(leftover_runs().empty());
+  int groups = 0;
+  ASSERT_TRUE(grouper
+                  .Finish([&](std::span<const Slice>) {
+                    ++groups;
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(groups, 100);
+  EXPECT_EQ(leftover_runs(), std::vector<std::string>{});
 }
 
 // Regression (S1): a combiner step that SHRINKS the accumulator. The old

@@ -9,7 +9,8 @@
 #   3. tools/lint.py: the DESIGN.md cross-check lint, one row per inventory —
 #      fault-injection points (§11), metric names (§10), server endpoints
 #      (§15), journal categories (§15), plan-verifier rules (§18), and
-#      time-ledger categories (§20), each two-way
+#      time-ledger categories (§20), each two-way, plus the §7.6 LoC
+#      scoreboard (BENCH_loc.json against the tree); also tier-1 ctest `lint`
 #   3b. static plan verification: `pregelix verify` over the built-in
 #      example jobs (DESIGN.md §18; needs the built CLI, skipped otherwise)
 #   4. bench smoke: one short iteration of the kernel microbenchmarks via

@@ -6,13 +6,16 @@ with the DESIGN.md table that documents them. The contract is two-way: an
 undocumented live name and a documented-but-dead one are both errors. A
 row may also require a naming convention, and name families that must
 stay live (the two-way check cannot catch a family deleted from both code
-and table at once). Stage 3 of tools/check_static.sh; runs standalone.
+and table at once). The `loc` row checks the section 7.6 scoreboard:
+BENCH_loc.json's `change` block must hold the tree's line counts. Stage 3
+of tools/check_static.sh and the tier-1 ctest `lint`; runs standalone.
 
 Exit code 0 when every row is clean; 1 with one line per violation
 otherwise.
 """
 
 import dataclasses
+import json
 import pathlib
 import re
 import sys
@@ -52,7 +55,7 @@ INVENTORIES = [
     Inventory(  # DESIGN.md §10
         "metrics", "metric", "registered", "metric table", "Metric naming",
         r"`(pregelix[a-z0-9_.]*)`",
-        calls=(r'Get(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"',),
+        calls=(r'Get(?:Counter|Gauge)\(\s*"([^"]+)"',),
         roots=("src", "bench"),
         excluded=("src/common/metrics_registry.h",
                   "src/common/metrics_registry.cc"),
@@ -143,6 +146,53 @@ def check(inv, src, doc):
     return errors
 
 
+# The section 7.6 scoreboard (bench/bench_sec76_software_simplicity.cc):
+# the Pregel core and the reused infrastructure it builds on.
+LOC_CORE = "src/pregel"
+LOC_REUSED = ("src/dataflow", "src/storage", "src/buffer", "src/io",
+              "src/dfs", "src/common")
+
+
+def count_loc(module):
+    """Non-blank, non-`//` lines of the module's .h/.cc files, counted as
+    bench_sec76_software_simplicity counts them."""
+    lines = 0
+    for path in (REPO / module).rglob("*"):
+        if path.suffix not in (".h", ".cc") or not path.is_file():
+            continue
+        for line in path.read_text().split("\n"):
+            code = line.lstrip(" \t")
+            if code and not code.startswith("//"):
+                lines += 1
+    return lines
+
+
+def check_loc():
+    """(core, reused infra, errors): BENCH_loc.json's `change` block
+    against the tree's counts."""
+    change = json.loads((REPO / "BENCH_loc.json").read_text())["change"]
+    modules = {m: count_loc(m) for m in (LOC_CORE,) + LOC_REUSED}
+    tree = {"core_loc": modules[LOC_CORE],
+            "reused_infra_loc": sum(modules[m] for m in LOC_REUSED)}
+    errors = [f"BENCH_loc.json change.{key} is {change.get(key)}, the tree "
+              f"counts {n}" for key, n in tree.items() if change.get(key) != n]
+    errors += [f"BENCH_loc.json change.modules[\"{m}\"] is "
+               f"{change['modules'].get(m)}, the tree counts {n}"
+               for m, n in modules.items() if change["modules"].get(m) != n]
+    return tree["core_loc"], tree["reused_infra_loc"], errors
+
+
+def report(row, errors, agreed):
+    """Prints one row's verdict; 1 when it failed."""
+    if not errors:
+        print(f"lint: {row}: OK ({agreed})")
+        return 0
+    for error in errors:
+        sys.stderr.write(f"lint: {row}: {error}\n")
+    sys.stderr.write(f"lint: {row}: FAILED ({len(errors)} error(s))\n")
+    return 1
+
+
 def main():
     design = (REPO / "DESIGN.md").read_text()
     failed = 0
@@ -155,14 +205,11 @@ def main():
                       f"the '**{inv.anchor}**' paragraph)"]
         else:
             errors = check(inv, src, doc)
-        if not errors:
-            print(f"lint: {inv.row}: OK ({len(src)} names, sources and "
-                  f"DESIGN.md agree)")
-            continue
-        failed += 1
-        for error in errors:
-            sys.stderr.write(f"lint: {inv.row}: {error}\n")
-        sys.stderr.write(f"lint: {inv.row}: FAILED ({len(errors)} error(s))\n")
+        failed += report(inv.row, errors, f"{len(src or ())} names, sources "
+                         f"and DESIGN.md agree")
+    core, reused, errors = check_loc()
+    failed += report("loc", errors, f"core {core}, reused infra {reused}; "
+                     f"BENCH_loc.json agrees")
     return 1 if failed else 0
 
 
