@@ -86,8 +86,11 @@ BENCHMARK(BM_FrameFieldAccess);
 
 enum class GroupByMode { kSort, kHashSort, kDense, kDenseByVid };
 
+/// Groups 100,000 messages to `distinct` keys 0, stride, 2·stride, ...; a
+/// dense grouper holds one slot per key, as a receiving partition holds
+/// every stride-th vid.
 void GroupByBench(benchmark::State& state, GroupByMode mode,
-                  int64_t distinct) {
+                  int64_t distinct, int64_t stride = 1) {
   TempDir dir("micro-gb");
   for (auto _ : state) {
     SortConfig config;
@@ -109,8 +112,8 @@ void GroupByBench(benchmark::State& state, GroupByMode mode,
     };
     auto feed = [&](auto& grouper) {
       for (int i = 0; i < n; ++i) {
-        const std::string key =
-            OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(distinct)));
+        const std::string key = OrderedKeyI64(
+            static_cast<int64_t>(rnd.Uniform(distinct)) * stride);
         payload.clear();
         PutDouble(&payload, 1.0);
         const Slice fields[2] = {Slice(key), Slice(payload)};
@@ -123,7 +126,8 @@ void GroupByBench(benchmark::State& state, GroupByMode mode,
       feed(grouper);
     } else if (mode == GroupByMode::kDense) {
       DenseGrouper grouper(config, SumCombiner(), /*lo=*/0,
-                           static_cast<uint64_t>(distinct));
+                           static_cast<uint64_t>(distinct),
+                           static_cast<uint64_t>(stride));
       feed(grouper);
     } else if (mode == GroupByMode::kDenseByVid) {
       DenseGrouper grouper(config, SumCombiner(), /*lo=*/0,
@@ -171,6 +175,13 @@ void BM_DenseGroupByManyGroups(benchmark::State& state) {
   GroupByBench(state, GroupByMode::kDense, /*distinct=*/100000);
 }
 BENCHMARK(BM_DenseGroupByManyGroups)->Unit(benchmark::kMillisecond);
+
+void BM_DenseGroupByStrided(benchmark::State& state) {
+  // The same 100,000 slots as one receiving partition of 4 holds them, every
+  // fourth vid: each Add also divides by the stride and checks the residue.
+  GroupByBench(state, GroupByMode::kDense, /*distinct=*/100000, /*stride=*/4);
+}
+BENCHMARK(BM_DenseGroupByStrided)->Unit(benchmark::kMillisecond);
 
 void BM_DenseGroupByAddVid(benchmark::State& state) {
   // The same messages through AddVid, as the compute operator sends them:

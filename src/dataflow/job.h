@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/serde.h"
 #include "dataflow/operator.h"
 
 namespace pregelix {
@@ -14,7 +15,7 @@ namespace pregelix {
 /// Inter-operator data exchange pattern (paper Section 4 "Connectors").
 enum class ConnectorKind {
   kOneToOne,            ///< partition i feeds partition i (sticky/local)
-  kMToNPartition,       ///< repartition by key hash, unordered arrival
+  kMToNPartition,       ///< repartition by key, unordered arrival
   kMToNPartitionMerge,  ///< repartition; receiver merges sorted sender runs
   kMToOne,              ///< all partitions feed partition 0 (aggregator)
 };
@@ -26,19 +27,23 @@ struct ConnectorSpec {
   int dst_op = -1;
   int dst_input = 0;
   ConnectorKind kind = ConnectorKind::kMToNPartition;
-  /// Field used for hash routing and for the merge order.
+  /// Field used for routing and for the merge order.
   int key_field = 0;
   /// Tuple width on this edge (needed by the merging receiver).
   int field_count = 2;
 
-  /// Routing and ordering deliberately agree on key identity: Route hashes
-  /// the *raw key bytes*, and the sort/merge path orders by those same raw
-  /// bytes (NormalizedKeyPrefix is just the first 8 bytes as a big-endian
-  /// word — a comparison *prefix*, with ties broken by full byte compare,
-  /// never a different key). So equal keys hash to one partition and
-  /// compare equal in the merge.
+  /// An 8-byte key is an OrderedI64 vertex id and goes to partition
+  /// vid mod n, negative vids mapped into [0, n): the load, message and
+  /// mutation connectors place Vertex and Msg alike, and partition p holds
+  /// the vids p, p + n, p + 2n, ... of a dense id range, so a per-partition
+  /// array indexed by vid / n covers it without gaps. Any other key goes to
+  /// its raw bytes' Hash64 mod n. Either way the partition is a function of
+  /// the key bytes, the very bytes the sort and merge path orders by, so
+  /// equal keys share a partition and compare equal in the merge.
   uint32_t Route(const Slice& key, uint32_t n) const {
-    return static_cast<uint32_t>(Hash64(key) % n);
+    if (key.size() != 8) return static_cast<uint32_t>(Hash64(key) % n);
+    const int64_t r = DecodeOrderedI64(key.data()) % static_cast<int64_t>(n);
+    return static_cast<uint32_t>(r < 0 ? r + n : r);
   }
 };
 

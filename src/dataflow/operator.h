@@ -94,7 +94,8 @@ enum class Sortedness {
 /// How a stream's tuples are placed across partitions.
 enum class Partitioning {
   kArbitrary,  ///< no placement guarantee
-  kHashByKey,  ///< equal keys share a partition (hash of the raw key bytes)
+  kHashByKey,  ///< equal keys share a partition (partitioned by the
+               ///< connector's key function, ConnectorSpec::Route)
   kSingleton,  ///< the whole stream lives on a single partition
 };
 

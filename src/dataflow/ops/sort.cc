@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/fault_injection.h"
@@ -120,27 +121,42 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
   span.AddArg("fanin", config.merge_fanin);
   const size_t fanin = static_cast<size_t>(config.merge_fanin);
   uint64_t pass_id = 0;
+  // The merge owns every run it was handed and every intermediate output.
+  // A pass deletes its inputs once it has read them all; on an error the
+  // current generation and the outputs made so far, the failed pass's
+  // partial one included, are deleted here, so no exit path leaves a run.
+  std::vector<std::string> next_paths;
+  auto delete_all = [&](Status s) {
+    for (const std::string& path : run_paths) DeleteFileIfExists(path);
+    for (const std::string& path : next_paths) DeleteFileIfExists(path);
+    return s;
+  };
   // Intermediate passes until the fan-in fits.
   while (run_paths.size() > fanin) {
-    std::vector<std::string> next_paths;
     for (size_t start = 0; start < run_paths.size(); start += fanin) {
       const std::span<const std::string> group =
           std::span<const std::string>(run_paths).subspan(
               start, std::min(fanin, run_paths.size() - start));
-      TupleRunWriter writer(
-          config.scratch_prefix + "-merge-" + std::to_string(pass_id++),
-          config.frame_size, config.field_count, config.metrics);
-      PREGELIX_RETURN_NOT_OK(
-          MergePass(config, combiner, group, /*apply_finish=*/false,
-                    [&](std::span<const Slice> fields) {
-                      return writer.Append(fields);
-                    }));
-      PREGELIX_RETURN_NOT_OK(writer.Finish());
-      next_paths.push_back(writer.path());
+      next_paths.push_back(config.scratch_prefix + "-merge-" +
+                           std::to_string(pass_id++));
+      Status s;
+      {
+        TupleRunWriter writer(next_paths.back(), config.frame_size,
+                              config.field_count, config.metrics);
+        s = MergePass(config, combiner, group, /*apply_finish=*/false,
+                      [&](std::span<const Slice> fields) {
+                        return writer.Append(fields);
+                      });
+        if (s.ok()) s = writer.Finish();
+      }
+      if (!s.ok()) return delete_all(std::move(s));
     }
     run_paths = std::move(next_paths);
+    next_paths.clear();
   }
-  return MergePass(config, combiner, run_paths, /*apply_finish=*/true, emit);
+  Status s =
+      MergePass(config, combiner, run_paths, /*apply_finish=*/true, emit);
+  return s.ok() ? s : delete_all(std::move(s));
 }
 
 }  // namespace internal_sort
@@ -513,11 +529,13 @@ Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
 // DenseGrouper
 
 DenseGrouper::DenseGrouper(const SortConfig& config, GroupCombiner combiner,
-                           int64_t lo, uint64_t slots)
+                           int64_t lo, uint64_t slots, uint64_t stride)
     : config_(config),
       combiner_(std::move(combiner)),
       lo_(lo),
       slots_(slots),
+      stride_(stride),
+      end_(slots == 0 ? 0 : (slots - 1) * stride + 1),
       width_(combiner_.width),
       // Uninitialized: a slot is read only after its presence bit is set.
       acc_(std::make_unique_for_overwrite<char[]>(slots * combiner_.width)),
@@ -525,6 +543,13 @@ DenseGrouper::DenseGrouper(const SortConfig& config, GroupCombiner combiner,
   PREGELIX_CHECK(combiner_.valid() && width_ > 0 && combiner_.fold)
       << "dense group-by requires a fixed-width combiner";
   PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0);
+  // The last slot's vid, lo + (slots - 1)·stride, must not pass INT64_MAX:
+  // then no offset wraps and the slots go out in key order.
+  const uint64_t room_above_lo =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) -
+      static_cast<uint64_t>(lo_);
+  PREGELIX_CHECK(stride_ >= 1 &&
+                 (slots_ == 0 || slots_ - 1 <= room_above_lo / stride_));
 }
 
 Status DenseGrouper::Add(std::span<const Slice> fields) {
@@ -557,6 +582,14 @@ Status DenseGrouper::AddOverflow(int64_t vid, const char* payload) {
   return overflow_->Add(fields);
 }
 
+Status DenseGrouper::Misrouted(int64_t vid) const {
+  return Status::Internal(
+      "dense group-by got vid " + std::to_string(vid) +
+      ", inside its range but not of the residue of its first vid " +
+      std::to_string(lo_) + " mod " + std::to_string(stride_) +
+      ": the tuple was routed to the wrong partition");
+}
+
 Status DenseGrouper::EmitSlots(const TupleEmitFn& emit) {
   ScopedTimeCategory group_by(TimeCategory::kGroupBy);
   char key[8] = {};
@@ -565,7 +598,7 @@ Status DenseGrouper::EmitSlots(const TupleEmitFn& emit) {
     for (uint64_t bits = present_[w]; bits != 0; bits &= bits - 1) {
       const uint64_t slot = w * 64 + std::countr_zero(bits);
       EncodeOrderedI64(key, static_cast<int64_t>(static_cast<uint64_t>(lo_) +
-                                                 slot));
+                                                 slot * stride_));
       Slice payload(acc_.get() + slot * width_, width_);
       if (combiner_.finish) {
         finished_acc.assign(payload.data(), payload.size());

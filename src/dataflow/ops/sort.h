@@ -212,20 +212,25 @@ class HashSortGrouper final : public Grouper {
 
 /// Direct-addressed group-by for fixed-width combiners, an extension beside
 /// the paper's sort and hash-sort group-bys (a combined mailbox in the
-/// style of iPregel): one `width`-byte accumulator slot
-/// per key of the vid range [lo, lo + slots) plus a presence bitmap. Add
-/// decodes the 8-byte OrderedKeyI64 key and copies the payload into an
-/// empty slot or folds it into a filled one; Finish walks the bitmap and
-/// emits the slots in slot order, which is key order. Nothing is sorted or
-/// spilled. A key outside the range (a vertex created after load) goes to
-/// an overflow ExternalSortGrouper, built on first use with whatever budget
+/// style of iPregel, its slots addressed by vertex id as in GraphD): one
+/// `width`-byte accumulator slot per vid lo, lo + stride, ...,
+/// lo + (slots - 1)·stride plus a presence bitmap. The send side covers the
+/// whole vid range with stride 1; a receiving partition covers only its own
+/// vids, whose residue mod the partition count (the stride) is its own
+/// (ConnectorSpec::Route). Add decodes the 8-byte OrderedKeyI64 key and
+/// copies the payload into an empty slot or folds it into a filled one;
+/// Finish walks the bitmap and emits the slots in slot order, which is key
+/// order. Nothing is sorted or spilled. A key outside the range
+/// [lo, lo + (slots - 1)·stride] (a vertex created after load) goes to an
+/// overflow ExternalSortGrouper, built on first use with whatever budget
 /// the array leaves; Finish emits its keys below the range, the slots, then
-/// its keys above the range.
+/// its keys above the range. A key inside the range whose residue differs
+/// from lo's was routed to the wrong partition: Add returns Internal.
 class DenseGrouper final : public Grouper {
  public:
-  /// `combiner.width` must be > 0.
+  /// `combiner.width` must be > 0, `stride` ≥ 1.
   DenseGrouper(const SortConfig& config, GroupCombiner combiner, int64_t lo,
-               uint64_t slots);
+               uint64_t slots, uint64_t stride = 1);
 
   /// A key that is not 8 bytes or a payload that is not `width` bytes
   /// returns InvalidArgument.
@@ -234,13 +239,18 @@ class DenseGrouper final : public Grouper {
 
   /// Add for a caller that holds the vid itself and a payload of exactly
   /// `width()` bytes (the compute operator's send side): no key is encoded
-  /// or decoded and nothing is checked. A vid outside the range goes to the
-  /// overflow, as in Add.
+  /// or decoded and the payload is not checked. A vid outside the range
+  /// goes to the overflow, as in Add.
   Status AddVid(int64_t vid, const char* payload) {
     // Unsigned: a vid below lo wraps past every slot, and nothing overflows.
-    const uint64_t slot =
+    const uint64_t offset =
         static_cast<uint64_t>(vid) - static_cast<uint64_t>(lo_);
-    if (slot >= slots_) return AddOverflow(vid, payload);
+    if (offset >= end_) return AddOverflow(vid, payload);
+    uint64_t slot = offset;
+    if (stride_ != 1) {
+      slot = offset / stride_;
+      if (slot * stride_ != offset) return Misrouted(vid);
+    }
     char* acc = acc_.get() + slot * width_;
     uint64_t& word = present_[slot / 64];
     const uint64_t bit = uint64_t{1} << (slot % 64);
@@ -264,12 +274,15 @@ class DenseGrouper final : public Grouper {
 
  private:
   Status AddOverflow(int64_t vid, const char* payload);
+  Status Misrouted(int64_t vid) const;
   Status EmitSlots(const TupleEmitFn& emit);
 
   SortConfig config_;
   GroupCombiner combiner_;
   const int64_t lo_;
   const uint64_t slots_;
+  const uint64_t stride_;
+  const uint64_t end_;  ///< offsets from lo below it fall in the range
   const size_t width_;
   std::unique_ptr<char[]> acc_;    ///< slots × width; only present slots set
   std::vector<uint64_t> present_;  ///< bit s set = slot s holds a value
@@ -308,7 +321,8 @@ namespace internal_sort {
 /// K-way merge (with optional combining) over runs written by the groupers
 /// with TupleRunWriter; shared by both spilling implementations. Multi-pass
 /// when the number of runs exceeds the fan-in. Deletes each run once its
-/// pass has read it.
+/// pass has read it, and on an error every run it was handed and every
+/// intermediate output it made.
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  std::vector<std::string> run_paths, const TupleEmitFn& emit);
 

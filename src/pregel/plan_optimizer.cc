@@ -26,6 +26,10 @@ constexpr double kSparseFrontierRatio = 0.20;
 /// ...and return to the full-outer scan only once it rises above this (the
 /// gap between the two is the hysteresis band).
 constexpr double kDenseFrontierRatio = 0.35;
+/// Below this ratio the probe join is entered at once, without the
+/// confirmation streak: a full-outer scan of every vertex for a near-empty
+/// frontier costs more than any flap could (the cooldown still applies).
+constexpr double kNearEmptyFrontierRatio = 0.01;
 /// Message volume past `kMessageScanRatio * ApproxVertexScanBytes` keeps the
 /// sequential scan-merge: the superstep is message-bound either way, and
 /// the probe join only adds random I/O.
@@ -52,32 +56,50 @@ std::string FormatRatio(const char* tag, double v) {
   return buf;
 }
 
-/// Whether the kDense group-by can run this superstep: the combiner has a
-/// fixed width, and one slot per vid of the loaded range, with its presence
-/// bit, fits the group-by budget beside one frame. Sets ctx->dense_lo and
-/// ctx->dense_slots when it can.
-bool DenseMailboxFits(JobRuntimeContext* ctx) {
+/// Whether the kDense group-by can run this superstep under `connector`.
+/// The combiner must have a fixed width, and every partition's receive
+/// array must fit the group-by budget beside one frame: one slot per vid of
+/// its own, min_vid, min_vid + P, ..., max_vid (ConnectorSpec::Route puts
+/// vid v on partition v mod P), with its presence bits. The send side
+/// pre-combines into one slot per vid of the whole loaded range where that
+/// array fits too; otherwise it sends its messages uncombined, in compute
+/// order, which the merging connector cannot take. Sets each
+/// PartitionState::dense_slots, ctx->dense_lo and ctx->dense_slots (0 for
+/// the uncombined send side), which only a dense superstep reads.
+bool DenseMailboxFits(JobRuntimeContext* ctx, GroupByConnector connector) {
   if (ctx->program == nullptr || ctx->cluster == nullptr) return false;
   const size_t width = ctx->program->MsgCombiner().width;
+  const ClusterConfig& config = ctx->cluster->config();
+  if (width == 0 || config.groupby_memory_bytes <= config.frame_size) {
+    return false;
+  }
+  const uint64_t room = config.groupby_memory_bytes - config.frame_size;
+  // Slots of the vids lo, lo + stride, ..., hi when their array fits the
+  // room, else 0. hi - lo in unsigned arithmetic cannot overflow; the first
+  // test bounds the slots so that ArrayBytes cannot either.
+  auto fitting_slots = [&](int64_t lo, int64_t hi, uint64_t stride) {
+    const uint64_t steps =
+        (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / stride;
+    if (steps >= room / width) return uint64_t{0};
+    const uint64_t slots = steps + 1;
+    return DenseGrouper::ArrayBytes(slots, width) <= room ? slots
+                                                          : uint64_t{0};
+  };
+  const uint64_t stride = static_cast<uint64_t>(ctx->cluster->num_partitions());
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
-  for (const PartitionState& p : ctx->partitions) {
+  for (PartitionState& p : ctx->partitions) {
+    p.dense_slots = 0;
+    if (p.min_vid > p.max_vid) continue;  // holds no vertex: no slots
+    p.dense_slots = fitting_slots(p.min_vid, p.max_vid, stride);
+    if (p.dense_slots == 0) return false;
     lo = std::min(lo, p.min_vid);
     hi = std::max(hi, p.max_vid);
   }
-  if (width == 0 || lo > hi) return false;
-  const ClusterConfig& config = ctx->cluster->config();
-  if (config.groupby_memory_bytes <= config.frame_size) return false;
-  const uint64_t room = config.groupby_memory_bytes - config.frame_size;
-  // hi - lo in unsigned arithmetic cannot overflow; the first test bounds
-  // slots so that ArrayBytes cannot either.
-  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (span >= room / width) return false;
-  const uint64_t slots = span + 1;
-  if (DenseGrouper::ArrayBytes(slots, width) > room) return false;
+  if (lo > hi) return false;
   ctx->dense_lo = lo;
-  ctx->dense_slots = slots;
-  return true;
+  ctx->dense_slots = fitting_slots(lo, hi, 1);
+  return ctx->dense_slots > 0 || connector == GroupByConnector::kUnmerged;
 }
 
 }  // namespace
@@ -157,8 +179,9 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
         current_.join == JoinStrategy::kLeftOuter &&
         (ratio > kDenseFrontierRatio || msg_dominant ||
          (fb.stalled && ratio > kSparseFrontierRatio));
+    const bool near_empty = wants_loj && ratio < kNearEmptyFrontierRatio;
     if (Confirm(&join_state_, superstep, wants_loj || wants_foj,
-                fb.stalled)) {
+                fb.stalled || near_empty)) {
       current_.join = wants_loj ? JoinStrategy::kLeftOuter
                                 : JoinStrategy::kFullOuter;
       ++switch_count_;
@@ -278,8 +301,9 @@ PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
   if (ctx->plan_pinned && ctx->pinned_superstep == ctx->current_superstep) {
     d = ctx->pinned_plan;
   }
-  // kDense falls back to sort where its slot array does not apply.
-  if (d.groupby == GroupByStrategy::kDense && !DenseMailboxFits(ctx)) {
+  // kDense falls back to sort where its slot arrays do not apply.
+  if (d.groupby == GroupByStrategy::kDense &&
+      !DenseMailboxFits(ctx, d.connector)) {
     d.groupby = GroupByStrategy::kSort;
   }
   ctx->current_join = d.join;

@@ -29,7 +29,8 @@
 // cooldown window during which the knob cannot switch back. Reactive
 // switches (watchdog stall, spill bytes past the group-by budget) skip the
 // confirmation streak but still respect the cooldown, so the chooser cannot
-// oscillate even under an adversarial signal.
+// oscillate even under an adversarial signal; so does a switch to the probe
+// join on a near-empty frontier (ratio below 0.01).
 
 namespace pregelix {
 

@@ -81,16 +81,22 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
 }
 
 /// The message group-by the superstep resolved (ctx->current_groupby), for
-/// the send-side pre-combine and the unmerged receive side.
+/// the send-side pre-combine and the unmerged receive side. A dense one is
+/// the receive side's: one slot per vid of this partition, which holds the
+/// vids of one residue mod the partition count (ConnectorSpec::Route). The
+/// compute clone builds its dense send side itself.
 std::unique_ptr<Grouper> MakeMessageGrouper(JobRuntimeContext* ctx,
                                             TaskContext& task,
                                             const std::string& tag) {
   const SortConfig config = MakeSortConfig(ctx, task, tag);
   GroupCombiner combiner = ctx->program->MsgCombiner();
   switch (ctx->current_groupby) {
-    case GroupByStrategy::kDense:
-      return std::make_unique<DenseGrouper>(config, std::move(combiner),
-                                            ctx->dense_lo, ctx->dense_slots);
+    case GroupByStrategy::kDense: {
+      const PartitionState& state = ctx->partitions[task.partition];
+      return std::make_unique<DenseGrouper>(
+          config, std::move(combiner), state.min_vid, state.dense_slots,
+          static_cast<uint64_t>(task.num_partitions));
+    }
     case GroupByStrategy::kHashSort:
       return std::make_unique<HashSortGrouper>(config, std::move(combiner));
     default:
@@ -271,16 +277,25 @@ class ComputeDriver final : public MessageSink {
                  task.config->frame_size, 2, task.metrics) {
     contribution_.aggregate = agg_hooks_.initial;
     contribution_.has_aggregate = agg_hooks_.valid();
-    grouper_ = MakeMessageGrouper(ctx, task, "sendgb");
-    if (ctx->current_groupby == GroupByStrategy::kDense) {
-      dense_ = static_cast<DenseGrouper*>(grouper_.get());
+    if (ctx->current_groupby != GroupByStrategy::kDense) {
+      grouper_ = MakeMessageGrouper(ctx, task, "sendgb");
+    } else if (ctx->dense_slots > 0) {
+      // One slot per vid of the whole loaded range.
+      auto dense = std::make_unique<DenseGrouper>(
+          MakeSortConfig(ctx, task, "sendgb"), ctx->program->MsgCombiner(),
+          ctx->dense_lo, ctx->dense_slots);
+      dense_ = dense.get();
+      grouper_ = std::move(dense);
     }
+    // Otherwise that array does not fit, and there is no send-side
+    // pre-combine: Send hands each message straight to the connector.
     output_.sink = this;
   }
 
-  /// D3: one message into the sender-side pre-combine. A dense grouper
-  /// takes a payload of its width by vid; everything else goes through
-  /// Grouper::Add, which checks it.
+  /// D3: one message into the sender-side pre-combine, or to the connector
+  /// when there is none. A dense grouper takes a payload of its width by
+  /// vid; everything else goes through Grouper::Add, which checks it (the
+  /// receiving dense grouper checks an uncombined message).
   Status Send(int64_t dst, const Slice& payload) override {
     ++sent_;
     if (dense_ != nullptr && payload.size() == dense_->width()) {
@@ -289,7 +304,8 @@ class ComputeDriver final : public MessageSink {
     char key[8];
     EncodeOrderedI64(key, dst);
     const Slice fields[2] = {Slice(key, sizeof(key)), payload};
-    return grouper_->Add(fields);
+    return grouper_ != nullptr ? grouper_->Add(fields)
+                               : task_.output(0).Append(fields);
   }
 
   Status Init() {
@@ -400,10 +416,12 @@ class ComputeDriver final : public MessageSink {
     }
     // Combined message stream to the connector (sorted by destination, so
     // the merging connector's receiver sees sorted sender runs).
-    auto emit = [&](std::span<const Slice> fields) {
-      return task_.output(0).Append(fields);
-    };
-    PREGELIX_RETURN_NOT_OK(grouper_->Finish(emit));
+    if (grouper_ != nullptr) {
+      PREGELIX_RETURN_NOT_OK(
+          grouper_->Finish([&](std::span<const Slice> fields) {
+            return task_.output(0).Append(fields);
+          }));
+    }
     // Contribution tuple (m-to-one).
     const std::string key = OrderedKeyI64(task_.partition);
     const std::string payload = contribution_.Encode();
@@ -460,6 +478,8 @@ class ComputeDriver final : public MessageSink {
   const bool mutates_;  ///< the plan has the D6 output and resolve
   GlobalAggHooks agg_hooks_;
 
+  /// The send-side pre-combine; null when a dense superstep sends
+  /// uncombined.
   std::unique_ptr<Grouper> grouper_;
   DenseGrouper* dense_ = nullptr;  ///< grouper_ when the group-by is dense
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
@@ -1052,6 +1072,11 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
   ResolvePlanDecision(ctx);
   const bool loj = ctx->current_join == JoinStrategy::kLeftOuter;
   const bool merged = ctx->current_connector == GroupByConnector::kMerged;
+  // A dense superstep whose whole-range array does not fit sends its
+  // messages uncombined, in compute order; ResolvePlanDecision pairs that
+  // only with the unmerged connector.
+  const bool presorted = ctx->current_groupby != GroupByStrategy::kDense ||
+                         ctx->dense_slots > 0;
   // Flow D6 and resolve exist only for programs that declare mutations.
   const bool mutates = ctx->program->MutatesGraph();
   const size_t groupby_bytes = ctx->cluster->config().groupby_memory_bytes;
@@ -1062,9 +1087,12 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
       ->DeclarePorts(0, mutates ? 3 : 2)
       // Output 0: the send-side group-by emits combined messages in
       // destination-key order (what the merging connector's receiver
-      // merges). Outputs 1 (GS contributions) and 2 (mutations, when the
-      // program declares them) carry no properties.
-      ->DeclareOutput(0, {Sortedness::kSortedByKey, Partitioning::kArbitrary})
+      // merges); uncombined messages carry no order. Outputs 1 (GS
+      // contributions) and 2 (mutations, when the program declares them)
+      // carry no properties.
+      ->DeclareOutput(0, {presorted ? Sortedness::kSortedByKey
+                                    : Sortedness::kUnsorted,
+                          Partitioning::kArbitrary})
       ->DeclareMemoryBytes(groupby_bytes);  // the "sendgb" grouper
   const int compute = spec.AddOperator(compute_op, partitions);
   auto combine_op = std::make_shared<LambdaOperatorDescriptor>(

@@ -71,6 +71,11 @@ struct PartitionState {
   /// outside the range to its overflow.
   int64_t min_vid = std::numeric_limits<int64_t>::max();
   int64_t max_vid = std::numeric_limits<int64_t>::min();
+  /// Slots of this partition's kDense receive array: its vids min_vid,
+  /// min_vid + P, ..., max_vid for P partitions (ConnectorSpec::Route puts
+  /// vid v on partition v mod P), 0 when it holds none. Set with
+  /// JobRuntimeContext::current_groupby.
+  uint64_t dense_slots = 0;
 
   /// Snapshot files this partition contributed to the checkpoint in flight;
   /// the driver folds them into the checkpoint MANIFEST (the commit record
@@ -105,8 +110,10 @@ struct JobRuntimeContext {
   GroupByConnector current_connector = GroupByConnector::kUnmerged;
   /// Resolved once at job admission (before load); never kAuto.
   VertexStorage current_storage = VertexStorage::kBTree;
-  /// Slot range of the kDense group-by, [dense_lo, dense_lo + dense_slots):
-  /// the loaded vids of all partitions. Set with current_groupby.
+  /// Slot range of the kDense send side, [dense_lo, dense_lo + dense_slots):
+  /// the loaded vids of all partitions. 0 slots when that array does not
+  /// fit the group-by budget: the compute clones then send every message
+  /// uncombined. Set with current_groupby.
   int64_t dense_lo = 0;
   uint64_t dense_slots = 0;
 

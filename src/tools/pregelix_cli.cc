@@ -173,8 +173,11 @@ commands:
                                 `auto` lets the feedback-driven plan
                                 optimizer re-choose per superstep (storage:
                                 once at admission); `dense` runs sort where
-                                the combiner is variable-width or the vid
-                                range does not fit the group-by budget
+                                the combiner is variable-width or a
+                                partition's vids (every P-th, P partitions)
+                                do not fit the group-by budget, and sends
+                                uncombined where the whole vid range does
+                                not fit (sort under --connector=merged)
       --source=ID               source vertex (sssp/reachability/bfs-tree)
       --iterations=K            PageRank iterations (default 10)
       --checkpoint-interval=K   checkpoint every K supersteps (default off)

@@ -90,6 +90,27 @@ TEST(PlanOptimizerTest, JoinSwitchRequiresConfirmationStreak) {
   EXPECT_EQ(opt.last_reason().rfind("frontier", 0), 0u) << opt.last_reason();
 }
 
+// A near-empty frontier (ratio below 0.01) takes the probe join at once,
+// without the streak: a full-outer scan of every vertex for a handful of
+// messages costs more than a flap could. A frontier that is only sparse
+// still needs the streak.
+TEST(PlanOptimizerTest, NearEmptyFrontierSwitchesWithoutTheStreak) {
+  PlanOptimizer opt;
+  opt.Decide(1);
+  opt.Observe(Feedback(0, 1));  // ratio 0.001
+  EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kLeftOuter);
+  EXPECT_FALSE(opt.last_reactive());
+  EXPECT_EQ(opt.switch_count(), 1);
+  EXPECT_EQ(opt.last_reason().rfind("frontier", 0), 0u) << opt.last_reason();
+
+  PlanOptimizer sparse;
+  sparse.Decide(1);
+  sparse.Observe(Feedback(50, 50));  // ratio 0.1
+  EXPECT_EQ(sparse.Decide(2).join, JoinStrategy::kFullOuter) << "streak of 1";
+  sparse.Observe(Feedback(50, 50));
+  EXPECT_EQ(sparse.Decide(3).join, JoinStrategy::kLeftOuter) << "streak of 2";
+}
+
 TEST(PlanOptimizerTest, SparseBoundaryIsExclusive) {
   PlanOptimizer opt;
   // ratio == kSparseFrontierRatio exactly (200/1000 = 0.20): not sparse.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -107,30 +108,87 @@ class ExecutorTest : public ::testing::Test {
   TempDir dir_{"executor-test"};
 };
 
-TEST_F(ExecutorTest, MToNPartitionRoutesByHash) {
-  SimulatedCluster cluster(MakeConfig(4));
-  Collected collected;
+// The m-to-n connector places an 8-byte key, an OrderedI64 vid, on
+// partition vid mod P with negative vids mapped into [0, P), so Vertex and
+// Msg tuples keyed by vid are co-partitioned and partition p holds every
+// P-th vid. A key of any other width lands on its bytes' Hash64 mod P.
+TEST_F(ExecutorTest, MToNPartitionRoutesVidsByResidueAndOtherKeysByHash) {
+  constexpr int kPartitions = 4;
+  SimulatedCluster cluster(MakeConfig(kPartitions));
+  std::mutex mutex;
+  std::map<int, std::vector<std::string>> keys_by_partition;
+  auto gen = std::make_shared<LambdaOperatorDescriptor>(
+      "gen", [](TaskContext& ctx) -> Status {
+        for (int64_t vid = -250; vid < 250; ++vid) {
+          // 8 bytes; 2 to 5 bytes ("k-250"); 11 to 14 bytes.
+          const std::string keys[3] = {OrderedKeyI64(vid),
+                                       "k" + std::to_string(vid),
+                                       "vertex-id-" + std::to_string(vid)};
+          for (const std::string& key : keys) {
+            const Slice t[2] = {Slice(key), Slice("p")};
+            PREGELIX_RETURN_NOT_OK(ctx.output(0).Append(t));
+          }
+        }
+        const std::string extremes[2] = {
+            OrderedKeyI64(std::numeric_limits<int64_t>::min()),
+            OrderedKeyI64(std::numeric_limits<int64_t>::max())};
+        for (const std::string& key : extremes) {
+          const Slice t[2] = {Slice(key), Slice("p")};
+          PREGELIX_RETURN_NOT_OK(ctx.output(0).Append(t));
+        }
+        return Status::OK();
+      });
+  auto sink = std::make_shared<LambdaOperatorDescriptor>(
+      "collect-keys", [&](TaskContext& ctx) -> Status {
+        FrameTupleAccessor acc(2);
+        std::string frame;
+        std::vector<std::string> keys;
+        while (ctx.input(0).Next(&frame)) {
+          acc.Reset(Slice(frame));
+          for (int t = 0; t < acc.tuple_count(); ++t) {
+            keys.push_back(acc.field(t, 0).ToString());
+          }
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        keys_by_partition[ctx.partition] = std::move(keys);
+        return Status::OK();
+      });
   JobSpec spec;
   spec.set_name("m2n");
-  const int gen = spec.AddOperator(MakeGenerator(500), 4);
-  const int sink = spec.AddOperator(MakeCollector(), 4);
   ConnectorSpec conn;
-  conn.src_op = gen;
-  conn.dst_op = sink;
+  conn.src_op = spec.AddOperator(gen, kPartitions);
+  conn.dst_op = spec.AddOperator(sink, kPartitions);
   conn.kind = ConnectorKind::kMToNPartition;
   conn.field_count = 2;
   spec.Connect(conn);
 
-  ASSERT_TRUE(RunJob(cluster, spec, &collected).ok());
-  // 4 generators x 500 tuples all arrive.
-  EXPECT_EQ(collected.Total(), 2000u);
-  // Every tuple lands on the hash-designated partition.
-  for (auto& [p, tuples] : collected.by_partition) {
-    for (auto& [vid, payload] : tuples) {
-      const std::string key = OrderedKeyI64(vid);
-      EXPECT_EQ(Hash64(Slice(key)) % 4, static_cast<uint64_t>(p));
+  ASSERT_TRUE(RunJob(cluster, spec, nullptr).ok());
+  size_t total = 0;
+  for (const auto& [p, keys] : keys_by_partition) {
+    total += keys.size();
+    for (const std::string& key : keys) {
+      uint64_t want;
+      if (key.size() == 8) {
+        const int64_t vid = DecodeOrderedI64(key.data());
+        want = static_cast<uint64_t>((vid % kPartitions + kPartitions) %
+                                     kPartitions);
+      } else {
+        want = Hash64(Slice(key)) % kPartitions;
+      }
+      EXPECT_EQ(want, static_cast<uint64_t>(p)) << "key of " << key.size()
+                                                 << " bytes";
     }
   }
+  // 4 generators x (500 x 3 + 2) tuples all arrive.
+  EXPECT_EQ(total, 4u * 1502u);
+  auto route = [&conn](int64_t vid, uint32_t n) {
+    return conn.Route(Slice(OrderedKeyI64(vid)), n);
+  };
+  EXPECT_EQ(route(-1, 4), 3u);
+  EXPECT_EQ(route(-4, 4), 0u);
+  EXPECT_EQ(route(std::numeric_limits<int64_t>::min(), 4), 0u);
+  EXPECT_EQ(route(std::numeric_limits<int64_t>::max(), 4), 3u);
+  EXPECT_EQ(route(std::numeric_limits<int64_t>::min(), 3), 1u);
 }
 
 TEST_F(ExecutorTest, MToOneGathersEverything) {

@@ -87,6 +87,67 @@ TEST_F(OutOfCoreTest, PageRankCorrectUnderMemoryPressure) {
   EXPECT_EQ(checked, graph.num_vertices());
 }
 
+// The default plan at 4 MB per worker, as perfbench's pagerank-ooc runs
+// it: the 256 KB group-by budget cannot hold one slot per vid of the 40,000
+// (320 KB), but each of the 4 partitions' 10,000-slot receive arrays fits.
+// So every superstep runs dense, sends uncombined and spills nothing, the
+// ranks match the reference, and the supersteps' simtime repeats exactly.
+TEST_F(OutOfCoreTest, DefaultPageRankRunsDenseAtFourMegabytesPerWorker) {
+  GraphStats stats;
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs_, "web4", 4, 40000, 8.0, 11, &stats).ok());
+  InMemoryGraph graph;
+  ASSERT_TRUE(LoadGraph(dfs_, "web4", &graph).ok());
+  const std::vector<double> expected = PageRankRef(graph, 4);
+
+  std::vector<double> superstep_sim[2];
+  for (int run = 0; run < 2; ++run) {
+    ClusterConfig config;
+    config.num_workers = 4;
+    config.worker_ram_bytes = 4u << 20;
+    config.temp_root = dir_.Sub("cluster-4mb-" + std::to_string(run));
+    SimulatedCluster cluster(config);
+    PregelixRuntime runtime(&cluster, &dfs_);
+    PageRankProgram program(4);
+    PageRankProgram::Adapter adapter(&program);
+    PregelixJobConfig job;
+    job.name = "pr-4mb";
+    job.input_dir = "web4";
+    job.output_dir = "out-4mb-" + std::to_string(run);
+    JobResult result;
+    Status s = runtime.Run(&adapter, job, &result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_FALSE(result.superstep_stats.empty());
+    for (const SuperstepStats& step : result.superstep_stats) {
+      EXPECT_EQ(step.groupby_used, GroupByStrategy::kDense)
+          << "superstep " << step.superstep;
+      EXPECT_EQ(step.spill_bytes, 0u) << "superstep " << step.superstep;
+      superstep_sim[run].push_back(step.sim_seconds);
+    }
+
+    std::vector<std::string> names;
+    ASSERT_TRUE(dfs_.List(job.output_dir, &names).ok());
+    int64_t checked = 0;
+    for (const std::string& name : names) {
+      std::string contents;
+      ASSERT_TRUE(dfs_.Read(job.output_dir + "/" + name, &contents).ok());
+      std::istringstream lines(contents);
+      std::string line;
+      while (std::getline(lines, line)) {
+        if (line.empty()) continue;
+        std::istringstream fields(line);
+        int64_t vid;
+        double rank;
+        fields >> vid >> rank;
+        EXPECT_NEAR(rank, expected[vid], 1e-9) << "vid " << vid;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, graph.num_vertices());
+  }
+  EXPECT_EQ(superstep_sim[0], superstep_sim[1]);
+}
+
 TEST_F(OutOfCoreTest, InMemoryAndOutOfCoreProduceIdenticalMetricsShape) {
   GraphStats stats;
   ASSERT_TRUE(GenerateBtcLike(dfs_, "btc", 2, 3000, 8.0, 5, &stats).ok());

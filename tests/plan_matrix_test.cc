@@ -4,10 +4,12 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "algorithms/algorithms.h"
 #include "common/temp_dir.h"
 #include "dataflow/cluster.h"
+#include "dataflow/plan_profile.h"
 #include "dfs/dfs.h"
 #include "graph/generator.h"
 #include "graph/ref_algos.h"
@@ -137,15 +139,17 @@ TEST_P(PlanMatrixTest, SsspIdenticalAcrossPhysicalPlans) {
   }
 }
 
-// A group-by budget too small for one slot per vid: the dense hint falls
-// back to the sort group-by on every superstep, with the same answer.
+// A group-by budget too small for one partition's receive array: the
+// dense hint falls back to the sort group-by on every superstep, with the
+// same answer.
 TEST_F(PlanMatrixTest, DenseFallsBackToSortWhenTheMailboxDoesNotFit) {
   ClusterConfig config;
   config.num_workers = 3;
   config.worker_ram_bytes = 8u << 20;
   config.frame_size = 4 * 1024;
-  // One frame plus 2 KB: room for about 250 of the 500 vids' slots.
-  config.groupby_memory_bytes = config.frame_size + 2 * 1024;
+  // One frame plus 1 KB: a partition holds 167 of the 500 vids (every
+  // third), and their 167 slots take 1,360 bytes.
+  config.groupby_memory_bytes = config.frame_size + 1024;
   config.temp_root = dir_->Sub("cluster-small-budget");
   const PlanParam plan{JoinStrategy::kFullOuter, GroupByStrategy::kDense,
                        GroupByConnector::kUnmerged, VertexStorage::kBTree};
@@ -154,6 +158,67 @@ TEST_F(PlanMatrixTest, DenseFallsBackToSortWhenTheMailboxDoesNotFit) {
                                           "out-small-budget", &result));
   ASSERT_FALSE(result.superstep_stats.empty());
   for (const SuperstepStats& stats : result.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kSort)
+        << "superstep " << stats.superstep;
+  }
+}
+
+/// Tuples into and out of the job's combine-msgs operator, summed over its
+/// supersteps.
+std::pair<uint64_t, uint64_t> CombineTuples(const JobResult& result) {
+  for (const PlanOperatorProfile& op : result.plan_profile->ops()) {
+    if (op.name == "combine-msgs") {
+      return {op.total.tuples_in, op.total.tuples_out};
+    }
+  }
+  ADD_FAILURE() << "no combine-msgs operator";
+  return {0, 0};
+}
+
+// One frame plus 2 KB holds each partition's 167-slot receive array but not
+// the 500-slot array of the whole vid range. Under the unmerged connector
+// the superstep runs dense with an uncombined send side: the receivers see
+// every message and fold them to what a pre-combining send side yields.
+// The merging connector needs key-sorted sender streams, so under it the
+// superstep runs sort.
+TEST_F(PlanMatrixTest, DenseSendsUncombinedWhenOnlyThePartitionArraysFit) {
+  ClusterConfig config;
+  config.num_workers = 3;
+  config.worker_ram_bytes = 8u << 20;
+  config.frame_size = 4 * 1024;
+  const PlanParam unmerged{JoinStrategy::kFullOuter, GroupByStrategy::kDense,
+                           GroupByConnector::kUnmerged, VertexStorage::kBTree};
+  config.temp_root = dir_->Sub("cluster-whole-range");
+  JobResult combined;
+  ASSERT_NO_FATAL_FAILURE(RunSsspAndCheck(unmerged, config, dfs_, *expected_,
+                                          "out-whole-range", &combined));
+
+  config.groupby_memory_bytes = config.frame_size + 2 * 1024;
+  config.temp_root = dir_->Sub("cluster-partition-arrays");
+  JobResult uncombined;
+  ASSERT_NO_FATAL_FAILURE(RunSsspAndCheck(unmerged, config, dfs_, *expected_,
+                                          "out-partition-arrays",
+                                          &uncombined));
+  ASSERT_FALSE(uncombined.superstep_stats.empty());
+  for (const SuperstepStats& stats : uncombined.superstep_stats) {
+    EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
+        << "superstep " << stats.superstep;
+    EXPECT_EQ(stats.spill_bytes, 0u) << "superstep " << stats.superstep;
+  }
+  const auto [combined_in, combined_out] = CombineTuples(combined);
+  const auto [uncombined_in, uncombined_out] = CombineTuples(uncombined);
+  EXPECT_GT(uncombined_in, combined_in);
+  EXPECT_EQ(uncombined_out, combined_out);
+
+  const PlanParam merged{JoinStrategy::kFullOuter, GroupByStrategy::kDense,
+                         GroupByConnector::kMerged, VertexStorage::kBTree};
+  config.temp_root = dir_->Sub("cluster-partition-arrays-merged");
+  JobResult sorted;
+  ASSERT_NO_FATAL_FAILURE(RunSsspAndCheck(merged, config, dfs_, *expected_,
+                                          "out-partition-arrays-merged",
+                                          &sorted));
+  ASSERT_FALSE(sorted.superstep_stats.empty());
+  for (const SuperstepStats& stats : sorted.superstep_stats) {
     EXPECT_EQ(stats.groupby_used, GroupByStrategy::kSort)
         << "superstep " << stats.superstep;
   }

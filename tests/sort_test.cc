@@ -740,6 +740,115 @@ TEST_F(SortTest, DenseGrouperAppliesFinishToSlotsAndOverflow) {
   }
 }
 
+// A receiving partition's dense grouper holds only its own vids: every
+// fourth one from lo. Keys of that residue inside the range fold into their
+// slots and the rest go to the overflow; whatever the mix, it emits the
+// tuples the sort group-by emits, in key order.
+TEST_F(SortTest, StridedDenseGrouperMatchesSortGrouper) {
+  constexpr int64_t kLo = -97;  // residue 3 mod 4
+  constexpr uint64_t kSlots = 60;
+  constexpr uint64_t kStride = 4;
+  DenseGrouper dense(MakeConfig(4096), SumI64Combiner(), kLo, kSlots,
+                     kStride);
+  SortConfig sort_config = MakeConfig(4096);
+  sort_config.scratch_prefix = dir_.path() + "/reference";
+  ExternalSortGrouper sorted(sort_config, SumI64Combiner());
+  Random rnd(41);
+  int in_range = 0;
+  for (int i = 0; i < 3000; ++i) {
+    // Slot indexes -30 .. 89: below the range, in it and above it.
+    const int64_t vid =
+        kLo + static_cast<int64_t>(kStride) *
+                  (static_cast<int64_t>(rnd.Uniform(120)) - 30);
+    if (vid >= kLo &&
+        vid < kLo + static_cast<int64_t>(kSlots * kStride)) {
+      ++in_range;
+    }
+    const std::string k = OrderedKeyI64(vid);
+    std::string payload;
+    PutFixed64(&payload, rnd.Next());
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    ASSERT_TRUE(dense.Add(t).ok());
+    ASSERT_TRUE(sorted.Add(t).ok());
+  }
+  ASSERT_GT(in_range, 1000);
+  ASSERT_LT(in_range, 2000);
+  EmittedTuples dense_out, sort_out;
+  ASSERT_TRUE(CollectInto(dense, &dense_out).ok());
+  ASSERT_TRUE(CollectInto(sorted, &sort_out).ok());
+  ASSERT_EQ(sort_out.size(), 120u);
+  EXPECT_TRUE(dense_out == sort_out);
+}
+
+// An in-range key of another residue was routed to the wrong partition:
+// Add and AddVid return an error instead of folding it into a neighbour's
+// slot or emitting it out of key order. Outside the range the overflow
+// takes any key.
+TEST_F(SortTest, StridedDenseGrouperRejectsAKeyOfAnotherResidue) {
+  DenseGrouper grouper(MakeConfig(1 << 20), SumI64Combiner(), /*lo=*/2,
+                       /*slots=*/10, /*stride=*/4);
+  std::string payload;
+  PutFixed64(&payload, 1);
+  const std::string misrouted = OrderedKeyI64(7);
+  const Slice t[2] = {Slice(misrouted), Slice(payload)};
+  const Status s = grouper.Add(t);
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_EQ(grouper.AddVid(35, payload.data()).code(), StatusCode::kInternal);
+  // The range is 2, 6, ..., 38; 1, 39, 43 and -6 lie outside it.
+  for (int64_t vid : {2, 38, 1, 39, 43, -6}) {
+    ASSERT_TRUE(grouper.AddVid(vid, payload.data()).ok()) << vid;
+  }
+  EmittedTuples out;
+  ASSERT_TRUE(CollectInto(grouper, &out).ok());
+  std::vector<int64_t> keys;
+  for (const auto& [key, value] : out) {
+    keys.push_back(DecodeOrderedI64(key.data()));
+  }
+  EXPECT_EQ(keys, (std::vector<int64_t>{-6, 1, 2, 38, 39, 43}));
+}
+
+// A merge that fails part way deletes every run it was handed and every
+// intermediate output it made, the failed pass's partial one included: a
+// spilling, multi-pass group-by whose merge refill fails leaves nothing
+// under its scratch prefix.
+TEST_F(SortTest, FailedMergeDeletesEveryRun) {
+  SortConfig config = MakeConfig(512);
+  config.merge_fanin = 2;
+  ExternalSortGrouper grouper(config, MinDoubleCombiner());
+  Random rnd(23);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string k =
+        OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(100)));
+    std::string payload;
+    PutDouble(&payload, rnd.NextDouble());
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    ASSERT_TRUE(grouper.Add(t).ok());
+  }
+  ASSERT_GT(grouper.runs_spilled(), 4);  // at least two merge passes
+  auto leftover_runs = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir_.path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("sort-", 0) == 0) names.push_back(name);
+    }
+    return names;
+  };
+  // Mid-way through the first pass: some of its outputs are complete, one
+  // is partial, and most spilled runs are unread.
+  fault::FaultSpec spec;
+  spec.trigger = fault::Trigger::kNthHit;
+  spec.n = 300;
+  spec.code = StatusCode::kIoError;
+  spec.message = "injected merge refill failure";
+  fault::FaultInjector::Global().Arm("sort.merge.refill", spec);
+  const Status s =
+      grouper.Finish([](std::span<const Slice>) { return Status::OK(); });
+  fault::FaultInjector::Global().Reset();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(leftover_runs(), std::vector<std::string>{});
+}
+
 // S6: the merge refill boundary is a fault point. Arming it with an error
 // makes a spilling Finish surface the injected status instead of OK.
 TEST_F(SortTest, MergeRefillFaultPointSurfacesInjectedError) {
