@@ -103,7 +103,7 @@ BENCHMARK(BM_BTreeFullScan)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeScanUpdateInPlace(benchmark::State& state) {
   // The full-outer join's write-back: a scan that overwrites each current
-  // key with a same-length value.
+  // record with a same-length value through the cursor that read it.
   BTreeFixture f(4096, 100000);
   const std::string value(64, 'u');
   for (auto _ : state) {
@@ -111,7 +111,8 @@ void BM_BTreeScanUpdateInPlace(benchmark::State& state) {
     PREGELIX_CHECK(it->SeekToFirst().ok());
     int64_t count = 0;
     while (it->Valid()) {
-      PREGELIX_CHECK(f.tree->Upsert(it->key(), value).ok());
+      bool written = false;
+      PREGELIX_CHECK(it->TryOverwriteValue(value, &written).ok() && written);
       ++count;
       PREGELIX_CHECK(it->Next().ok());
     }
@@ -122,20 +123,20 @@ void BM_BTreeScanUpdateInPlace(benchmark::State& state) {
 BENCHMARK(BM_BTreeScanUpdateInPlace)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeSortedProbeSweep(benchmark::State& state) {
-  // The left-outer join's probe: Get then a same-length Upsert of every 4th
-  // key, in key order.
+  // The left-outer join's probe: a forward Seek of one cursor to every 4th
+  // key, in key order, and a same-length overwrite through it.
   BTreeFixture f(4096, 100000);
   const std::string update(64, 'p');
-  std::string value;
   for (auto _ : state) {
+    auto it = f.tree->NewIterator();
     int64_t count = 0;
     for (int64_t vid = 0; vid < 100000; vid += 4) {
-      const std::string key = OrderedKeyI64(vid);
-      PREGELIX_CHECK(f.tree->Get(key, &value).ok());
-      PREGELIX_CHECK(f.tree->Upsert(key, update).ok());
+      PREGELIX_CHECK(it->Seek(OrderedKeyI64(vid)).ok() && it->Valid());
+      benchmark::DoNotOptimize(it->value().data());
+      bool written = false;
+      PREGELIX_CHECK(it->TryOverwriteValue(update, &written).ok() && written);
       ++count;
     }
-    benchmark::DoNotOptimize(value);
     state.SetItemsProcessed(state.items_processed() + count);
   }
 }

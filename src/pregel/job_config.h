@@ -74,8 +74,8 @@ struct PregelixJobConfig {
   bool profile_plan = false;
 
   /// Stall watchdog: warn (log + metrics) when a superstep runs longer than
-  /// `stall_factor` times the trailing-mean superstep wall time. <= 0
-  /// disables the watchdog.
+  /// `stall_factor` times the trailing-mean superstep wall time, and at
+  /// least 100 ms. <= 0 disables the watchdog.
   double stall_factor = 4.0;
 
   /// Checkpoint every k supersteps (0 = no checkpoints). Paper Section 5.5.

@@ -209,12 +209,8 @@ Status RunLoadOp(JobRuntimeContext* ctx, TaskContext& task) {
   }
 
   // Bulk load Vertex (and Vid = all vertices, initially all active).
-  std::unique_ptr<IndexBulkLoader> loader;
-  if (auto* btree = dynamic_cast<BTree*>(state.vertex_index.get())) {
-    loader = btree->NewBulkLoader();
-  } else {
-    loader = static_cast<LsmBTree*>(state.vertex_index.get())->NewBulkLoader();
-  }
+  std::unique_ptr<IndexBulkLoader> loader =
+      state.vertex_index->NewBulkLoader();
   std::unique_ptr<IndexBulkLoader> vid_loader;
   if (loj) {
     PREGELIX_RETURN_NOT_OK(
@@ -320,9 +316,13 @@ class ComputeDriver final : public MessageSink {
   }
 
   /// Runs the compute UDF for one joined row (post-filter) and routes its
-  /// output to the in-flight mini-operators.
-  Status Process(int64_t vid, bool vertex_exists, const Slice& vertex_bytes,
-                 bool has_messages, const Slice& payload) {
+  /// output to the in-flight mini-operators. `cursor` is the join's Vertex
+  /// cursor; when `vertex_exists` it is on the row, and its value() is the
+  /// record, a view into the index.
+  Status Process(int64_t vid, bool vertex_exists,
+                 std::unique_ptr<IndexIterator>* cursor, bool has_messages,
+                 const Slice& payload) {
+    const Slice vertex_bytes = vertex_exists ? (*cursor)->value() : Slice();
     input_.vid = vid;
     input_.vertex_exists = vertex_exists;
     input_.vertex_bytes = vertex_bytes;
@@ -343,17 +343,19 @@ class ComputeDriver final : public MessageSink {
     EncodeOrderedI64(key_bytes, vid);
     const Slice key(key_bytes, sizeof(key_bytes));
     if (output_.vertex_dirty) {
-      PREGELIX_RETURN_NOT_OK(ApplyUpdate(key, vertex_exists, vertex_bytes,
+      // Read the old record first: its view aliases what the write changes.
+      const int64_t old_edges =
+          vertex_exists ? VertexEdgeCount(vertex_bytes) : 0;
+      PREGELIX_RETURN_NOT_OK(ApplyUpdate(key, vertex_exists, cursor,
                                          Slice(output_.vertex_bytes)));
-      edges_delta_ += VertexEdgeCount(Slice(output_.vertex_bytes)) -
-                      (vertex_exists ? VertexEdgeCount(vertex_bytes) : 0);
+      edges_delta_ += VertexEdgeCount(Slice(output_.vertex_bytes)) - old_edges;
       if (!vertex_exists) ++vertices_added_;
     } else if (vertex_exists &&
                VertexHalt(vertex_bytes) != output_.voted_halt) {
       halt_flip_.assign(vertex_bytes.data(), vertex_bytes.size());
       SetVertexHalt(&halt_flip_, output_.voted_halt);
       PREGELIX_RETURN_NOT_OK(
-          ApplyUpdate(key, vertex_exists, vertex_bytes, Slice(halt_flip_)));
+          ApplyUpdate(key, vertex_exists, cursor, Slice(halt_flip_)));
     } else if (!vertex_exists) {
       return Status::Internal(
           "compute created a vertex without marking it dirty");
@@ -401,8 +403,9 @@ class ComputeDriver final : public MessageSink {
     ctx_->edges_delta.fetch_add(edges_delta_);
     ctx_->vertices_added.fetch_add(vertices_added_);
     task_.metrics->AddCpuOps(cpu_ops_);
-    // Pending (deferred) Vertex updates: safe to apply now — the index scan
-    // has completed.
+    // Deferred Vertex updates: safe to apply now — the join has dropped its
+    // cursor.
+    PREGELIX_RETURN_NOT_OK(ApplyUpserts());
     if (pending_any_) {
       PREGELIX_RETURN_NOT_OK(pending_.Finish());
       TupleRunReader reader(pending_.path(), 2, task_.metrics);
@@ -451,23 +454,45 @@ class ComputeDriver final : public MessageSink {
     }
   }
 
-  /// D2 application policy: the full-outer plan is mid-scan on the Vertex
-  /// index, so only same-size in-place B-tree overwrites are safe
-  /// immediately; anything structural is buffered and applied after the
-  /// scan. The left-outer plan holds no Vertex scan, so it applies
-  /// immediately.
+  /// D2 application policy, one rule for both joins: an existing record
+  /// is overwritten through the cursor that read it where the cursor can
+  /// take it (a same-length B-tree record). Anything else is structural.
+  /// The full-outer plan is mid-scan, so it buffers that in the pending run
+  /// and applies it after the scan. The left-outer plan upserts it only
+  /// after dropping its probe cursor, since an LSM upsert may flush the
+  /// memtable and merge away a component whose page the cursor holds; it
+  /// gathers up to a frame of such updates per drop, because on LSM
+  /// storage every update is one and reopening the cursor after each cost
+  /// more than the probes saved.
   Status ApplyUpdate(const Slice& key, bool vertex_exists,
-                     const Slice& old_bytes, const Slice& new_bytes) {
-    const bool is_btree =
-        ctx_->current_storage == VertexStorage::kBTree;
-    const bool in_place_safe = is_btree && vertex_exists &&
-                               old_bytes.size() == new_bytes.size();
-    if (!defer_updates_ || in_place_safe) {
-      return state_.vertex_index->Upsert(key, new_bytes);
+                     std::unique_ptr<IndexIterator>* cursor,
+                     const Slice& new_bytes) {
+    if (vertex_exists) {
+      bool written = false;
+      PREGELIX_RETURN_NOT_OK((*cursor)->TryOverwriteValue(new_bytes, &written));
+      if (written) return Status::OK();
     }
-    pending_any_ = true;
-    const Slice fields[2] = {key, new_bytes};
-    return pending_.Append(fields);
+    if (defer_updates_) {
+      pending_any_ = true;
+      const Slice fields[2] = {key, new_bytes};
+      return pending_.Append(fields);
+    }
+    PutLengthPrefixed(&upserts_, key);
+    PutLengthPrefixed(&upserts_, new_bytes);
+    if (upserts_.size() < task_.config->frame_size) return Status::OK();
+    cursor->reset();
+    return ApplyUpserts();
+  }
+
+  /// Upserts the left-outer updates gathered so far; no cursor is open.
+  Status ApplyUpserts() {
+    Slice in(upserts_);
+    Slice key, value;
+    while (GetLengthPrefixed(&in, &key) && GetLengthPrefixed(&in, &value)) {
+      PREGELIX_RETURN_NOT_OK(state_.vertex_index->Upsert(key, value));
+    }
+    upserts_.clear();
+    return Status::OK();
   }
 
   JobRuntimeContext* ctx_;
@@ -485,6 +510,7 @@ class ComputeDriver final : public MessageSink {
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
+  std::string upserts_;  ///< left-outer updates awaiting a dropped cursor
   int64_t edges_delta_ = 0;
   int64_t vertices_added_ = 0;
   uint64_t cpu_ops_ = 0;
@@ -517,23 +543,22 @@ Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
       // Left-outer case: message to a missing vertex — create it.
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
       PREGELIX_RETURN_NOT_OK(
-          driver->Process(vid, /*vertex_exists=*/false, Slice(),
+          driver->Process(vid, /*vertex_exists=*/false, &vertex,
                           /*has_messages=*/true, msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
     } else if (cmp == 0) {
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
-      PREGELIX_RETURN_NOT_OK(driver->Process(vid, true, vertex->value(), true,
-                                             msg.field(1)));
+      PREGELIX_RETURN_NOT_OK(
+          driver->Process(vid, true, &vertex, true, msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     } else {
       // Right-outer case: vertex without messages — the filter
       // σ(halt=false || payload≠NULL) prunes halted ones.
-      const Slice record = vertex->value();
-      if (!VertexHalt(record)) {
+      if (!VertexHalt(vertex->value())) {
         const int64_t vid = DecodeOrderedI64(vertex->key().data());
         PREGELIX_RETURN_NOT_OK(
-            driver->Process(vid, true, record, false, Slice()));
+            driver->Process(vid, true, &vertex, false, Slice()));
       } else {
         driver->CountOps(1);  // scanned and filtered
       }
@@ -545,7 +570,7 @@ Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
 
 /// Index left outer join strategy (Figure 8 right): merge(choose()) of Msg
 /// with the Vid live-vertex index (plus resolve-added vids), probing the
-/// Vertex index per resulting key.
+/// Vertex index per resulting key with forward seeks of one cursor.
 Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
                      TupleRunReader& msg, ComputeDriver* driver) {
   PartitionState& state = ctx->partitions[task.partition];
@@ -558,7 +583,9 @@ Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
   TupleRunReader extra(state.vid_extra_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(extra.Init());
 
-  std::string probe_value;
+  // The probe cursor; applying upserts drops it, and the next probe opens
+  // another.
+  std::unique_ptr<IndexIterator> vertex;
   while (msg.Valid() || (vid_it != nullptr && vid_it->Valid()) ||
          extra.Valid()) {
     // Smallest key among the three sorted sources.
@@ -585,25 +612,25 @@ Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
       PREGELIX_RETURN_NOT_OK(extra.Next());
     }
 
-    // Probe the Vertex index: a probe pays the root-to-leaf descent
-    // ("it needs to search the index from the root every time; this is not
-    // worthwhile if most data in the leaf nodes will be qualified as join
-    // results" — paper Section 7.5), versus 1 op/row for the merge scan.
+    // Probe the Vertex index: the cost model charges a probe the
+    // root-to-leaf descent ("it needs to search the index from the root
+    // every time; this is not worthwhile if most data in the leaf nodes will
+    // be qualified as join results" — paper Section 7.5), versus 1 op/row
+    // for the merge scan. The keys ascend, so the cursor mostly stays in
+    // its pinned leaf.
     const int64_t vid = DecodeOrderedI64(key.data());
-    Status probe = state.vertex_index->Get(Slice(key), &probe_value);
+    if (vertex == nullptr) vertex = state.vertex_index->NewIterator();
+    PREGELIX_RETURN_NOT_OK(vertex->Seek(Slice(key)));
     driver->CountOps(4);
-    if (probe.IsNotFound()) {
+    if (!vertex->Valid() || vertex->key() != Slice(key)) {
       if (has_msg) {
         PREGELIX_RETURN_NOT_OK(
-            driver->Process(vid, false, Slice(), true, payload));
+            driver->Process(vid, false, &vertex, true, payload));
       }
       // else: a live-set entry whose vertex was removed by a mutation.
-    } else {
-      PREGELIX_RETURN_NOT_OK(probe);
-      if (has_msg || !VertexHalt(Slice(probe_value))) {
-        PREGELIX_RETURN_NOT_OK(
-            driver->Process(vid, true, Slice(probe_value), has_msg, payload));
-      }
+    } else if (has_msg || !VertexHalt(vertex->value())) {
+      PREGELIX_RETURN_NOT_OK(
+          driver->Process(vid, true, &vertex, has_msg, payload));
     }
     if (has_msg) {
       PREGELIX_RETURN_NOT_OK(msg.Next());
@@ -939,12 +966,8 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
 
   // Rebuild Vertex by bulk load from the (sorted) snapshot.
   PREGELIX_RETURN_NOT_OK(MakeVertexIndex(ctx, p, &state.vertex_index));
-  std::unique_ptr<IndexBulkLoader> loader;
-  if (auto* btree = dynamic_cast<BTree*>(state.vertex_index.get())) {
-    loader = btree->NewBulkLoader();
-  } else {
-    loader = static_cast<LsmBTree*>(state.vertex_index.get())->NewBulkLoader();
-  }
+  std::unique_ptr<IndexBulkLoader> loader =
+      state.vertex_index->NewBulkLoader();
   int64_t vertices = 0, edges = 0;
   int64_t min_vid = std::numeric_limits<int64_t>::max();
   int64_t max_vid = std::numeric_limits<int64_t>::min();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 
@@ -694,6 +695,15 @@ Status PregelixRuntime::Recover(JobRuntimeContext* ctx,
 void PregelixRuntime::Cleanup(JobRuntimeContext* ctx, bool keep_dfs) {
   for (int p = 0; p < static_cast<int>(ctx->partitions.size()); ++p) {
     PartitionState& state = ctx->partitions[p];
+    // The directory goes next, so drop each index's pages instead of
+    // writing them back first.
+    for (OrderedIndex* index : std::initializer_list<OrderedIndex*>{
+             state.vertex_index.get(), state.vid_index.get(),
+             state.next_vid_index.get()}) {
+      if (index == nullptr) continue;
+      Status s = index->Destroy();
+      if (!s.ok()) PLOG(Warn) << "index destroy: " << s.ToString();
+    }
     state.vertex_index.reset();
     state.vid_index.reset();
     state.next_vid_index.reset();

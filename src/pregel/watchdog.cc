@@ -1,5 +1,6 @@
 #include "pregel/watchdog.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/event_journal.h"
@@ -12,6 +13,10 @@ namespace {
 /// Trailing-mean window; small enough to track a phase change (e.g. the
 /// adaptive join flipping to the sparse plan) within a few supersteps.
 constexpr size_t kWindow = 8;
+/// The shortest budget a superstep gets, whatever the trailing mean: a
+/// millisecond superstep that a busy host delays a few scheduler slices is
+/// not a stall, and under `auto` a flag is a reactive plan signal.
+constexpr uint64_t kMinBudgetNs = 100'000'000;  // 100 ms
 }  // namespace
 
 StallWatchdog::StallWatchdog(double factor, MetricsRegistry* registry,
@@ -65,8 +70,9 @@ void StallWatchdog::Arm(int64_t superstep) {
     armed_ = false;
     return;
   }
-  const uint64_t budget_ns =
-      static_cast<uint64_t>(factor_ * static_cast<double>(TrailingMeanNs()));
+  const uint64_t budget_ns = std::max(
+      kMinBudgetNs,
+      static_cast<uint64_t>(factor_ * static_cast<double>(TrailingMeanNs())));
   deadline_ =
       std::chrono::steady_clock::now() + std::chrono::nanoseconds(budget_ns);
   armed_ = true;

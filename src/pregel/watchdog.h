@@ -15,8 +15,8 @@ namespace pregelix {
 
 /// Flags supersteps that run suspiciously long: a background thread wakes
 /// when an armed superstep exceeds `factor` times the trailing-mean wall
-/// time of recent supersteps and raises a warning log, the
-/// `pregelix.pregel.stalls` counter, and the
+/// time of recent supersteps, and at least 100 ms, and raises a warning
+/// log, the `pregelix.pregel.stalls` counter, and the
 /// `pregelix.pregel.superstep_stalled` gauge (latest stalled superstep,
 /// sticky until the next stall). The flag fires while the superstep is
 /// still running — that is the point: a wedged exchange or a pathological

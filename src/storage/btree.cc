@@ -106,15 +106,16 @@ size_t FreeSpace(const char* p) {
   return CellStart(p) - (kHeaderSize + 2u * NumEntries(p));
 }
 
-/// Binary search: index of the first slot with key >= target, in [0, n].
+/// Binary search: index of the first slot with key >= target, in [lo, n];
+/// the caller knows every slot below `lo` holds a smaller key.
 /// Fast path shared with the sort/merge kernels: the target's 8-byte
 /// normalized key prefix (slice.h) is computed once, each probed cell's
 /// prefix is one unaligned load + byte swap, and the full memcmp runs only
 /// on a prefix tie — with the 8-byte ordered vertex-id keys of the vertex
 /// relation nearly every probe is settled by the integer compare.
-int LowerBound(const char* p, const Slice& target) {
+int LowerBound(const char* p, const Slice& target, int lo = 0) {
   const uint64_t target_norm = NormalizedKeyPrefix(target);
-  int lo = 0, hi = NumEntries(p);
+  int hi = NumEntries(p);
   while (lo < hi) {
     const int mid = (lo + hi) / 2;
     const Slice key = CellKey(p, mid);
@@ -376,6 +377,27 @@ Status BTree::ReadLeafValue(const Slice& cell_payload, bool overflow,
   }
   if (value->size() != total) {
     return Status::Corruption("overflow chain truncated");
+  }
+  return Status::OK();
+}
+
+Status BTree::OverwriteOverflowChain(const Slice& cell_payload,
+                                     const Slice& value) {
+  PageId page_id = DecodeFixed32(cell_payload.data() + 4);
+  size_t off = 0;
+  while (page_id != kInvalidPage && off < value.size()) {
+    PageHandle page;
+    PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, page_id, &page));
+    char* p = page.data();
+    const uint32_t len = DecodeFixed32(p + 4);
+    if (len > value.size() - off) break;
+    memcpy(p + 8, value.data() + off, len);
+    page.MarkDirty();
+    off += len;
+    page_id = DecodeFixed32(p);
+  }
+  if (off != value.size()) {
+    return Status::Corruption("overflow chain does not hold the value");
   }
   return Status::OK();
 }
@@ -848,13 +870,22 @@ void BTree::DumpStructure() const {
 // Iterator
 
 /// Keeps its current leaf pinned across Next/Seek and re-pins only when it
-/// follows the right-sibling link. key()/value() are the iterator's own
-/// copies: callers overwrite the current cell in place (same-size Upsert)
-/// while still reading the old record.
+/// follows the right-sibling link or descends. key()/value() are views into
+/// that leaf (an overflow value is assembled into `overflow_value_`), and a
+/// same-length value is written back through them.
 class BTreeIterator : public IndexIterator {
  public:
   BTreeIterator(BTree* tree, BufferCache* cache, int file_id)
-      : tree_(tree), cache_(cache), file_id_(file_id) {}
+      : tree_(tree),
+        cache_(cache),
+        file_id_(file_id),
+        probes_(tree->probes_),
+        inserts_(tree->inserts_) {}
+  // Touches no tree: an exhausted cursor may outlive its tree.
+  ~BTreeIterator() override {
+    if (probes_ != nullptr) probes_->Add(seeks_);
+    if (inserts_ != nullptr) inserts_->Add(overwrites_);
+  }
 
   Status SeekToFirst() override {
     leaf_.Release();
@@ -864,9 +895,27 @@ class BTreeIterator : public IndexIterator {
   }
 
   Status Seek(const Slice& target) override {
+    ++seeks_;
+    // By the finger's rule, no cell was added or removed since the cursor
+    // was positioned: past the largest key the cursor ran off, it stays
+    // off; between the current key and the leaf's last key, it stays in
+    // the pinned leaf.
+    if (!valid_ && version_ == tree_->version_ && !last_key_.empty() &&
+        target.compare(Slice(last_key_)) > 0) {
+      return Status::OK();
+    }
+    if (valid_ && version_ == tree_->version_ && key_.compare(target) <= 0) {
+      const char* p = leaf_.data();
+      if (target.compare(CellKey(p, NumEntries(p) - 1)) <= 0) {
+        slot_ = LowerBound(p, target, slot_);
+        return SkipToValid();
+      }
+    }
     leaf_.Release();
-    PageId leaf_id;
-    PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
+    PageId leaf_id = tree_->finger_leaf_;
+    if (!tree_->InFinger(target)) {
+      PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
+    }
     PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &leaf_));
     slot_ = LowerBound(leaf_.data(), target);
     return SkipToValid();
@@ -882,28 +931,59 @@ class BTreeIterator : public IndexIterator {
   Slice key() const override { return key_; }
   Slice value() const override { return value_; }
 
+  Status TryOverwriteValue(const Slice& value, bool* written) override {
+    *written = false;
+    if (!valid_ || value.size() != value_.size()) return Status::OK();
+    if (overflow_) {
+      PREGELIX_RETURN_NOT_OK(
+          tree_->OverwriteOverflowChain(Slice(payload_, 8), value));
+      memmove(overflow_value_.data(), value.data(), value.size());
+    } else {
+      memmove(payload_ + 4, value.data(), value.size());
+      leaf_.MarkDirty();
+    }
+    ++overwrites_;
+    *written = true;
+    return Status::OK();
+  }
+
  private:
-  /// Advances across empty leaves, loads the current entry into buffers;
-  /// releases the leaf once the scan runs off the last one.
+  /// Advances across empty leaves and exposes the entry at slot_; releases
+  /// the leaf once the scan runs off the last one.
   Status SkipToValid() {
     valid_ = false;
     while (leaf_.valid()) {
-      const char* p = leaf_.data();
+      char* p = leaf_.data();
       if (slot_ < NumEntries(p)) {
-        key_ = CellKey(p, slot_).ToString();
-        const char* cell = p + SlotAt(p, slot_);
+        char* cell = p + SlotAt(p, slot_);
         uint16_t klen;
         memcpy(&klen, cell, 2);
-        const bool ovf = cell[2] != 0;
-        const size_t payload_size =
-            ovf ? 8 : 4 + DecodeFixed32(cell + 3 + klen);
-        PREGELIX_RETURN_NOT_OK(tree_->ReadLeafValue(
-            Slice(cell + 3 + klen, payload_size), ovf, &value_));
+        key_ = Slice(cell + 3, klen);
+        payload_ = cell + 3 + klen;
+        overflow_ = cell[2] != 0;
+        if (overflow_) {
+          PREGELIX_RETURN_NOT_OK(tree_->ReadLeafValue(
+              Slice(payload_, 8), /*overflow=*/true, &overflow_value_));
+          value_ = Slice(overflow_value_);
+        } else {
+          value_ = Slice(payload_ + 4, DecodeFixed32(payload_));
+        }
+        version_ = tree_->version_;
         valid_ = true;
         return Status::OK();
       }
       // Unpin before pinning the sibling, as a fresh pin per step would.
       const PageId next = RightSibling(p);
+      if (next == kInvalidPage) {
+        // Running off the end: remember the largest key, if this leaf
+        // holds it (a lazily emptied last leaf does not).
+        last_key_.clear();
+        if (NumEntries(p) > 0) {
+          const Slice last = CellKey(p, NumEntries(p) - 1);
+          last_key_.assign(last.data(), last.size());
+        }
+        version_ = tree_->version_;
+      }
       leaf_.Release();
       slot_ = 0;
       if (next != kInvalidPage) {
@@ -919,8 +999,17 @@ class BTreeIterator : public IndexIterator {
   PageHandle leaf_;
   int slot_ = 0;
   bool valid_ = false;
-  std::string key_;
-  std::string value_;
+  bool overflow_ = false;
+  uint64_t version_ = 0;  ///< the tree's version_ when positioned
+  std::string last_key_;  ///< the largest key, once the cursor ran off it
+  Slice key_;
+  Slice value_;
+  char* payload_ = nullptr;  ///< the current cell's value payload
+  std::string overflow_value_;
+  Counter* probes_;
+  Counter* inserts_;
+  uint64_t seeks_ = 0;
+  uint64_t overwrites_ = 0;
 };
 
 std::unique_ptr<IndexIterator> BTree::NewIterator() {

@@ -32,8 +32,10 @@ namespace pregelix {
 /// leaf: `Get` and `Upsert` of such a key pin the leaf directly, as long as
 /// no cell was added or removed anywhere since (`version_`).
 ///
-/// An iterator keeps its current leaf pinned; destroy it before the tree is
-/// destroyed or its file closed.
+/// An iterator keeps its current leaf pinned and hands out views into it
+/// (index.h); destroy it before the tree is destroyed or its file closed. It
+/// can overwrite a same-length value in place (`TryOverwriteValue`), and a
+/// forward `Seek` that stays inside its leaf follows the finger's rule.
 ///
 /// Not internally synchronized (even `Get` moves the finger); one partition
 /// owns one tree.
@@ -51,15 +53,10 @@ class BTree : public OrderedIndex {
   Status Delete(const Slice& key) override;
   Status Get(const Slice& key, std::string* value) override;
   std::unique_ptr<IndexIterator> NewIterator() override;
+  std::unique_ptr<IndexBulkLoader> NewBulkLoader() override;
   Status Flush() override;
+  Status Destroy() override;
   uint64_t num_entries() const override { return num_entries_; }
-
-  /// Creates a bulk loader. The tree must be empty. While a loader is
-  /// outstanding no other operation may run.
-  std::unique_ptr<IndexBulkLoader> NewBulkLoader();
-
-  /// Drops the backing file. The tree must not be used afterwards.
-  Status Destroy();
 
   uint32_t num_pages() const { return cache_->NumPages(file_id_); }
   int height() const { return height_; }
@@ -116,6 +113,9 @@ class BTree : public OrderedIndex {
                          bool* overflow);
   Status ReadLeafValue(const Slice& cell_payload, bool overflow,
                        std::string* value) const;
+  /// Overwrites an overflow value page by page along its chain with
+  /// `value`, which has the stored length; marks each page dirty.
+  Status OverwriteOverflowChain(const Slice& cell_payload, const Slice& value);
   Status FreeOverflowChain(const Slice& cell_payload);
 
   BufferCache* cache_;

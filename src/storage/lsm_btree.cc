@@ -329,94 +329,105 @@ Status LsmBTree::Destroy() {
 // ---------------------------------------------------------------------------
 // Iterator: merge of memtable + disk components with tombstone suppression.
 
+/// One cursor per disk component, opened with the iterator and moved
+/// forward by its seeks. key()/value() are views into the source that holds
+/// the current entry; a source shadowed by a newer one on the same key
+/// stays on it until the cursor moves past that key.
 class LsmIterator : public IndexIterator {
  public:
-  explicit LsmIterator(LsmBTree* lsm) : lsm_(lsm) {}
+  explicit LsmIterator(LsmBTree* lsm) : lsm_(lsm), probes_(lsm->probes_) {
+    for (auto& component : lsm_->components_) {
+      disk_.push_back(component->NewIterator());
+    }
+  }
+  ~LsmIterator() override {
+    if (probes_ != nullptr) probes_->Add(seeks_);
+  }
 
   Status SeekToFirst() override {
     mem_it_ = lsm_->memtable_.begin();
-    disk_.clear();
-    for (auto& component : lsm_->components_) {
-      disk_.push_back(component->NewIterator());
-      PREGELIX_RETURN_NOT_OK(disk_.back()->SeekToFirst());
-    }
-    return FindNext();
+    for (auto& it : disk_) PREGELIX_RETURN_NOT_OK(it->SeekToFirst());
+    return FindLive();
   }
 
   Status Seek(const Slice& target) override {
+    ++seeks_;
     mem_it_ = lsm_->memtable_.lower_bound(target.ToString());
-    disk_.clear();
-    for (auto& component : lsm_->components_) {
-      disk_.push_back(component->NewIterator());
-      PREGELIX_RETURN_NOT_OK(disk_.back()->Seek(target));
-    }
-    return FindNext();
+    for (auto& it : disk_) PREGELIX_RETURN_NOT_OK(it->Seek(target));
+    return FindLive();
   }
 
   bool Valid() const override { return valid_; }
 
-  Status Next() override { return FindNext(); }
+  Status Next() override {
+    PREGELIX_RETURN_NOT_OK(SkipKey(key_));
+    return FindLive();
+  }
 
   Slice key() const override { return key_; }
   Slice value() const override { return value_; }
 
+  Status TryOverwriteValue(const Slice& /*value*/, bool* written) override {
+    *written = false;
+    return Status::OK();
+  }
+
  private:
-  /// Emits the next live (non-tombstoned) entry in key order.
-  Status FindNext() {
+  /// Positions on the smallest live key across the memtable and the disk
+  /// cursors: the newest source wins a tie, and a tombstone hides the key.
+  Status FindLive() {
     valid_ = false;
     for (;;) {
-      // Smallest key across memtable and disk cursors; memtable is newest.
-      const std::string* best_key = nullptr;
-      int best_disk = -1;  // -1 = memtable
-      std::string mem_key;
+      bool found = false;
+      Slice best;
+      Slice stored;
       if (mem_it_ != lsm_->memtable_.end()) {
-        mem_key = mem_it_->first;
-        best_key = &mem_key;
+        found = true;
+        best = Slice(mem_it_->first);
+        stored = Slice(mem_it_->second);
       }
-      std::string disk_key;
-      for (size_t i = 0; i < disk_.size(); ++i) {
-        if (!disk_[i]->Valid()) continue;
-        const Slice k = disk_[i]->key();
-        if (best_key == nullptr || k.compare(Slice(*best_key)) < 0) {
-          disk_key = k.ToString();
-          best_key = &disk_key;
-          best_disk = static_cast<int>(i);
+      for (auto& it : disk_) {  // newest first: a tie keeps the newer one
+        if (!it->Valid()) continue;
+        if (!found || it->key().compare(best) < 0) {
+          found = true;
+          best = it->key();
+          stored = it->value();
         }
       }
-      if (best_key == nullptr) return Status::OK();  // exhausted
-
-      const std::string current = *best_key;
-      std::string stored;
-      if (best_disk < 0) {
-        stored = mem_it_->second;
-      } else {
-        stored = disk_[best_disk]->value().ToString();
+      if (!found) return Status::OK();  // exhausted
+      if (stored.empty() || stored[0] != kTombstoneMarker) {
+        key_ = best;
+        value_ = stored.empty() ? stored
+                                : Slice(stored.data() + 1, stored.size() - 1);
+        valid_ = true;
+        return Status::OK();
       }
-      // Advance all cursors past `current`.
-      if (mem_it_ != lsm_->memtable_.end() && mem_it_->first == current) {
-        ++mem_it_;
-      }
-      for (auto& it : disk_) {
-        while (it->Valid() && it->key() == Slice(current)) {
-          PREGELIX_RETURN_NOT_OK(it->Next());
-        }
-      }
-      if (!stored.empty() && stored[0] == 1) {
-        continue;  // tombstone
-      }
-      key_ = current;
-      value_.assign(stored.data() + 1, stored.size() - 1);
-      valid_ = true;
-      return Status::OK();
+      PREGELIX_RETURN_NOT_OK(SkipKey(best));
     }
+  }
+
+  /// Moves every source holding `key` past it.
+  Status SkipKey(const Slice& key) {
+    skipped_.assign(key.data(), key.size());  // `key` dies with its source
+    const Slice k(skipped_);
+    if (mem_it_ != lsm_->memtable_.end() && Slice(mem_it_->first) == k) {
+      ++mem_it_;
+    }
+    for (auto& it : disk_) {
+      if (it->Valid() && it->key() == k) PREGELIX_RETURN_NOT_OK(it->Next());
+    }
+    return Status::OK();
   }
 
   LsmBTree* lsm_;
   std::map<std::string, std::string>::const_iterator mem_it_;
   std::vector<std::unique_ptr<IndexIterator>> disk_;
   bool valid_ = false;
-  std::string key_;
-  std::string value_;
+  Slice key_;
+  Slice value_;
+  std::string skipped_;
+  Counter* probes_;
+  uint64_t seeks_ = 0;
 };
 
 std::unique_ptr<IndexIterator> LsmBTree::NewIterator() {

@@ -37,17 +37,15 @@ class LsmBTree : public OrderedIndex {
   Status Delete(const Slice& key) override;
   Status Get(const Slice& key, std::string* value) override;
   std::unique_ptr<IndexIterator> NewIterator() override;
+  /// Sorted-input fast path: loads directly into one disk component.
+  std::unique_ptr<IndexBulkLoader> NewBulkLoader() override;
   Status Flush() override;
+  Status Destroy() override;
 
   /// Estimated live entries (exact after a full merge; between merges the
   /// estimate may double-count overwritten keys). The Pregelix runtime
   /// keeps its own exact vertex counts.
   uint64_t num_entries() const override;
-
-  /// Sorted-input fast path: loads directly into one disk component.
-  std::unique_ptr<IndexBulkLoader> NewBulkLoader();
-
-  Status Destroy();
 
   /// Forces the memtable to disk (also triggered by the budget).
   Status FlushMemtable();

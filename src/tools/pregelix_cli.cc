@@ -184,7 +184,8 @@ commands:
       --max-supersteps=K        safety bound (default 1000)
       --stats                   print per-superstep statistics
       --stall-factor=F          warn when a superstep exceeds F x the trailing
-                                mean wall time (default 4, <=0 disables)
+                                mean wall time, and 100 ms (default 4, <=0
+                                disables)
       --verify                  statically verify the job's physical plans
                                 (structure, declared stream properties,
                                 memory budgets) and abort before running if

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "buffer/buffer_cache.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/temp_dir.h"
@@ -365,9 +366,9 @@ TEST_F(BTreeTest, WorksWithTinyBufferCache) {
 }
 
 TEST_F(BTreeTest, ScanWithInPlaceUpdatesUnderTinyBufferCache) {
-  // The full-outer join's pattern: a live iterator overwrites its current
-  // key with a same-length value while a 24-page cache forces evictions
-  // (and write-backs) of the leaves around the one the iterator holds.
+  // The full-outer join's pattern: a live cursor overwrites its current
+  // record with a same-length value while a 24-page cache forces evictions
+  // (and write-backs) of the leaves around the one the cursor holds.
   WorkerMetrics metrics;
   BufferCache small_cache(4096, 24, &metrics);
   std::unique_ptr<BTree> tree;
@@ -387,21 +388,22 @@ TEST_F(BTreeTest, ScanWithInPlaceUpdatesUnderTinyBufferCache) {
     int64_t expected = 0;
     while (it->Valid()) {
       ASSERT_EQ(DecodeOrderedI64(it->key().data()), expected);
-      const std::string updated(100, static_cast<char>('A' + expected % 26));
-      ASSERT_TRUE(tree->Upsert(it->key(), updated).ok());
-      // value() is the iterator's own copy: it still holds the old record.
       EXPECT_EQ(it->value().ToString(), std::string(100, 'a'));
+      const std::string updated(100, static_cast<char>('A' + expected % 26));
+      bool written = false;
+      ASSERT_TRUE(it->TryOverwriteValue(updated, &written).ok());
+      ASSERT_TRUE(written);
+      // value() is a view into the leaf: it reads the new record.
+      EXPECT_EQ(it->value().ToString(), updated);
       ASSERT_TRUE(it->Next().ok());
       ++expected;
     }
     EXPECT_EQ(expected, n);
   }
   EXPECT_GT(small_cache.eviction_count(), evictions_before);
-  // About one pin per visited key: the iterator holds its leaf and the
-  // overwrite pins it through the finger; only the first key of each leaf
-  // descends from the root.
+  // One pin per leaf: the cursor holds its leaf and writes through it.
   EXPECT_LT(small_cache.hit_count() + small_cache.miss_count() - pins_before,
-            static_cast<uint64_t>(n * 3 / 2));
+            static_cast<uint64_t>(n / 20));
   std::string value;
   for (int64_t vid = 0; vid < n; ++vid) {
     ASSERT_TRUE(tree->Get(OrderedKeyI64(vid), &value).ok());
@@ -410,6 +412,189 @@ TEST_F(BTreeTest, ScanWithInPlaceUpdatesUnderTinyBufferCache) {
   }
   Status cs = tree->CheckConsistency();
   EXPECT_TRUE(cs.ok()) << cs.ToString();
+}
+
+TEST_F(BTreeTest, WriteThroughSurvivesEvictionWithATwoPageCache) {
+  // Two pages: the cursor's leaf and one more, so every other leaf the scan
+  // leaves behind is evicted and written back before it is read again.
+  WorkerMetrics metrics;
+  BufferCache tiny(4096, 2, &metrics);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&tiny, dir_.path() + "/tiny", &tree).ok());
+  const int64_t n = 3000;
+  {
+    auto loader = tree->NewBulkLoader();
+    for (int64_t vid = 0; vid < n; ++vid) {
+      ASSERT_TRUE(loader->Add(OrderedKeyI64(vid), std::string(60, 'a')).ok());
+    }
+    ASSERT_TRUE(loader->Finish().ok());
+  }
+  {
+    auto it = tree->NewIterator();
+    ASSERT_TRUE(it->SeekToFirst().ok());
+    for (int64_t vid = 0; it->Valid(); ++vid) {
+      bool written = false;
+      ASSERT_TRUE(it->TryOverwriteValue(
+                        std::string(60, static_cast<char>('a' + vid % 26)),
+                        &written)
+                      .ok());
+      ASSERT_TRUE(written);
+      ASSERT_TRUE(it->Next().ok());
+    }
+  }
+  EXPECT_GT(tiny.eviction_count(), 0u);
+  EXPECT_GT(metrics.Snapshot().disk_write_bytes, 0u);
+  std::string value;
+  for (int64_t vid = n - 1; vid >= 0; --vid) {
+    ASSERT_TRUE(tree->Get(OrderedKeyI64(vid), &value).ok());
+    ASSERT_EQ(value, std::string(60, static_cast<char>('a' + vid % 26)))
+        << "vid " << vid;
+  }
+}
+
+TEST_F(BTreeTest, OverwriteOfAnotherLengthChangesNothing) {
+  auto tree = OpenTree("t");
+  ASSERT_TRUE(tree->Upsert("a", "old-value").ok());
+  auto it = tree->NewIterator();
+  ASSERT_TRUE(it->Seek("a").ok());
+  ASSERT_TRUE(it->Valid());
+  for (const std::string& other : {std::string("short"),
+                                   std::string("a-longer-value")}) {
+    bool written = true;
+    ASSERT_TRUE(it->TryOverwriteValue(other, &written).ok());
+    EXPECT_FALSE(written);
+    EXPECT_EQ(it->value().ToString(), "old-value");
+  }
+  it.reset();
+  std::string value;
+  ASSERT_TRUE(tree->Get("a", &value).ok());
+  EXPECT_EQ(value, "old-value");
+}
+
+TEST_F(BTreeTest, OverwritesAnOverflowValueAlongItsChain) {
+  // Three cache pages against a four-page chain: re-reading the value
+  // evicts the pages the overwrite dirtied.
+  WorkerMetrics metrics;
+  BufferCache tiny(4096, 3, &metrics);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&tiny, dir_.path() + "/chain", &tree).ok());
+  const std::string big(3 * 4096 + 123, 'x');
+  ASSERT_TRUE(tree->Upsert("big", big).ok());
+  ASSERT_TRUE(tree->Upsert("small", "s").ok());
+  const uint32_t pages = tree->num_pages();
+  std::string updated(big.size(), 'y');
+  for (size_t i = 0; i < updated.size(); i += 4096) updated[i] = 'z';
+  {
+    auto it = tree->NewIterator();
+    ASSERT_TRUE(it->Seek("big").ok());
+    ASSERT_TRUE(it->Valid());
+    bool written = false;
+    ASSERT_TRUE(it->TryOverwriteValue(updated, &written).ok());
+    EXPECT_TRUE(written);
+    EXPECT_EQ(it->value().ToString(), updated);
+  }
+  // In place: no new chain was allocated.
+  EXPECT_EQ(tree->num_pages(), pages);
+  std::string value;
+  ASSERT_TRUE(tree->Get("big", &value).ok());
+  EXPECT_EQ(value, updated);
+  ASSERT_TRUE(tree->Get("small", &value).ok());
+  EXPECT_EQ(value, "s");
+}
+
+TEST_F(BTreeTest, ForwardSeekLandsWhereADescentLands) {
+  // Even vids 0..3998 over many leaves; each seek of the reused cursor must
+  // land where a fresh cursor's root descent lands.
+  auto tree = OpenTree("t");
+  std::vector<int64_t> present;
+  for (int64_t vid = 0; vid < 4000; vid += 2) {
+    ASSERT_TRUE(tree->Upsert(OrderedKeyI64(vid), std::string(80, 'v')).ok());
+    present.push_back(vid);
+  }
+  auto lands = [&](int64_t target) -> int64_t {
+    const auto pos =
+        std::lower_bound(present.begin(), present.end(), target);
+    return pos == present.end() ? -1 : *pos;
+  };
+  auto expect_seek = [&](IndexIterator* it, int64_t target) {
+    ASSERT_TRUE(it->Seek(OrderedKeyI64(target)).ok());
+    const int64_t want = lands(target);
+    if (want < 0) {
+      EXPECT_FALSE(it->Valid()) << "target " << target;
+      return;
+    }
+    ASSERT_TRUE(it->Valid()) << "target " << target;
+    EXPECT_EQ(DecodeOrderedI64(it->key().data()), want)
+        << "target " << target;
+  };
+  auto it = tree->NewIterator();
+  expect_seek(it.get(), 1001);  // a descent
+  expect_seek(it.get(), 1003);  // forward inside the leaf
+  expect_seek(it.get(), 1004);
+  expect_seek(it.get(), 101);   // before the cursor
+  expect_seek(it.get(), 2501);  // past the leaf
+  expect_seek(it.get(), 2503);
+  // Deleting keys below the cursor in its leaf shifts its slots left, so a
+  // search that trusted the old slot would overshoot.
+  ASSERT_TRUE(it->Seek(OrderedKeyI64(2520)).ok());
+  for (int64_t vid : {2510, 2512, 2514, 2516}) {
+    ASSERT_TRUE(tree->Delete(OrderedKeyI64(vid)).ok());
+    present.erase(std::find(present.begin(), present.end(), vid));
+  }
+  expect_seek(it.get(), 2520);
+  // Inserts that split the cursor's leaf move its cells to a new page.
+  ASSERT_TRUE(it->Seek(OrderedKeyI64(3000)).ok());
+  for (int64_t vid = 2901; vid < 3000; vid += 2) {
+    ASSERT_TRUE(tree->Upsert(OrderedKeyI64(vid), std::string(80, 'w')).ok());
+    present.insert(std::lower_bound(present.begin(), present.end(), vid),
+                   vid);
+  }
+  expect_seek(it.get(), 2950);
+  expect_seek(it.get(), 2999);
+  expect_seek(it.get(), 3001);
+  expect_seek(it.get(), 3998);
+  expect_seek(it.get(), 3999);  // runs off the end
+  expect_seek(it.get(), 5000);  // stays off
+  expect_seek(it.get(), 10);    // back before the end
+  expect_seek(it.get(), 4500);
+  // A key appended past the old end is found once the cursor ran off.
+  ASSERT_TRUE(tree->Upsert(OrderedKeyI64(4600), std::string(80, 'e')).ok());
+  present.push_back(4600);
+  expect_seek(it.get(), 4501);
+  Status cs = tree->CheckConsistency();
+  EXPECT_TRUE(cs.ok()) << cs.ToString();
+}
+
+TEST_F(BTreeTest, CursorCountsSeeksAsProbesAndOverwritesAsInserts) {
+  MetricsRegistry registry;
+  BufferCache cache(4096, 64, nullptr);
+  cache.SetObservability(nullptr, &registry, /*worker=*/0);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&cache, dir_.path() + "/counted", &tree).ok());
+  for (int64_t vid = 0; vid < 100; ++vid) {
+    ASSERT_TRUE(tree->Upsert(OrderedKeyI64(vid), "value").ok());
+  }
+  const MetricLabels labels{{"worker", "0"}, {"storage_tier", "btree"}};
+  const uint64_t inserts = registry.CounterValue("pregelix.storage.inserts",
+                                                 labels);
+  const uint64_t probes = registry.CounterValue("pregelix.storage.probes",
+                                                labels);
+  {
+    auto it = tree->NewIterator();
+    for (int64_t vid = 0; vid < 100; vid += 10) {
+      ASSERT_TRUE(it->Seek(OrderedKeyI64(vid)).ok());
+      bool written = false;
+      ASSERT_TRUE(it->TryOverwriteValue("VALUE", &written).ok());
+      ASSERT_TRUE(written);
+    }
+    // Published once, when the cursor goes.
+    EXPECT_EQ(registry.CounterValue("pregelix.storage.probes", labels),
+              probes);
+  }
+  EXPECT_EQ(registry.CounterValue("pregelix.storage.probes", labels),
+            probes + 10);
+  EXPECT_EQ(registry.CounterValue("pregelix.storage.inserts", labels),
+            inserts + 10);
 }
 
 struct BTreeSweepParam {

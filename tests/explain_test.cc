@@ -372,5 +372,23 @@ TEST(ExplainTest, StallWatchdogFlagsARunawaySuperstep) {
   EXPECT_EQ(off.stall_count(), 0);
 }
 
+TEST(ExplainTest, StallWatchdogIgnoresJitterUnderItsFloor) {
+  // 4x a 2 ms trailing mean is 8 ms, but a deadline is never under 100 ms:
+  // a 30 ms superstep on a busy host is jitter, not a stall.
+  MetricsRegistry registry;
+  StallWatchdog watchdog(/*factor=*/4.0, &registry, "wd-floor");
+  for (int64_t s = 1; s <= 3; ++s) {
+    watchdog.Arm(s);
+    watchdog.Disarm(2'000'000);
+  }
+  watchdog.Arm(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  watchdog.Disarm(30'000'000);
+  EXPECT_EQ(watchdog.stall_count(), 0);
+  EXPECT_EQ(registry.CounterValue("pregelix.pregel.stalls",
+                                  MetricLabels{{"job", "wd-floor"}}),
+            0u);
+}
+
 }  // namespace
 }  // namespace pregelix

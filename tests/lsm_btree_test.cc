@@ -253,5 +253,57 @@ TEST_F(LsmBTreeTest, DestroyRemovesFiles) {
   ASSERT_TRUE(lsm->Destroy().ok());
 }
 
+// One cursor's seeks, forward and backward, land where the model's
+// lower_bound lands, across shadowing components and tombstones; an LSM
+// cursor never writes through.
+TEST_F(LsmBTreeTest, ReusedCursorSeeksMatchTheModel) {
+  auto lsm = OpenLsm("t");
+  std::map<std::string, std::string> model;
+  Random rnd(321);
+  for (int op = 0; op < 6000; ++op) {
+    // Three disk components, each shadowing the older ones, and a memtable.
+    if (op > 0 && op % 1500 == 0) {
+      ASSERT_TRUE(lsm->FlushMemtable().ok());
+    }
+    const std::string key = OrderedKeyI64(rnd.Uniform(800));
+    if (rnd.Uniform(4) == 0) {
+      ASSERT_TRUE(lsm->Delete(key).ok());
+      model.erase(key);
+    } else {
+      const std::string value(rnd.Uniform(20) + 1, 'a' + op % 26);
+      ASSERT_TRUE(lsm->Upsert(key, value).ok());
+      model[key] = value;
+    }
+  }
+  ASSERT_EQ(lsm->num_disk_components(), 3);
+  auto it = lsm->NewIterator();
+  int64_t target = -3;
+  for (int step = 0; step < 400; ++step) {
+    // Mostly ascending, as the left-outer join probes; now and then back.
+    target += rnd.Uniform(8) == 0 ? -static_cast<int64_t>(rnd.Uniform(40))
+                                  : static_cast<int64_t>(rnd.Uniform(6));
+    const std::string key = OrderedKeyI64(target);
+    ASSERT_TRUE(it->Seek(key).ok());
+    auto want = model.lower_bound(key);
+    if (want == model.end()) {
+      EXPECT_FALSE(it->Valid()) << "target " << target;
+      continue;
+    }
+    ASSERT_TRUE(it->Valid()) << "target " << target;
+    EXPECT_EQ(it->key().ToString(), want->first) << "target " << target;
+    EXPECT_EQ(it->value().ToString(), want->second) << "target " << target;
+    bool written = true;
+    ASSERT_TRUE(it->TryOverwriteValue(it->value(), &written).ok());
+    EXPECT_FALSE(written);
+    ASSERT_TRUE(it->Next().ok());
+    if (++want == model.end()) {
+      EXPECT_FALSE(it->Valid());
+    } else {
+      ASSERT_TRUE(it->Valid());
+      EXPECT_EQ(it->key().ToString(), want->first);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pregelix

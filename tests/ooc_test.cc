@@ -4,12 +4,14 @@
 
 #include "algorithms/algorithms.h"
 #include "common/temp_dir.h"
+#include "common/trace.h"
 #include "dataflow/cluster.h"
 #include "dfs/dfs.h"
 #include "graph/generator.h"
 #include "graph/ref_algos.h"
 #include "graph/text_io.h"
 #include "pregel/runtime.h"
+#include "storage/lsm_btree.h"
 
 namespace pregelix {
 namespace {
@@ -220,6 +222,108 @@ TEST_F(OutOfCoreTest, LsmStorageAlsoRunsOutOfCore) {
     }
   }
   EXPECT_EQ(checked, graph.num_vertices());
+}
+
+// The left-outer join writes back through its probe cursor where it can
+// and otherwise drops the cursor before it upserts. On LSM storage every
+// update is an upsert, and a small memtable flushes and merges inside the
+// supersteps: a merge that closed a component whose page the probe cursor
+// still held would abort the job.
+TEST_F(OutOfCoreTest, LeftOuterSsspOnLsmFlushesInsideSupersteps) {
+  GraphStats stats;
+  ASSERT_TRUE(GenerateBtcLike(dfs_, "btc3", 2, 3000, 6.0, 7, &stats).ok());
+  InMemoryGraph graph;
+  ASSERT_TRUE(LoadGraph(dfs_, "btc3", &graph).ok());
+  const std::vector<double> expected = SsspRef(graph, 0);
+
+  Tracer tracer;
+  tracer.Enable();
+  ClusterConfig config;
+  config.num_workers = 2;
+  config.worker_ram_bytes = 1u << 20;  // a 64 KB memtable per partition
+  config.temp_root = dir_.Sub("cluster-lsm-loj");
+  config.tracer = &tracer;
+  SimulatedCluster cluster(config);
+  PregelixRuntime runtime(&cluster, &dfs_);
+  SsspProgram program(0);
+  SsspProgram::Adapter adapter(&program);
+  PregelixJobConfig job;
+  job.name = "sssp-lsm-loj";
+  job.input_dir = "btc3";
+  job.output_dir = "out-lsm-loj";
+  job.storage = VertexStorage::kLsmBTree;
+  job.join = JoinStrategy::kLeftOuter;
+  JobResult result;
+  Status s = runtime.Run(&adapter, job, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  // The load bulk-loads a component, so every flush is a superstep's.
+  int flushes = 0, merges = 0;
+  for (const TraceEvent& event : tracer.Collect()) {
+    if (event.name == "lsm.flush_memtable") ++flushes;
+    if (event.name == "lsm.merge") ++merges;
+  }
+  EXPECT_GT(flushes, LsmBTree::kMaxComponents);
+  EXPECT_GT(merges, 0);
+
+  std::vector<std::string> names;
+  ASSERT_TRUE(dfs_.List("out-lsm-loj", &names).ok());
+  int64_t checked = 0;
+  for (const std::string& name : names) {
+    std::string contents;
+    ASSERT_TRUE(dfs_.Read("out-lsm-loj/" + name, &contents).ok());
+    std::istringstream lines(contents);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.empty()) continue;
+      std::istringstream fields(line);
+      int64_t vid;
+      double dist;
+      fields >> vid >> dist;
+      EXPECT_NEAR(dist, expected[vid], 1e-9) << "vid " << vid;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, graph.num_vertices());
+}
+
+// A full-outer PageRank superstep on B-tree storage updates every vertex
+// with a same-length record through the scan cursor: it pins each leaf once
+// for the scan and nothing per vertex. A Get or an Upsert per updated
+// vertex would pin at least once per vertex on top of the scan.
+TEST_F(OutOfCoreTest, FullOuterPageRankWritesThroughTheScanCursor) {
+  GraphStats stats;
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs_, "web-wt", 2, 4000, 8.0, 9, &stats).ok());
+  // Buffer-cache pins of a whole job, PageRank with `iterations` sending
+  // supersteps; each job runs on a fresh cluster.
+  auto job_pins = [&](int iterations, uint64_t* pins) {
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.temp_root = dir_.Sub("cluster-wt-" + std::to_string(iterations));
+    SimulatedCluster cluster(config);
+    PregelixRuntime runtime(&cluster, &dfs_);
+    PageRankProgram program(iterations);
+    PageRankProgram::Adapter adapter(&program);
+    PregelixJobConfig job;
+    job.name = "pr-write-through";
+    job.input_dir = "web-wt";
+    job.output_dir = "out-wt-" + std::to_string(iterations);
+    job.join = JoinStrategy::kFullOuter;
+    JobResult result;
+    Status s = runtime.Run(&adapter, job, &result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    *pins = 0;
+    for (int w = 0; w < cluster.num_workers(); ++w) {
+      *pins += cluster.cache(w).hit_count() + cluster.cache(w).miss_count();
+    }
+  };
+  uint64_t three = 0, four = 0;
+  job_pins(3, &three);
+  job_pins(4, &four);
+  // The two jobs differ by one superstep that updates all 4,000 vertices.
+  ASSERT_GT(four, three);
+  EXPECT_LT(four - three, static_cast<uint64_t>(stats.num_vertices / 4));
 }
 
 }  // namespace
