@@ -912,6 +912,10 @@ class BTreeIterator : public IndexIterator {
       }
     }
     leaf_.Release();
+    // A component cursor of an LSM sweep that is already past the target
+    // (its component holds no key in between) is sought again by every
+    // probe until the sweep reaches its key; the finger, usually the leaf
+    // that cursor descended to, takes most of them without a descent.
     PageId leaf_id = tree_->finger_leaf_;
     if (!tree_->InFinger(target)) {
       PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
