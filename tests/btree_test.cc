@@ -565,6 +565,86 @@ TEST_F(BTreeTest, ForwardSeekLandsWhereADescentLands) {
   EXPECT_TRUE(cs.ok()) << cs.ToString();
 }
 
+TEST_F(BTreeTest, ReusedCursorMatchesTheModelUnderInterleavedWrites) {
+  // One cursor, sought mostly forward, now and then back and past the end,
+  // while the tree changes under it, half the time near the cursor: new
+  // keys (splits, appends past the end), deletes, and values of another
+  // length or overflow size (the cell is replaced). After such a write only
+  // Seek may touch the cursor; each seek lands where the model's
+  // lower_bound does, and a same-length overwrite through it sticks. A
+  // 12-page cache evicts the pages the overwrites dirtied.
+  WorkerMetrics metrics;
+  BufferCache small_cache(4096, 12, &metrics);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&small_cache, dir_.path() + "/model", &tree).ok());
+  std::map<std::string, std::string> model;
+  Random rnd(77);
+  auto make_value = [&](int op) {
+    const uint64_t len = rnd.Uniform(20) == 0 ? 1500 + rnd.Uniform(3000)
+                                              : 1 + rnd.Uniform(120);
+    return std::string(len, static_cast<char>('a' + op % 26));
+  };
+  for (int64_t vid = 0; vid < 2000; vid += 2) {
+    const std::string key = OrderedKeyI64(vid);
+    model[key] = make_value(static_cast<int>(vid));
+    ASSERT_TRUE(tree->Upsert(key, model[key]).ok());
+  }
+  auto it = tree->NewIterator();
+  int64_t target = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (rnd.Uniform(5) == 0) {
+      const std::string key =
+          OrderedKeyI64(rnd.Uniform(2) == 0
+                            ? target - 8 + static_cast<int64_t>(rnd.Uniform(24))
+                            : static_cast<int64_t>(rnd.Uniform(2600)));
+      if (rnd.Uniform(3) == 0) {
+        ASSERT_TRUE(tree->Delete(key).ok());
+        model.erase(key);
+      } else {
+        model[key] = make_value(op);
+        ASSERT_TRUE(tree->Upsert(key, model[key]).ok());
+      }
+      continue;
+    }
+    target += rnd.Uniform(10) == 0 ? -static_cast<int64_t>(rnd.Uniform(40))
+                                   : static_cast<int64_t>(rnd.Uniform(8));
+    if (target > 2700) target = -5;
+    const std::string key = OrderedKeyI64(target);
+    ASSERT_TRUE(it->Seek(key).ok());
+    const auto want = model.lower_bound(key);
+    if (want == model.end()) {
+      ASSERT_FALSE(it->Valid()) << "op " << op << " target " << target;
+      continue;
+    }
+    ASSERT_TRUE(it->Valid()) << "op " << op << " target " << target;
+    ASSERT_EQ(it->key().ToString(), want->first)
+        << "op " << op << " target " << target;
+    ASSERT_EQ(it->value().ToString(), want->second) << "op " << op;
+    if (rnd.Uniform(2) == 0) {
+      const std::string updated(want->second.size(),
+                                static_cast<char>('A' + op % 26));
+      bool written = false;
+      ASSERT_TRUE(it->TryOverwriteValue(updated, &written).ok());
+      ASSERT_TRUE(written);
+      want->second = updated;
+      ASSERT_EQ(it->value().ToString(), updated);
+    }
+  }
+  it.reset();
+  auto scan = tree->NewIterator();
+  ASSERT_TRUE(scan->SeekToFirst().ok());
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(scan->Valid());
+    ASSERT_EQ(scan->key().ToString(), key);
+    ASSERT_EQ(scan->value().ToString(), value);
+    ASSERT_TRUE(scan->Next().ok());
+  }
+  EXPECT_FALSE(scan->Valid());
+  scan.reset();
+  Status cs = tree->CheckConsistency();
+  EXPECT_TRUE(cs.ok()) << cs.ToString();
+}
+
 TEST_F(BTreeTest, CursorCountsSeeksAsProbesAndOverwritesAsInserts) {
   MetricsRegistry registry;
   BufferCache cache(4096, 64, nullptr);
