@@ -319,10 +319,9 @@ class ComputeDriver final : public MessageSink {
   /// output to the in-flight mini-operators. `cursor` is the join's Vertex
   /// cursor; when `vertex_exists` it is on the row, and its value() is the
   /// record, a view into the index.
-  Status Process(int64_t vid, bool vertex_exists,
-                 std::unique_ptr<IndexIterator>* cursor, bool has_messages,
-                 const Slice& payload) {
-    const Slice vertex_bytes = vertex_exists ? (*cursor)->value() : Slice();
+  Status Process(int64_t vid, bool vertex_exists, IndexIterator* cursor,
+                 bool has_messages, const Slice& payload) {
+    const Slice vertex_bytes = vertex_exists ? cursor->value() : Slice();
     input_.vid = vid;
     input_.vertex_exists = vertex_exists;
     input_.vertex_bytes = vertex_bytes;
@@ -396,6 +395,23 @@ class ComputeDriver final : public MessageSink {
   /// scan and probe work); Finish charges them.
   void CountOps(uint64_t ops) { cpu_ops_ += ops; }
 
+  /// True once a frame of left-outer updates awaits ApplyUpserts.
+  bool UpsertsFull() const {
+    return upserts_.size() >= task_.config->frame_size;
+  }
+
+  /// Upserts the left-outer updates gathered so far. The caller holds no
+  /// cursor over the Vertex index.
+  Status ApplyUpserts() {
+    Slice in(upserts_);
+    Slice key, value;
+    while (GetLengthPrefixed(&in, &key) && GetLengthPrefixed(&in, &value)) {
+      PREGELIX_RETURN_NOT_OK(state_.vertex_index->Upsert(key, value));
+    }
+    upserts_.clear();
+    return Status::OK();
+  }
+
   /// Flushes messages, contribution, pending updates, and the Vid loader.
   Status Finish() {
     // One add per task instead of one per vertex on counters shared by every
@@ -448,6 +464,7 @@ class ComputeDriver final : public MessageSink {
     if (state_.vid_index != nullptr) {
       Status s = state_.vid_index->Destroy();
       if (!s.ok()) PLOG(Warn) << "vid destroy: " << s.ToString();
+      state_.vid_index.reset();
     }
     if (!state_.vid_extra_path.empty()) {
       DeleteFileIfExists(state_.vid_extra_path);
@@ -456,20 +473,20 @@ class ComputeDriver final : public MessageSink {
 
   /// D2 application policy, one rule for both joins: an existing record
   /// is overwritten through the cursor that read it where the cursor can
-  /// take it (a same-length B-tree record). Anything else is structural.
-  /// The full-outer plan is mid-scan, so it buffers that in the pending run
-  /// and applies it after the scan. The left-outer plan upserts it only
-  /// after dropping its probe cursor, since an LSM upsert may flush the
-  /// memtable and merge away a component whose page the cursor holds; it
-  /// gathers up to a frame of such updates per drop, because on LSM
-  /// storage every update is one and reopening the cursor after each cost
-  /// more than the probes saved.
+  /// take it (a same-length B-tree record). Anything else is structural
+  /// and waits until the join has dropped its cursor. The full-outer plan
+  /// is mid-scan, so it buffers that in the pending run and applies it
+  /// after the scan. The left-outer plan gathers it in memory, and its join
+  /// applies each frame of it between two probes (ApplyUpserts), since an
+  /// LSM upsert may flush the memtable and merge away a component whose
+  /// page the cursor holds. On LSM storage every update is structural, and
+  /// the pending run would write and read back each updated record once
+  /// more.
   Status ApplyUpdate(const Slice& key, bool vertex_exists,
-                     std::unique_ptr<IndexIterator>* cursor,
-                     const Slice& new_bytes) {
+                     IndexIterator* cursor, const Slice& new_bytes) {
     if (vertex_exists) {
       bool written = false;
-      PREGELIX_RETURN_NOT_OK((*cursor)->TryOverwriteValue(new_bytes, &written));
+      PREGELIX_RETURN_NOT_OK(cursor->TryOverwriteValue(new_bytes, &written));
       if (written) return Status::OK();
     }
     if (defer_updates_) {
@@ -479,19 +496,6 @@ class ComputeDriver final : public MessageSink {
     }
     PutLengthPrefixed(&upserts_, key);
     PutLengthPrefixed(&upserts_, new_bytes);
-    if (upserts_.size() < task_.config->frame_size) return Status::OK();
-    cursor->reset();
-    return ApplyUpserts();
-  }
-
-  /// Upserts the left-outer updates gathered so far; no cursor is open.
-  Status ApplyUpserts() {
-    Slice in(upserts_);
-    Slice key, value;
-    while (GetLengthPrefixed(&in, &key) && GetLengthPrefixed(&in, &value)) {
-      PREGELIX_RETURN_NOT_OK(state_.vertex_index->Upsert(key, value));
-    }
-    upserts_.clear();
     return Status::OK();
   }
 
@@ -543,13 +547,13 @@ Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
       // Left-outer case: message to a missing vertex — create it.
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
       PREGELIX_RETURN_NOT_OK(
-          driver->Process(vid, /*vertex_exists=*/false, &vertex,
+          driver->Process(vid, /*vertex_exists=*/false, vertex.get(),
                           /*has_messages=*/true, msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
     } else if (cmp == 0) {
       const int64_t vid = DecodeOrderedI64(msg.field(0).data());
       PREGELIX_RETURN_NOT_OK(
-          driver->Process(vid, true, &vertex, true, msg.field(1)));
+          driver->Process(vid, true, vertex.get(), true, msg.field(1)));
       PREGELIX_RETURN_NOT_OK(msg.Next());
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     } else {
@@ -558,7 +562,7 @@ Status FullOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
       if (!VertexHalt(vertex->value())) {
         const int64_t vid = DecodeOrderedI64(vertex->key().data());
         PREGELIX_RETURN_NOT_OK(
-            driver->Process(vid, true, &vertex, false, Slice()));
+            driver->Process(vid, true, vertex.get(), false, Slice()));
       } else {
         driver->CountOps(1);  // scanned and filtered
       }
@@ -583,9 +587,9 @@ Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
   TupleRunReader extra(state.vid_extra_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(extra.Init());
 
-  // The probe cursor; applying upserts drops it, and the next probe opens
-  // another.
-  std::unique_ptr<IndexIterator> vertex;
+  // The probe cursor; the join drops it to apply a frame of the updates it
+  // could not take, then opens another.
+  std::unique_ptr<IndexIterator> vertex = state.vertex_index->NewIterator();
   while (msg.Valid() || (vid_it != nullptr && vid_it->Valid()) ||
          extra.Valid()) {
     // Smallest key among the three sorted sources.
@@ -619,21 +623,25 @@ Status LeftOuterJoin(JobRuntimeContext* ctx, TaskContext& task,
     // for the merge scan. The keys ascend, so the cursor mostly stays in
     // its pinned leaf.
     const int64_t vid = DecodeOrderedI64(key.data());
-    if (vertex == nullptr) vertex = state.vertex_index->NewIterator();
     PREGELIX_RETURN_NOT_OK(vertex->Seek(Slice(key)));
     driver->CountOps(4);
     if (!vertex->Valid() || vertex->key() != Slice(key)) {
       if (has_msg) {
         PREGELIX_RETURN_NOT_OK(
-            driver->Process(vid, false, &vertex, true, payload));
+            driver->Process(vid, false, vertex.get(), true, payload));
       }
       // else: a live-set entry whose vertex was removed by a mutation.
     } else if (has_msg || !VertexHalt(vertex->value())) {
       PREGELIX_RETURN_NOT_OK(
-          driver->Process(vid, true, &vertex, has_msg, payload));
+          driver->Process(vid, true, vertex.get(), has_msg, payload));
     }
     if (has_msg) {
       PREGELIX_RETURN_NOT_OK(msg.Next());
+    }
+    if (driver->UpsertsFull()) {
+      vertex.reset();
+      PREGELIX_RETURN_NOT_OK(driver->ApplyUpserts());
+      vertex = state.vertex_index->NewIterator();
     }
   }
   return Status::OK();

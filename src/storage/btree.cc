@@ -299,6 +299,8 @@ Status BTree::Flush() {
 }
 
 Status BTree::Destroy() {
+  // Once only: the cache hands a closed file's id to the next file opened.
+  if (destroyed_) return Status::OK();
   destroyed_ = true;
   return cache_->DeleteFile(file_id_);
 }
@@ -897,13 +899,8 @@ class BTreeIterator : public IndexIterator {
   Status Seek(const Slice& target) override {
     ++seeks_;
     // By the finger's rule, no cell was added or removed since the cursor
-    // was positioned: past the largest key the cursor ran off, it stays
-    // off; between the current key and the leaf's last key, it stays in
-    // the pinned leaf.
-    if (!valid_ && version_ == tree_->version_ && !last_key_.empty() &&
-        target.compare(Slice(last_key_)) > 0) {
-      return Status::OK();
-    }
+    // was positioned: between the current key and the leaf's last key, it
+    // stays in the pinned leaf.
     if (valid_ && version_ == tree_->version_ && key_.compare(target) <= 0) {
       const char* p = leaf_.data();
       if (target.compare(CellKey(p, NumEntries(p) - 1)) <= 0) {
@@ -912,14 +909,8 @@ class BTreeIterator : public IndexIterator {
       }
     }
     leaf_.Release();
-    // A component cursor of an LSM sweep that is already past the target
-    // (its component holds no key in between) is sought again by every
-    // probe until the sweep reaches its key; the finger, usually the leaf
-    // that cursor descended to, takes most of them without a descent.
-    PageId leaf_id = tree_->finger_leaf_;
-    if (!tree_->InFinger(target)) {
-      PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
-    }
+    PageId leaf_id;
+    PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
     PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &leaf_));
     slot_ = LowerBound(leaf_.data(), target);
     return SkipToValid();
@@ -978,16 +969,6 @@ class BTreeIterator : public IndexIterator {
       }
       // Unpin before pinning the sibling, as a fresh pin per step would.
       const PageId next = RightSibling(p);
-      if (next == kInvalidPage) {
-        // Running off the end: remember the largest key, if this leaf
-        // holds it (a lazily emptied last leaf does not).
-        last_key_.clear();
-        if (NumEntries(p) > 0) {
-          const Slice last = CellKey(p, NumEntries(p) - 1);
-          last_key_.assign(last.data(), last.size());
-        }
-        version_ = tree_->version_;
-      }
       leaf_.Release();
       slot_ = 0;
       if (next != kInvalidPage) {
@@ -1005,7 +986,6 @@ class BTreeIterator : public IndexIterator {
   bool valid_ = false;
   bool overflow_ = false;
   uint64_t version_ = 0;  ///< the tree's version_ when positioned
-  std::string last_key_;  ///< the largest key, once the cursor ran off it
   Slice key_;
   Slice value_;
   char* payload_ = nullptr;  ///< the current cell's value payload

@@ -75,7 +75,7 @@ class OrderedIndex {
   /// Durably writes buffered state.
   virtual Status Flush() = 0;
   /// Drops the backing files without writing anything back. The index must
-  /// not be used afterwards.
+  /// not be used afterwards, except that a second Destroy does nothing.
   virtual Status Destroy() = 0;
   /// Live entry count (excluding tombstoned keys).
   virtual uint64_t num_entries() const = 0;

@@ -313,6 +313,7 @@ Status LsmBTree::Flush() {
 }
 
 Status LsmBTree::Destroy() {
+  if (destroyed_) return Status::OK();
   destroyed_ = true;
   Status result;
   for (auto& component : components_) {
@@ -333,6 +334,12 @@ Status LsmBTree::Destroy() {
 /// forward by its seeks. key()/value() are views into the source that holds
 /// the current entry; a source shadowed by a newer one on the same key
 /// stays on it until the cursor moves past that key.
+///
+/// While the iterator is valid, each component cursor sits on its first
+/// key at or past the current key (or has run off its component). A seek
+/// to a target at or past the current key therefore leaves alone every
+/// component cursor that has run off or is already at or past the target:
+/// a seek would put it where it is.
 class LsmIterator : public IndexIterator {
  public:
   explicit LsmIterator(LsmBTree* lsm) : lsm_(lsm), probes_(lsm->probes_) {
@@ -353,7 +360,13 @@ class LsmIterator : public IndexIterator {
   Status Seek(const Slice& target) override {
     ++seeks_;
     mem_it_ = lsm_->memtable_.lower_bound(target.ToString());
-    for (auto& it : disk_) PREGELIX_RETURN_NOT_OK(it->Seek(target));
+    const bool forward = valid_ && key_.compare(target) <= 0;
+    for (auto& it : disk_) {
+      if (forward && (!it->Valid() || it->key().compare(target) >= 0)) {
+        continue;
+      }
+      PREGELIX_RETURN_NOT_OK(it->Seek(target));
+    }
     return FindLive();
   }
 

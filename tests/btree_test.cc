@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -554,7 +555,7 @@ TEST_F(BTreeTest, ForwardSeekLandsWhereADescentLands) {
   expect_seek(it.get(), 3001);
   expect_seek(it.get(), 3998);
   expect_seek(it.get(), 3999);  // runs off the end
-  expect_seek(it.get(), 5000);  // stays off
+  expect_seek(it.get(), 5000);  // past the end again
   expect_seek(it.get(), 10);    // back before the end
   expect_seek(it.get(), 4500);
   // A key appended past the old end is found once the cursor ran off.
@@ -643,6 +644,29 @@ TEST_F(BTreeTest, ReusedCursorMatchesTheModelUnderInterleavedWrites) {
   scan.reset();
   Status cs = tree->CheckConsistency();
   EXPECT_TRUE(cs.ok()) << cs.ToString();
+}
+
+TEST_F(BTreeTest, SecondDestroyLeavesTheNextFileAlone) {
+  // The cache hands a deleted file's id to the next file it opens; a second
+  // Destroy of the first tree must not drop or delete that file.
+  auto first = OpenTree("first");
+  ASSERT_TRUE(first->Upsert("k", "v").ok());
+  ASSERT_TRUE(first->Destroy().ok());
+  auto second = OpenTree("second");
+  for (int64_t vid = 0; vid < 500; ++vid) {
+    ASSERT_TRUE(
+        second->Upsert(OrderedKeyI64(vid), "v" + std::to_string(vid)).ok());
+  }
+  ASSERT_TRUE(first->Destroy().ok());
+  first.reset();
+  std::string value;
+  for (int64_t vid = 0; vid < 500; ++vid) {
+    ASSERT_TRUE(second->Get(OrderedKeyI64(vid), &value).ok()) << vid;
+    ASSERT_EQ(value, "v" + std::to_string(vid));
+  }
+  ASSERT_TRUE(second->Flush().ok());
+  EXPECT_TRUE(std::filesystem::exists(dir_.path() + "/second"));
+  EXPECT_FALSE(std::filesystem::exists(dir_.path() + "/first"));
 }
 
 TEST_F(BTreeTest, CursorCountsSeeksAsProbesAndOverwritesAsInserts) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "buffer/buffer_cache.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/temp_dir.h"
@@ -254,15 +255,16 @@ TEST_F(LsmBTreeTest, DestroyRemovesFiles) {
 }
 
 // One cursor's seeks, forward and backward, land where the model's
-// lower_bound lands, across shadowing components and tombstones; an LSM
-// cursor never writes through.
+// lower_bound lands, across shadowing components and tombstones, with or
+// without a Next in between; an LSM cursor never writes through.
 TEST_F(LsmBTreeTest, ReusedCursorSeeksMatchTheModel) {
   auto lsm = OpenLsm("t");
   std::map<std::string, std::string> model;
   Random rnd(321);
   for (int op = 0; op < 6000; ++op) {
-    // Three disk components, each shadowing the older ones, and a memtable.
-    if (op > 0 && op % 1500 == 0) {
+    // Four disk components, each shadowing the older ones, and a memtable
+    // small enough that most keys are found only in a component.
+    if (op > 0 && (op % 1500 == 0 || op == 5900)) {
       ASSERT_TRUE(lsm->FlushMemtable().ok());
     }
     const std::string key = OrderedKeyI64(rnd.Uniform(800));
@@ -275,7 +277,7 @@ TEST_F(LsmBTreeTest, ReusedCursorSeeksMatchTheModel) {
       model[key] = value;
     }
   }
-  ASSERT_EQ(lsm->num_disk_components(), 3);
+  ASSERT_EQ(lsm->num_disk_components(), 4);
   auto it = lsm->NewIterator();
   int64_t target = -3;
   for (int step = 0; step < 400; ++step) {
@@ -295,6 +297,7 @@ TEST_F(LsmBTreeTest, ReusedCursorSeeksMatchTheModel) {
     bool written = true;
     ASSERT_TRUE(it->TryOverwriteValue(it->value(), &written).ok());
     EXPECT_FALSE(written);
+    if (rnd.Uniform(2) == 0) continue;
     ASSERT_TRUE(it->Next().ok());
     if (++want == model.end()) {
       EXPECT_FALSE(it->Valid());
@@ -303,6 +306,39 @@ TEST_F(LsmBTreeTest, ReusedCursorSeeksMatchTheModel) {
       EXPECT_EQ(it->key().ToString(), want->first);
     }
   }
+}
+
+// A forward seek leaves alone the component cursors already at or past the
+// target: a sweep over three interleaved components seeks one component
+// cursor per probe, not three.
+TEST_F(LsmBTreeTest, ForwardSeekMovesOnlyTheCursorsBehindTheTarget) {
+  MetricsRegistry registry;
+  BufferCache cache(4096, 64, nullptr);
+  cache.SetObservability(nullptr, &registry, /*worker=*/0);
+  std::unique_ptr<LsmBTree> lsm;
+  ASSERT_TRUE(
+      LsmBTree::Open(&cache, dir_.Sub("sweep"), 1024 * 1024, &lsm).ok());
+  const int64_t n = 3000;
+  for (int64_t residue = 0; residue < 3; ++residue) {
+    for (int64_t vid = residue; vid < n; vid += 3) {
+      ASSERT_TRUE(lsm->Upsert(OrderedKeyI64(vid), "v").ok());
+    }
+    ASSERT_TRUE(lsm->FlushMemtable().ok());
+  }
+  ASSERT_EQ(lsm->num_disk_components(), 3);
+  const MetricLabels labels{{"worker", "0"}, {"storage_tier", "btree"}};
+  {
+    auto it = lsm->NewIterator();
+    for (int64_t vid = 0; vid < n; ++vid) {
+      ASSERT_TRUE(it->Seek(OrderedKeyI64(vid)).ok());
+      ASSERT_TRUE(it->Valid());
+      ASSERT_EQ(DecodeOrderedI64(it->key().data()), vid);
+    }
+  }
+  // The first seek positions all three; each later one moves only the
+  // cursor on the previous key.
+  EXPECT_EQ(registry.CounterValue("pregelix.storage.probes", labels),
+            static_cast<uint64_t>(n + 2));
 }
 
 }  // namespace
