@@ -29,7 +29,7 @@ enum class JoinStrategy {
 enum class GroupByStrategy {
   kSort,      ///< sort-based group-by at sender and receiver
   kHashSort,  ///< hash pre-aggregation with sorted runs
-  kAuto,      ///< per-superstep choice by the PlanOptimizer
+  kAuto,      ///< runs as kDense does; the PlanOptimizer never decides it
   /// EXTENSION: one combined mailbox slot per vid, folded on arrival
   /// (DenseGrouper). Runs only when the combiner has a fixed width and the
   /// loaded vid range fits the group-by budget; otherwise the superstep

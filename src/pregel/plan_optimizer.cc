@@ -37,9 +37,6 @@ constexpr double kMessageScanRatio = 0.5;
 /// Combine-op skew (max/median wall) past this prefers the merged connector
 /// (sender-side materialization absorbs the skewed receiver).
 constexpr double kSkewThreshold = 4.0;
-/// After a spill demotes the group-by to sort, re-promotion to hash
-/// requires the combiner reduction (tuples in / tuples out) to reach this.
-constexpr double kHashReductionThreshold = 2.0;
 /// Proactive switches need the signal for this many consecutive
 /// supersteps.
 constexpr int kConfirmSupersteps = 2;
@@ -115,14 +112,8 @@ int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges) {
   return num_vertices * 16 + num_edges * 8;
 }
 
-PlanOptimizer::PlanOptimizer(uint64_t groupby_memory_bytes)
-    : groupby_memory_bytes_(groupby_memory_bytes) {
-  // Hash pre-aggregation starts as the optimistic default: with the
-  // accumulator table inside budget it is never worse than sort (it skips
-  // the run-generation passes), and when it does overflow it degrades to
-  // sorted runs — the reactive spill demotion below catches exactly that.
-  current_.groupby = GroupByStrategy::kHashSort;
-}
+PlanOptimizer::PlanOptimizer(AutoKnobs knobs, uint64_t groupby_memory_bytes)
+    : knobs_(knobs), groupby_memory_bytes_(groupby_memory_bytes) {}
 
 void PlanOptimizer::Observe(const OptimizerFeedback& feedback) {
   fb_ = feedback;
@@ -156,93 +147,72 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
 
   if (superstep > 1 && has_feedback_) {
     const OptimizerFeedback& fb = fb_;
-    const double ratio =
-        fb.num_vertices <= 0
-            ? 1.0
-            : static_cast<double>(Frontier(fb.live_vertices, fb.messages)) /
-                  static_cast<double>(fb.num_vertices);
-    const bool msg_dominant =
-        static_cast<double>(fb.message_bytes) >=
-        kMessageScanRatio *
-            static_cast<double>(
-                ApproxVertexScanBytes(fb.num_vertices, fb.num_edges));
-    const bool spill_over = fb.spill_bytes > groupby_memory_bytes_;
-
-    // --- join: frontier ratio with a [sparse, dense] hysteresis band. A
-    // stall relaxes the edge to the middle of the band (reactive) — a plan
-    // that is stalling does not get the benefit of the doubt.
-    const bool wants_loj =
-        current_.join == JoinStrategy::kFullOuter && !msg_dominant &&
-        (ratio < kSparseFrontierRatio ||
-         (fb.stalled && ratio < kDenseFrontierRatio));
-    const bool wants_foj =
-        current_.join == JoinStrategy::kLeftOuter &&
-        (ratio > kDenseFrontierRatio || msg_dominant ||
-         (fb.stalled && ratio > kSparseFrontierRatio));
-    const bool near_empty = wants_loj && ratio < kNearEmptyFrontierRatio;
-    if (Confirm(&join_state_, superstep, wants_loj || wants_foj,
-                fb.stalled || near_empty)) {
-      current_.join = wants_loj ? JoinStrategy::kLeftOuter
-                                : JoinStrategy::kFullOuter;
-      ++switch_count_;
-      last_reactive_ = last_reactive_ || fb.stalled;
-      last_reason_ = fb.stalled         ? "stall"
-                     : msg_dominant     ? "msg-volume"
+    // Only the knobs the job left at kAuto are decided; a static knob keeps
+    // no streak, cooldown or reason, so nothing about it reaches the record.
+    if (knobs_.join) {
+      // --- join: frontier ratio with a [sparse, dense] hysteresis band. A
+      // stall relaxes the edge to the middle of the band (reactive) — a
+      // plan that is stalling does not get the benefit of the doubt.
+      const double ratio =
+          fb.num_vertices <= 0
+              ? 1.0
+              : static_cast<double>(Frontier(fb.live_vertices, fb.messages)) /
+                    static_cast<double>(fb.num_vertices);
+      const bool msg_dominant =
+          static_cast<double>(fb.message_bytes) >=
+          kMessageScanRatio *
+              static_cast<double>(
+                  ApproxVertexScanBytes(fb.num_vertices, fb.num_edges));
+      const bool wants_loj =
+          current_.join == JoinStrategy::kFullOuter && !msg_dominant &&
+          (ratio < kSparseFrontierRatio ||
+           (fb.stalled && ratio < kDenseFrontierRatio));
+      const bool wants_foj =
+          current_.join == JoinStrategy::kLeftOuter &&
+          (ratio > kDenseFrontierRatio || msg_dominant ||
+           (fb.stalled && ratio > kSparseFrontierRatio));
+      const bool near_empty = wants_loj && ratio < kNearEmptyFrontierRatio;
+      if (Confirm(&join_state_, superstep, wants_loj || wants_foj,
+                  fb.stalled || near_empty)) {
+        current_.join = wants_loj ? JoinStrategy::kLeftOuter
+                                  : JoinStrategy::kFullOuter;
+        ++switch_count_;
+        last_reactive_ = fb.stalled;
+        last_reason_ = fb.stalled       ? "stall"
+                       : msg_dominant   ? "msg-volume"
                                         : FormatRatio("frontier", ratio);
-    }
-
-    // --- group-by: hash pre-aggregation is the optimistic start; sort is
-    // the reactive fallback when the hash table thrashes past the budget.
-    // After a spill demotion, re-promotion to hash must be earned: the
-    // combiner has to demonstrably reduce (plan profile) with zero spills.
-    const double reduction =
-        fb.combine_tuples_out > 0
-            ? static_cast<double>(fb.combine_tuples_in) /
-                  static_cast<double>(fb.combine_tuples_out)
-            : 0.0;
-    const bool wants_hash = current_.groupby == GroupByStrategy::kSort &&
-                            reduction >= kHashReductionThreshold &&
-                            fb.spill_count == 0;
-    const bool wants_sort =
-        current_.groupby == GroupByStrategy::kHashSort && spill_over;
-    if (Confirm(&groupby_state_, superstep, wants_hash || wants_sort,
-                /*reactive=*/wants_sort)) {
-      current_.groupby = wants_hash ? GroupByStrategy::kHashSort
-                                    : GroupByStrategy::kSort;
-      ++switch_count_;
-      last_reactive_ = last_reactive_ || wants_sort;
-      if (wants_sort) {
-        last_reason_ = "spill";
-      } else if (last_reason_ == "carry") {
-        last_reason_ = FormatRatio("reduction", reduction);
       }
     }
 
-    // --- connector: merged (sender-materializing, one-pass preclustered
-    // receive) is the relief valve for receive-side memory pressure and
-    // skew. The relief hides the original signal, so the backswitch
-    // requires the load driver — message volume — to fall to half of what
-    // it was at switch time (hysteresis against relief-induced flapping).
-    const bool conn_reactive = spill_over || fb.stalled;
-    const bool wants_merged =
-        current_.connector == GroupByConnector::kUnmerged &&
-        (fb.spill_count > 0 || fb.groupby_skew >= kSkewThreshold);
-    const bool wants_unmerged =
-        current_.connector == GroupByConnector::kMerged &&
-        fb.spill_count == 0 && fb.groupby_skew < kSkewThreshold &&
-        fb.message_bytes * 2 < connector_switch_load_;
-    if (Confirm(&connector_state_, superstep, wants_merged || wants_unmerged,
-                /*reactive=*/wants_merged && conn_reactive)) {
-      current_.connector = wants_merged ? GroupByConnector::kMerged
-                                        : GroupByConnector::kUnmerged;
-      if (wants_merged) connector_switch_load_ = fb.message_bytes;
-      ++switch_count_;
-      last_reactive_ = last_reactive_ || (wants_merged && conn_reactive);
-      if (last_reason_ == "carry") {
-        last_reason_ = wants_merged
-                           ? (spill_over || fb.spill_count > 0 ? "spill"
-                                                               : "skew")
-                           : "load-drop";
+    if (knobs_.connector) {
+      // --- connector: merged (sender-materializing, one-pass preclustered
+      // receive) is the relief valve for receive-side memory pressure and
+      // skew. The relief hides the original signal, so the backswitch
+      // requires the load driver — message volume — to fall to half of
+      // what it was at switch time (hysteresis against relief-induced
+      // flapping).
+      const bool spill_over = fb.spill_bytes > groupby_memory_bytes_;
+      const bool conn_reactive = spill_over || fb.stalled;
+      const bool wants_merged =
+          current_.connector == GroupByConnector::kUnmerged &&
+          (fb.spill_count > 0 || fb.groupby_skew >= kSkewThreshold);
+      const bool wants_unmerged =
+          current_.connector == GroupByConnector::kMerged &&
+          fb.spill_count == 0 && fb.groupby_skew < kSkewThreshold &&
+          fb.message_bytes * 2 < connector_switch_load_;
+      if (Confirm(&connector_state_, superstep, wants_merged || wants_unmerged,
+                  /*reactive=*/wants_merged && conn_reactive)) {
+        current_.connector = wants_merged ? GroupByConnector::kMerged
+                                          : GroupByConnector::kUnmerged;
+        if (wants_merged) connector_switch_load_ = fb.message_bytes;
+        ++switch_count_;
+        last_reactive_ = last_reactive_ || (wants_merged && conn_reactive);
+        if (last_reason_ == "carry") {
+          last_reason_ = wants_merged
+                             ? (spill_over || fb.spill_count > 0 ? "spill"
+                                                                 : "skew")
+                             : "load-drop";
+        }
       }
     }
   }
@@ -275,15 +245,14 @@ VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx) {
 
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
   const PregelixJobConfig& cfg = *ctx->job_config;
-  // Without an optimizer (plan-generator unit tests, `pregelix verify`)
-  // each kAuto knob resolves to the optimizer's superstep-1 plan: full
-  // outer, hash-sort, unmerged.
+  // Without an optimizer (plan-generator unit tests, `pregelix verify`, a
+  // job whose join and connector are static) each kAuto knob resolves to
+  // the optimizer's superstep-1 plan: full outer, dense, unmerged.
   PlanDecision d;
   d.join = cfg.join == JoinStrategy::kAuto ? JoinStrategy::kFullOuter
                                            : cfg.join;
-  d.groupby = cfg.groupby == GroupByStrategy::kAuto
-                  ? GroupByStrategy::kHashSort
-                  : cfg.groupby;
+  d.groupby = cfg.groupby == GroupByStrategy::kAuto ? GroupByStrategy::kDense
+                                                    : cfg.groupby;
   d.connector = cfg.groupby_connector == GroupByConnector::kAuto
                     ? GroupByConnector::kUnmerged
                     : cfg.groupby_connector;

@@ -14,15 +14,17 @@
 // optimization").
 //
 // The chooser consumes the *previous* superstep's observations — live-vertex
-// ratio, combined message count and bytes, spill count/bytes, group-by skew
-// and combiner reduction, and whether the stall watchdog fired — and
-// re-chooses among the paper's physical variants at every superstep
-// boundary:
+// ratio, combined message count and bytes, spill count/bytes, group-by skew,
+// and whether the stall watchdog fired — and re-chooses among the paper's
+// physical variants at every superstep boundary:
 //
 //   join       Vid-merge full-outer scan  vs  left-outer Vertex probe
-//   group-by   sort-based                 vs  hash pre-aggregation
 //   connector  unmerged (pipelined)       vs  merged (preclustered receive)
 //   storage    B-tree vs LSM — admission time only (indexes are built once)
+//
+// It decides only the knobs the job left at kAuto. The group-by is not
+// decided: kAuto resolves as the default hint does, dense where the §4 fit
+// rule admits it and sort otherwise.
 //
 // Every knob carries hysteresis: a proactive switch needs the signal to hold
 // for two consecutive supersteps, and any switch opens a two-superstep
@@ -59,8 +61,8 @@ struct PlanDecision {
 };
 
 /// What one completed superstep tells the chooser (assembled by the driver
-/// from GS, SuperstepStats, the PlanProfile when profiling is on, and the
-/// stall watchdog).
+/// from GS, SuperstepStats, the superstep's PlanProfile, and the stall
+/// watchdog).
 struct OptimizerFeedback {
   int64_t num_vertices = 0;
   int64_t num_edges = 0;
@@ -70,13 +72,8 @@ struct OptimizerFeedback {
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
   /// Combine-op worker skew (max/median wall) from the plan profile; 1.0
-  /// when unknown (profiling off).
+  /// when no combine operator ran.
   double groupby_skew = 1.0;
-  /// Combine-op input tuples (plan profile) and the combined messages it
-  /// wrote; 0 when unknown (profiling off). Their ratio is the combiner
-  /// reduction factor.
-  uint64_t combine_tuples_in = 0;
-  uint64_t combine_tuples_out = 0;
   /// The stall watchdog flagged this superstep while it ran.
   bool stalled = false;
 };
@@ -93,12 +90,20 @@ struct PlanDecisionRecord {
   std::string reason;  ///< short cause tag ("frontier=0.04", "stall", ...)
 };
 
+/// The knobs a job left at kAuto, which are the only ones the optimizer
+/// decides (storage is resolved at admission, the group-by never).
+struct AutoKnobs {
+  bool join = true;
+  bool connector = true;
+};
+
 class PlanOptimizer {
  public:
   /// `groupby_memory_bytes` is the per-operator group-by budget; spill
-  /// bytes past it demote the group-by to sort reactively. The other
-  /// thresholds are the constants DESIGN.md §17 documents.
-  explicit PlanOptimizer(uint64_t groupby_memory_bytes = 32ull << 20);
+  /// bytes past it make the switch to the merged connector reactive. The
+  /// other thresholds are the constants DESIGN.md §17 documents.
+  explicit PlanOptimizer(AutoKnobs knobs = {},
+                         uint64_t groupby_memory_bytes = 32ull << 20);
 
   /// Feeds the observations of a completed superstep. Called by the driver
   /// at each barrier, before deciding the next superstep.
@@ -106,7 +111,8 @@ class PlanOptimizer {
 
   /// Chooses the plan for `superstep`. Idempotent per superstep: repeated
   /// calls with the same superstep return the cached decision without
-  /// advancing hysteresis state.
+  /// advancing hysteresis state. A knob the job set statically keeps its
+  /// superstep-1 value, unless the test override changes it.
   PlanDecision Decide(int64_t superstep);
 
   /// True when the most recent Decide switched reactively (stall / spill
@@ -132,12 +138,15 @@ class PlanOptimizer {
   bool Confirm(KnobState* k, int64_t superstep, bool wants_change,
                bool reactive);
 
+  AutoKnobs knobs_;
   uint64_t groupby_memory_bytes_;
   bool has_feedback_ = false;
   OptimizerFeedback fb_;  ///< latest observations
 
-  PlanDecision current_;
-  KnobState join_state_, groupby_state_, connector_state_;
+  /// Superstep 1's plan is the default one: full outer, dense, unmerged.
+  PlanDecision current_{JoinStrategy::kFullOuter, GroupByStrategy::kDense,
+                        GroupByConnector::kUnmerged};
+  KnobState join_state_, connector_state_;
   /// Message volume at the moment the connector switched to merged; the
   /// backswitch needs the load to halve (the merged connector hides the
   /// spill signal that caused the switch).
@@ -172,9 +181,10 @@ VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx);
 /// Resolves the three switchable knobs for ctx->current_superstep and writes
 /// them into ctx->current_{join,groupby,connector}. Static hints pass
 /// through; kAuto knobs ask ctx->optimizer, or resolve to its superstep-1
-/// plan (fullouter/hashsort/unmerged) when no optimizer is installed
-/// (plan-generator unit tests, `pregelix verify`). Pure apart from the
-/// optimizer's own memoized Decide.
+/// plan (fullouter/dense/unmerged) when no optimizer is installed
+/// (plan-generator unit tests, `pregelix verify`). A dense group-by falls
+/// back to sort where its slot arrays do not fit (DESIGN.md §4). Pure apart
+/// from the optimizer's own memoized Decide.
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx);
 
 /// Driver-path resolution: ResolvePlanDecision plus the observable effects —

@@ -154,16 +154,17 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   result->plan_decisions.clear();
 
   // Plan chooser setup. Storage resolves once at admission (the indexes are
-  // built at load and never rebuilt mid-job); the three switchable knobs
-  // get a feedback-driven PlanOptimizer iff any of them is kAuto.
-  // RunPipeline reuses one ctx across jobs, so chooser state resets here.
+  // built at load and never rebuilt mid-job); the join and the connector
+  // get a feedback-driven PlanOptimizer iff either of them is kAuto (a
+  // kAuto group-by resolves as the default hint does). RunPipeline reuses
+  // one ctx across jobs, so chooser state resets here.
   ctx->current_storage = ResolveStorageAtAdmission(*ctx);
   ctx->has_prev_plan = false;
-  if (config.join == JoinStrategy::kAuto ||
-      config.groupby == GroupByStrategy::kAuto ||
-      config.groupby_connector == GroupByConnector::kAuto) {
+  const AutoKnobs knobs{config.join == JoinStrategy::kAuto,
+                        config.groupby_connector == GroupByConnector::kAuto};
+  if (knobs.join || knobs.connector) {
     ctx->optimizer = std::make_shared<PlanOptimizer>(
-        cluster_->config().groupby_memory_bytes);
+        knobs, cluster_->config().groupby_memory_bytes);
   } else {
     ctx->optimizer.reset();
   }
@@ -177,15 +178,14 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   StallWatchdog watchdog(config.stall_factor, cluster_->registry(),
                          config.name, ctx->job_id);
 
-  // Summed buffer-cache hit/miss counters across workers, for per-superstep
-  // hit-ratio deltas in the progress log.
-  auto cache_counts = [this]() -> std::pair<uint64_t, uint64_t> {
-    std::pair<uint64_t, uint64_t> c{0, 0};
+  // Buffer-cache misses (page loads) summed across workers, for the
+  // per-superstep deltas in the progress log and EXPLAIN's rollup.
+  auto cache_misses = [this]() {
+    uint64_t misses = 0;
     for (int w = 0; w < cluster_->num_workers(); ++w) {
-      c.first += cluster_->cache(w).hit_count();
-      c.second += cluster_->cache(w).miss_count();
+      misses += cluster_->cache(w).miss_count();
     }
-    return c;
+    return misses;
   };
 
   auto init_gs_after_load = [&]() -> Status {
@@ -285,7 +285,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     TraceSpan step_span(cluster_->tracer(), "pregel.superstep",
                         trace_cat::kPregel, kTraceDriverWorker);
     const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
-    const std::pair<uint64_t, uint64_t> cache_before = cache_counts();
+    const uint64_t misses_before = cache_misses();
     // Time-ledger split of this superstep (DESIGN.md §20): the job's own
     // threads only, its activations (the step profile) plus the driver's
     // own attachment over the superstep, so neither another job nor the
@@ -311,7 +311,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     PREGELIX_RETURN_NOT_OK(step_status);
     const std::vector<MetricsSnapshot> deltas =
         Delta(before, cluster_->SnapshotAll());
-    const std::pair<uint64_t, uint64_t> cache_after = cache_counts();
+    const uint64_t misses_after = cache_misses();
 
     PREGELIX_RETURN_NOT_OK(AdvanceGlobalState(ctx));
 
@@ -326,13 +326,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     stats.groupby_used = ctx->current_groupby;
     stats.connector_used = ctx->current_connector;
     stats.cluster_delta = Sum(deltas);
-    const uint64_t cache_hits = cache_after.first - cache_before.first;
-    const uint64_t cache_misses = cache_after.second - cache_before.second;
-    stats.cache_hit_ratio =
-        cache_hits + cache_misses == 0
-            ? 1.0
-            : static_cast<double>(cache_hits) /
-                  static_cast<double>(cache_hits + cache_misses);
+    stats.cache_misses = misses_after - misses_before;
     AttachPaperPlanLabels(step_profile.get());
     stats.bytes_shuffled = step_profile->TotalShuffleBytes();
     stats.spill_count = step_profile->TotalSpillCount();
@@ -353,20 +347,16 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       fb.spill_bytes = stats.spill_bytes;
       fb.stalled = stalled;
       for (const PlanOperatorProfile& op : stats.profile->ops()) {
-        if (op.name == "combine-msgs") {
-          fb.groupby_skew = op.skew;
-          fb.combine_tuples_in = op.total.tuples_in;
-          fb.combine_tuples_out = op.total.tuples_out;
-        }
+        if (op.name == "combine-msgs") fb.groupby_skew = op.skew;
       }
       ctx->optimizer->Observe(fb);
     }
     PLOG(Info) << "superstep " << superstep << " [" << config.name
                << "]: live=" << stats.live_vertices
                << " msgs=" << stats.messages << " shuffled_bytes="
-               << stats.bytes_shuffled << " cache_hit="
-               << static_cast<int>(stats.cache_hit_ratio * 100.0 + 0.5)
-               << "% spills=" << stats.spill_count << " plan="
+               << stats.bytes_shuffled << " cache_misses="
+               << stats.cache_misses << " spills=" << stats.spill_count
+               << " plan="
                << PlanDecisionString(plan_record.plan);
     result->superstep_stats.push_back(stats);
     result->supersteps_sim_seconds += stats.sim_seconds;

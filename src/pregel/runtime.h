@@ -35,9 +35,8 @@ struct SuperstepStats {
 
   /// Connector bytes moved this superstep (the plan profile's edges).
   uint64_t bytes_shuffled = 0;
-  /// Buffer-cache hit ratio over this superstep's accesses (1.0 when the
-  /// superstep touched the cache not at all).
-  double cache_hit_ratio = 1.0;
+  /// Buffer-cache misses (page loads) this superstep, summed over workers.
+  uint64_t cache_misses = 0;
   /// Group-by/sort spills this superstep (from the plan profile).
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;

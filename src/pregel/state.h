@@ -117,9 +117,9 @@ struct JobRuntimeContext {
   int64_t dense_lo = 0;
   uint64_t dense_slots = 0;
 
-  /// Feedback-driven chooser for kAuto knobs; null for static jobs. Owned
-  /// here so operator lambdas and the driver share one instance whose
-  /// lifetime matches the job context.
+  /// Feedback-driven chooser for a kAuto join or connector; null when both
+  /// are static. Owned here so operator lambdas and the driver share one
+  /// instance whose lifetime matches the job context.
   std::shared_ptr<PlanOptimizer> optimizer;
   /// Plan the previous superstep ran under (driver path), for switch
   /// detection by ResolveAndPublishPlan.

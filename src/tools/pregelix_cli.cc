@@ -171,13 +171,15 @@ commands:
       --connector=unmerged|merged|auto           (default unmerged)
       --storage=btree|lsm|auto                   (default btree)
                                 `auto` lets the feedback-driven plan
-                                optimizer re-choose per superstep (storage:
-                                once at admission); `dense` runs sort where
-                                the combiner is variable-width or a
-                                partition's vids (every P-th, P partitions)
-                                do not fit the group-by budget, and sends
-                                uncombined where the whole vid range does
-                                not fit (sort under --connector=merged)
+                                optimizer re-choose the join and connector
+                                per superstep (storage: once at admission);
+                                --groupby=auto runs the default, `dense`.
+                                `dense` runs sort where the combiner is
+                                variable-width or a partition's vids (every
+                                P-th, P partitions) do not fit the group-by
+                                budget, and sends uncombined where the whole
+                                vid range does not fit (sort under
+                                --connector=merged)
       --source=ID               source vertex (sssp/reachability/bfs-tree)
       --iterations=K            PageRank iterations (default 10)
       --checkpoint-interval=K   checkpoint every K supersteps (default off)
@@ -190,8 +192,8 @@ commands:
                                 (structure, declared stream properties,
                                 memory budgets) and abort before running if
                                 any is invalid; add --all-plans to also
-                                check every plan the optimizer could switch
-                                to
+                                check every join x connector plan under the
+                                configured group-by
       --trace-out=FILE          write a Chrome trace_event JSON (open in
                                 chrome://tracing or ui.perfetto.dev)
       --metrics-json=FILE       write the metrics registry as JSON
@@ -220,8 +222,9 @@ commands:
       --workers=N --worker-ram-mb=M   budgets to verify against
       --join/--groupby/--connector/--storage   plan hints, as for run
       --configured-only         check only the configured plan; the default
-                                sweeps every join x group-by x connector
-                                combination the optimizer could switch to
+                                sweeps every join x connector combination
+                                the optimizer could switch to, under the
+                                configured group-by
   serve      standalone observability server (no --dfs needed): serves the
              process-global metrics registry, job table, and event journal
       --admin-port=N            listen port (default 9090; 0 = ephemeral)
@@ -326,13 +329,13 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
   }
 
   printf("\n== per-superstep rollup ==\n");
-  printf("%-10s %-5s %-9s %-9s %-10s %-10s %-10s %-10s %-14s %-9s %-7s\n",
+  printf("%-10s %-5s %-9s %-9s %-10s %-10s %-10s %-10s %-14s %-12s %-7s\n",
          "superstep", "join", "groupby", "connector", "wall-ms", "live",
-         "frontier", "messages", "shuffled-bytes", "cache-hit", "spills");
+         "frontier", "messages", "shuffled-bytes", "cache-misses", "spills");
   for (const SuperstepStats& s : result.superstep_stats) {
     printf(
         "%-10lld %-5s %-9s %-9s %-10.3f %-10lld %-10lld %-10lld %-14llu "
-        "%-9.1f %-7llu\n",
+        "%-12llu %-7llu\n",
         static_cast<long long>(s.superstep),
         s.used_left_outer_join ? "LOJ" : "FOJ",
         GroupByStrategyName(s.groupby_used),
@@ -341,7 +344,7 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
         static_cast<long long>(s.frontier()),
         static_cast<long long>(s.messages),
         static_cast<unsigned long long>(s.bytes_shuffled),
-        s.cache_hit_ratio * 100.0,
+        static_cast<unsigned long long>(s.cache_misses),
         static_cast<unsigned long long>(s.spill_count));
   }
 
@@ -380,10 +383,10 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
 
 /// Static plan audit (DESIGN.md §18): builds every physical plan the job
 /// can produce — load, superstep (the configured plan, or with `all_plans`
-/// every join x group-by x connector combination the optimizer could ever
-/// switch to), dump, checkpoint, recovery — and runs the plan verifier over
-/// each without executing anything. Prints one line per clean plan and the
-/// full compiler-style diagnostic per rejected one.
+/// every join x connector combination the optimizer could ever switch to,
+/// under the configured group-by), dump, checkpoint, recovery — and runs
+/// the plan verifier over each without executing anything. Prints one line
+/// per clean plan and the full compiler-style diagnostic per rejected one.
 Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
                       const PregelixJobConfig& base_job,
                       PregelProgram* program, bool all_plans) {
@@ -422,19 +425,17 @@ Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
 
   check("load", BuildLoadJob(&ctx));
   if (all_plans) {
-    // The optimizer's full reachable plan space: any switchable combination
-    // may become the next superstep's plan, so all of them must verify.
+    // The optimizer's full reachable plan space: any join x connector
+    // combination may become the next superstep's plan, so all of them must
+    // verify. The group-by is not switched; it resolves from the configured
+    // hint under each connector.
     for (JoinStrategy join :
          {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
-      for (GroupByStrategy groupby :
-           {GroupByStrategy::kSort, GroupByStrategy::kHashSort}) {
-        for (GroupByConnector conn :
-             {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
-          job.join = join;
-          job.groupby = groupby;
-          job.groupby_connector = conn;
-          check_superstep();
-        }
+      for (GroupByConnector conn :
+           {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
+        job.join = join;
+        job.groupby_connector = conn;
+        check_superstep();
       }
     }
     job = base_job;

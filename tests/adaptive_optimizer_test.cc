@@ -4,8 +4,8 @@
 // threshold edges (including the message-volume guard on sparse
 // frontiers), confirmation streaks, cooldowns, and reactive (stall/spill)
 // switches, all driven by hand-built OptimizerFeedback records; plus
-// admission-time storage resolution and the ResolvePlanDecision fallback
-// paths.
+// admission-time storage resolution, the ResolvePlanDecision fallback
+// paths, and a decision record that only the kAuto knobs write.
 //
 // End-to-end half: a connected-components run under all-kAuto knobs on a
 // "lollipop" graph (a star head that converges fast, then a long path tail
@@ -70,9 +70,8 @@ TEST(PlanOptimizerTest, DefaultsBeforeAnyFeedback) {
   PlanOptimizer opt;
   const PlanDecision d = opt.Decide(1);
   EXPECT_EQ(d.join, JoinStrategy::kFullOuter);
-  // Hash pre-aggregation is the optimistic start (within budget it is
-  // never worse than sort; a spill demotes it reactively).
-  EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);
+  // The group-by is not decided: a kAuto group-by runs the default hint.
+  EXPECT_EQ(d.groupby, GroupByStrategy::kDense);
   EXPECT_EQ(d.connector, GroupByConnector::kUnmerged);
   EXPECT_EQ(opt.last_reason(), "initial");
   EXPECT_FALSE(opt.last_reactive());
@@ -198,54 +197,6 @@ TEST(PlanOptimizerTest, AlternatingSignalNeverConfirms) {
   EXPECT_EQ(opt.switch_count(), 0);
 }
 
-TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
-  PlanOptimizer opt(/*groupby_memory_bytes=*/1u << 20);
-
-  // Spill bytes past the budget: reactive demotion from the optimistic
-  // hash start to sort (which degrades gracefully to runs), in a single
-  // superstep — no confirmation streak needed.
-  OptimizerFeedback spilled = Feedback(500, 100);
-  spilled.spill_count = 3;
-  spilled.spill_bytes = 3u << 20;  // 3x the budget
-  opt.Observe(spilled);
-  EXPECT_EQ(opt.Decide(2).groupby, GroupByStrategy::kSort);
-  EXPECT_TRUE(opt.last_reactive());
-  EXPECT_EQ(opt.last_reason(), "spill");
-
-  // Re-promotion must be earned: the combiner folds 10:1 with nothing
-  // spilling, but the switch waits for the cooldown (pinned through
-  // superstep 4) plus the two-superstep confirmation streak.
-  OptimizerFeedback fb = Feedback(500, 100);
-  fb.combine_tuples_in = 1000;
-  fb.combine_tuples_out = 100;
-  for (int64_t ss = 2; ss <= 5; ++ss) {
-    opt.Observe(fb);
-    EXPECT_EQ(opt.Decide(ss + 1).groupby,
-              ss < 5 ? GroupByStrategy::kSort : GroupByStrategy::kHashSort)
-        << "superstep " << ss + 1;
-  }
-  EXPECT_FALSE(opt.last_reactive());
-}
-
-TEST(PlanOptimizerTest, GroupByStaysSortWithoutReductionEvidence) {
-  PlanOptimizer opt(/*groupby_memory_bytes=*/1u << 20);
-  OptimizerFeedback spilled = Feedback(500, 100);
-  spilled.spill_bytes = 3u << 20;
-  opt.Observe(spilled);
-  ASSERT_EQ(opt.Decide(2).groupby, GroupByStrategy::kSort);
-
-  // Clean supersteps but a combiner that barely folds (1.5:1, below the
-  // 2.0 re-promotion threshold): sort holds indefinitely.
-  OptimizerFeedback weak = Feedback(500, 100);
-  weak.combine_tuples_in = 300;
-  weak.combine_tuples_out = 200;
-  for (int64_t ss = 2; ss <= 10; ++ss) {
-    opt.Observe(weak);
-    EXPECT_EQ(opt.Decide(ss + 1).groupby, GroupByStrategy::kSort)
-        << "superstep " << ss + 1;
-  }
-}
-
 TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   PlanOptimizer opt;
   // Heavy combine-op skew prefers the merged (sender-materializing)
@@ -356,45 +307,111 @@ TEST(ResolveStorageTest, AutoPicksLsmForMutatingPrograms) {
   EXPECT_EQ(ResolveStorageAtAdmission(ctx), VertexStorage::kBTree);
 }
 
-TEST(ResolvePlanDecisionTest, AutoWithoutOptimizerResolvesToTheInitialPlan) {
+/// Resolution context in which a dense group-by fits under either
+/// connector: two workers at the default budget, a fixed-width combiner
+/// (SSSP's) and 1000 loaded vids, partition p holding p, p + 2, ..., 998 + p
+/// (placement by vid mod P).
+class ResolvePlanDecisionTest : public ::testing::Test {
+ protected:
+  ResolvePlanDecisionTest() {
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.temp_root = dir_.Sub("cluster");
+    cluster_ = std::make_unique<SimulatedCluster>(config);
+    ctx_.program = &adapter_;
+    ctx_.job_config = &cfg_;
+    ctx_.cluster = cluster_.get();
+    ctx_.partitions.resize(cluster_->num_partitions());
+    for (size_t p = 0; p < ctx_.partitions.size(); ++p) {
+      ctx_.partitions[p].min_vid = static_cast<int64_t>(p);
+      ctx_.partitions[p].max_vid = 998 + static_cast<int64_t>(p);
+    }
+  }
+
+  TempDir dir_{"resolve-plan"};
+  std::unique_ptr<SimulatedCluster> cluster_;
+  SsspProgram program_{0};
+  SsspProgram::Adapter adapter_{&program_};
+  PregelixJobConfig cfg_;
+  JobRuntimeContext ctx_;
+};
+
+TEST_F(ResolvePlanDecisionTest, AutoWithoutOptimizerResolvesToTheInitialPlan) {
   // Direct BuildSuperstepJob callers (plan-generator unit tests, `pregelix
   // verify`) have no optimizer: every kAuto knob resolves to the
   // optimizer's superstep-1 plan, whatever the statistics say.
-  PregelixJobConfig cfg;
-  cfg.join = JoinStrategy::kAuto;
-  cfg.groupby = GroupByStrategy::kAuto;
-  cfg.groupby_connector = GroupByConnector::kAuto;
-  JobRuntimeContext ctx;
-  ctx.job_config = &cfg;
-  ctx.current_superstep = 3;
-  ctx.gs.num_vertices = 1000;
-  ctx.gs.num_edges = 5000;
-  ctx.gs.live_vertices = 10;
-  ctx.gs.messages = 10;
+  cfg_.join = JoinStrategy::kAuto;
+  cfg_.groupby = GroupByStrategy::kAuto;
+  cfg_.groupby_connector = GroupByConnector::kAuto;
+  ctx_.current_superstep = 3;
+  ctx_.gs.num_vertices = 1000;
+  ctx_.gs.num_edges = 5000;
+  ctx_.gs.live_vertices = 10;
+  ctx_.gs.messages = 10;
 
-  const PlanDecision d = ResolvePlanDecision(&ctx);
+  const PlanDecision d = ResolvePlanDecision(&ctx_);
   EXPECT_EQ(d.join, JoinStrategy::kFullOuter);  // even on a sparse frontier
-  EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);  // optimistic default
+  EXPECT_EQ(d.groupby, GroupByStrategy::kDense);  // the default hint
   EXPECT_EQ(d.connector, GroupByConnector::kUnmerged);
-  EXPECT_EQ(ctx.current_join, d.join);
-  EXPECT_EQ(ctx.current_groupby, d.groupby);
-  EXPECT_EQ(ctx.current_connector, d.connector);
+  EXPECT_EQ(ctx_.current_join, d.join);
+  EXPECT_EQ(ctx_.current_groupby, d.groupby);
+  EXPECT_EQ(ctx_.current_connector, d.connector);
 }
 
-TEST(ResolvePlanDecisionTest, StaticHintsWinOverTheOptimizer) {
+TEST_F(ResolvePlanDecisionTest, StaticHintsWinOverTheOptimizer) {
+  cfg_.join = JoinStrategy::kLeftOuter;
+  cfg_.groupby = GroupByStrategy::kAuto;
+  cfg_.groupby_connector = GroupByConnector::kMerged;
+  ctx_.current_superstep = 2;
+  ctx_.optimizer = std::make_shared<PlanOptimizer>();
+
+  const PlanDecision d = ResolvePlanDecision(&ctx_);
+  EXPECT_EQ(d.join, JoinStrategy::kLeftOuter);
+  EXPECT_EQ(d.groupby, GroupByStrategy::kDense);  // the kAuto knob
+  EXPECT_EQ(d.connector, GroupByConnector::kMerged);
+}
+
+// The optimizer runs only the policies of the knobs the job left at kAuto,
+// so a static knob's signal cannot leak into a switch it did make. Here only
+// the join is kAuto. Superstep 2 spills three times the 1 MB budget, which
+// would make a switch to the merged connector reactive; the join switch at
+// superstep 3, after two supersteps at frontier 0.1, must still be recorded
+// as the proactive switch it is.
+TEST(ResolveAndPublishPlanTest, StaticKnobsLeaveNoTraceInTheRecord) {
   PregelixJobConfig cfg;
-  cfg.join = JoinStrategy::kLeftOuter;
-  cfg.groupby = GroupByStrategy::kAuto;
-  cfg.groupby_connector = GroupByConnector::kMerged;
+  cfg.name = "static-knobs";
+  cfg.join = JoinStrategy::kAuto;
+  cfg.groupby = GroupByStrategy::kSort;
+  cfg.groupby_connector = GroupByConnector::kUnmerged;
   JobRuntimeContext ctx;
   ctx.job_config = &cfg;
-  ctx.current_superstep = 2;
-  ctx.optimizer = std::make_shared<PlanOptimizer>();
+  ctx.job_id = "static-knobs";
+  ctx.optimizer = std::make_shared<PlanOptimizer>(
+      AutoKnobs{.join = true, .connector = false},
+      /*groupby_memory_bytes=*/1u << 20);
+  MetricsRegistry registry;
 
-  const PlanDecision d = ResolvePlanDecision(&ctx);
-  EXPECT_EQ(d.join, JoinStrategy::kLeftOuter);
-  EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);  // the kAuto knob
-  EXPECT_EQ(d.connector, GroupByConnector::kMerged);
+  PlanDecisionRecord record;
+  for (int64_t superstep = 1; superstep <= 3; ++superstep) {
+    ctx.current_superstep = superstep;
+    ASSERT_TRUE(ResolveAndPublishPlan(&ctx, &registry, &record).ok());
+    OptimizerFeedback fb = Feedback(50, 50);  // frontier 0.1
+    if (superstep == 2) {
+      fb.spill_count = 3;
+      fb.spill_bytes = 3u << 20;
+    }
+    ctx.optimizer->Observe(fb);
+  }
+  EXPECT_EQ(record.plan, (PlanDecision{JoinStrategy::kLeftOuter,
+                                       GroupByStrategy::kSort,
+                                       GroupByConnector::kUnmerged}));
+  EXPECT_EQ(record.switched, "join");
+  EXPECT_FALSE(record.reactive);
+  EXPECT_EQ(record.reason, "frontier=0.100");
+  EXPECT_EQ(ctx.optimizer->switch_count(), 1);
+  EXPECT_EQ(registry.CounterValue("pregelix.optimizer.reactive_switches",
+                                  {{"job", "static-knobs"}}),
+            0u);
 }
 
 TEST(PlanNamesTest, CanonicalSpellings) {
@@ -527,70 +544,6 @@ TEST(AdaptiveEndToEndTest, CcUnderAutoFlipsJoinToLeftOuter) {
   for (const auto& [vid, component] : out) {
     EXPECT_EQ(component, ref[vid]) << "vid " << vid;
   }
-}
-
-// The combiner-reduction signal end to end: a job whose group-by sits on
-// sort (forced at superstep 1 here, where a spill demotion would leave it)
-// must be re-promoted to hash pre-aggregation once the combiner
-// demonstrably reduces with nothing spilling. On a complete graph every
-// vertex hears from all three sender partitions, so the receive-side
-// combine folds 3:1 — past the 2.0 re-promotion threshold.
-TEST(AdaptiveEndToEndTest, CombinerReductionRepromotesHashGroupBy) {
-  TempDir dir("adaptive-repromote");
-  DistributedFileSystem dfs(dir.Sub("dfs"));
-  constexpr int64_t kVertices = 48;
-  InMemoryGraph graph;
-  graph.adj.resize(kVertices);
-  for (int64_t v = 0; v < kVertices; ++v) {
-    for (int64_t u = 0; u < kVertices; ++u) {
-      if (u != v) graph.adj[v].push_back(u);
-    }
-  }
-  ASSERT_TRUE(WriteGraph(dfs, "complete", graph, 3).ok());
-
-  ClusterConfig config;
-  config.num_workers = 3;
-  config.temp_root = dir.Sub("cluster");
-  SimulatedCluster cluster(config);
-  PregelixRuntime runtime(&cluster, &dfs);
-
-  PregelixJobConfig job;
-  job.name = "pagerank-repromote";
-  job.input_dir = "complete";
-  job.output_dir = "out";
-  job.join = JoinStrategy::kFullOuter;
-  job.groupby = GroupByStrategy::kAuto;
-  job.groupby_connector = GroupByConnector::kUnmerged;
-
-  SetPlanDecisionOverrideForTesting([](int64_t superstep, PlanDecision* d) {
-    if (superstep != 1) return false;
-    d->groupby = GroupByStrategy::kSort;
-    return true;
-  });
-  PageRankProgram program(/*iterations=*/6);
-  PageRankProgram::Adapter adapter(&program);
-  JobResult result;
-  const Status s = runtime.Run(&adapter, job, &result);
-  SetPlanDecisionOverrideForTesting(nullptr);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-
-  ASSERT_FALSE(result.plan_decisions.empty());
-  EXPECT_EQ(result.plan_decisions.front().plan.groupby,
-            GroupByStrategy::kSort);
-  const PlanDecisionRecord* promoted = nullptr;
-  for (const PlanDecisionRecord& r : result.plan_decisions) {
-    if (r.switched.find("groupby") != std::string::npos &&
-        r.plan.groupby == GroupByStrategy::kHashSort) {
-      promoted = &r;
-      break;
-    }
-  }
-  ASSERT_NE(promoted, nullptr)
-      << "sort group-by was never re-promoted although the combiner "
-         "folds 3:1 with no spills";
-  EXPECT_EQ(promoted->reason.rfind("reduction=", 0), 0u) << promoted->reason;
-  EXPECT_EQ(result.plan_decisions.back().plan.groupby,
-            GroupByStrategy::kHashSort);
 }
 
 }  // namespace

@@ -71,10 +71,12 @@ class DifferentialSweepTest : public ::testing::TestWithParam<PlanParam> {
            std::to_string(static_cast<int>(storage));
   }
 
-  /// Runs `program` under the parameterized plan, returns vid -> value text.
+  /// Runs `program` under the parameterized plan, returns vid -> value text
+  /// (and, when `result` is given, the job's result).
   void RunAndParse(PregelProgram* program, const std::string& name,
                    const std::string& input_dir,
-                   std::map<int64_t, std::string>* out) {
+                   std::map<int64_t, std::string>* out,
+                   JobResult* result = nullptr) {
     const auto [join, groupby, connector, storage] = GetParam();
     ClusterConfig config;
     config.num_workers = 3;
@@ -92,14 +94,15 @@ class DifferentialSweepTest : public ::testing::TestWithParam<PlanParam> {
     job.groupby = groupby;
     job.groupby_connector = connector;
     job.storage = storage;
-    JobResult result;
-    Status s = runtime.Run(program, job, &result);
+    JobResult local;
+    if (result == nullptr) result = &local;
+    Status s = runtime.Run(program, job, result);
     ASSERT_TRUE(s.ok()) << s.ToString();
     // Every message type here is fixed-width and the mailbox fits this
     // budget, so a dense hint runs dense on every superstep.
     if (groupby == GroupByStrategy::kDense) {
-      ASSERT_FALSE(result.superstep_stats.empty());
-      for (const SuperstepStats& stats : result.superstep_stats) {
+      ASSERT_FALSE(result->superstep_stats.empty());
+      for (const SuperstepStats& stats : result->superstep_stats) {
         EXPECT_EQ(stats.groupby_used, GroupByStrategy::kDense)
             << "superstep " << stats.superstep;
       }
@@ -209,16 +212,37 @@ struct ScopedPlanOverride {
 };
 
 /// Adversarial schedule: every switchable knob flips on every superstep —
-/// the worst case the hysteresis normally forbids. The runtime must carry
-/// Msg/Vertex/Vid state across arbitrary plan boundaries, so the answers
-/// must still match the references exactly.
-class AdversarialFlipTest : public DifferentialSweepTest {};
+/// the worst case the hysteresis normally forbids. The join and connector
+/// alternate with period 2 and the group-by cycles dense -> sort -> hashsort
+/// with period 3, so every group-by meets every join and connector at a
+/// plan boundary. The runtime must carry Msg/Vertex/Vid state across
+/// arbitrary plan boundaries, so the answers must still match the
+/// references exactly.
+class AdversarialFlipTest : public DifferentialSweepTest {
+ protected:
+  static GroupByStrategy FlipGroupBy(int64_t superstep) {
+    constexpr GroupByStrategy kCycle[] = {GroupByStrategy::kDense,
+                                          GroupByStrategy::kSort,
+                                          GroupByStrategy::kHashSort};
+    return kCycle[(superstep - 1) % 3];
+  }
+
+  /// The fixture's mailbox fits under both connectors, so every superstep
+  /// ran the group-by the schedule forced, dense included.
+  static void ExpectScheduledGroupBys(const JobResult& result) {
+    ASSERT_GE(result.superstep_stats.size(), 3u);
+    for (const SuperstepStats& stats : result.superstep_stats) {
+      EXPECT_EQ(stats.groupby_used, FlipGroupBy(stats.superstep))
+          << "superstep " << stats.superstep;
+    }
+  }
+};
 
 TEST_P(AdversarialFlipTest, EverySuperstepPlanFlipMatchesReferences) {
   ScopedPlanOverride guard([](int64_t superstep, PlanDecision* d) {
     const bool odd = superstep % 2 != 0;
     d->join = odd ? JoinStrategy::kFullOuter : JoinStrategy::kLeftOuter;
-    d->groupby = odd ? GroupByStrategy::kSort : GroupByStrategy::kHashSort;
+    d->groupby = FlipGroupBy(superstep);
     d->connector =
         odd ? GroupByConnector::kUnmerged : GroupByConnector::kMerged;
     return true;
@@ -227,8 +251,10 @@ TEST_P(AdversarialFlipTest, EverySuperstepPlanFlipMatchesReferences) {
   SsspProgram sssp(0);
   SsspProgram::Adapter sssp_adapter(&sssp);
   std::map<int64_t, std::string> sssp_out;
+  JobResult result;
   ASSERT_NO_FATAL_FAILURE(
-      RunAndParse(&sssp_adapter, "sssp-flip", "btc", &sssp_out));
+      RunAndParse(&sssp_adapter, "sssp-flip", "btc", &sssp_out, &result));
+  ExpectScheduledGroupBys(result);
   ASSERT_EQ(sssp_out.size(), sssp_ref_->size());
   for (const auto& [vid, value] : sssp_out) {
     if ((*sssp_ref_)[vid] < 0) {
@@ -241,7 +267,9 @@ TEST_P(AdversarialFlipTest, EverySuperstepPlanFlipMatchesReferences) {
   ConnectedComponentsProgram cc;
   ConnectedComponentsProgram::Adapter cc_adapter(&cc);
   std::map<int64_t, std::string> cc_out;
-  ASSERT_NO_FATAL_FAILURE(RunAndParse(&cc_adapter, "cc-flip", "btc", &cc_out));
+  ASSERT_NO_FATAL_FAILURE(
+      RunAndParse(&cc_adapter, "cc-flip", "btc", &cc_out, &result));
+  ExpectScheduledGroupBys(result);
   ASSERT_EQ(cc_out.size(), cc_ref_->size());
   for (const auto& [vid, value] : cc_out) {
     EXPECT_EQ(std::stoll(value), (*cc_ref_)[vid]) << "vid " << vid;
@@ -251,7 +279,8 @@ TEST_P(AdversarialFlipTest, EverySuperstepPlanFlipMatchesReferences) {
   PageRankProgram::Adapter pr_adapter(&pagerank);
   std::map<int64_t, std::string> pr_out;
   ASSERT_NO_FATAL_FAILURE(
-      RunAndParse(&pr_adapter, "pagerank-flip", "web", &pr_out));
+      RunAndParse(&pr_adapter, "pagerank-flip", "web", &pr_out, &result));
+  ExpectScheduledGroupBys(result);
   ASSERT_EQ(pr_out.size(), pagerank_ref_->size());
   for (const auto& [vid, value] : pr_out) {
     EXPECT_NEAR(std::stod(value), (*pagerank_ref_)[vid], 1e-9)
@@ -259,8 +288,9 @@ TEST_P(AdversarialFlipTest, EverySuperstepPlanFlipMatchesReferences) {
   }
 }
 
-// The override only engages when an optimizer is installed, i.e. under
-// all-kAuto knobs; both storage engines get the adversarial treatment.
+// The override only engages when an optimizer is installed, i.e. when the
+// join or the connector is kAuto; here every knob is, and both storage
+// engines get the adversarial treatment.
 INSTANTIATE_TEST_SUITE_P(
     AdversarialAllAuto, AdversarialFlipTest,
     ::testing::Combine(

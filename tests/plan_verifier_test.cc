@@ -6,9 +6,10 @@
 // something a user can't act on.
 //
 // Positive half: zero false positives over everything the plan generator
-// can emit — all 16 plan-matrix combinations plus the load / dump /
-// checkpoint / recovery jobs, and every plan the kAuto optimizer can switch
-// to (forced through the decision-override hook).
+// can emit — all 24 static superstep plans (join x {dense, sort, hashsort}
+// x connector x storage) plus the load / dump / checkpoint / recovery jobs,
+// and every plan the kAuto optimizer can switch to (forced through the
+// decision-override hook).
 //
 // End-to-end half: a kAuto run whose optimizer is forced to switch to a
 // plan that a (test-injected) buggy plan generator corrupts. The verifier
@@ -347,21 +348,40 @@ TEST(PlanVerifierTest, CountVerificationMetersChecksAndViolations) {
 // ---------------------------------------------------------------------------
 // Positive half: the plan generator's entire output space verifies clean
 
+/// The plan generator's inputs after a load of kVertices vids: partition p
+/// holds p, p + P, ..., the vids that ConnectorSpec::Route places there. At
+/// the default 16 MB per worker (a 1 MB group-by budget) the dense send side
+/// pre-combines into one slot per vid of the whole range; at 4 MB only each
+/// partition's own slots fit, so it sends uncombined.
 class GeneratedPlansTest : public ::testing::Test {
  protected:
+  static constexpr int64_t kVertices = 100000;
+
   GeneratedPlansTest() : dfs_(dir_.Sub("dfs")) {
     config_.num_workers = 4;
     config_.temp_root = dir_.Sub("cluster");
-    cluster_ = std::make_unique<SimulatedCluster>(config_);
     ctx_.program = &adapter_;
     ctx_.job_config = &job_;
-    ctx_.cluster = cluster_.get();
     ctx_.dfs = &dfs_;
     ctx_.job_id = "verifier-positive";
-    ctx_.partitions.resize(cluster_->num_partitions());
-    ctx_.gs.num_vertices = 1000;
-    ctx_.gs.live_vertices = 1000;
+    ctx_.gs.num_vertices = kVertices;
+    ctx_.gs.live_vertices = kVertices;
     ctx_.current_superstep = 2;
+    UseCluster(config_);
+  }
+
+  void UseCluster(const ClusterConfig& config) {
+    cluster_.reset();  // the two would share one scratch root
+    cluster_ = std::make_unique<SimulatedCluster>(config);
+    ctx_.cluster = cluster_.get();
+    const int partitions = cluster_->num_partitions();
+    ctx_.partitions.clear();
+    ctx_.partitions.resize(partitions);
+    for (int p = 0; p < partitions; ++p) {
+      ctx_.partitions[p].min_vid = p;
+      ctx_.partitions[p].max_vid = p + (kVertices - 1 - p) / partitions *
+                                           static_cast<int64_t>(partitions);
+    }
     opts_ = PlanVerifyOptionsFrom(cluster_->config());
   }
 
@@ -382,25 +402,51 @@ class GeneratedPlansTest : public ::testing::Test {
   PlanVerifyOptions opts_;
 };
 
-TEST_F(GeneratedPlansTest, AllSixteenMatrixPlansVerifyClean) {
-  for (JoinStrategy join :
-       {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
-    for (GroupByStrategy groupby :
-         {GroupByStrategy::kSort, GroupByStrategy::kHashSort}) {
-      for (GroupByConnector conn :
-           {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
-        for (VertexStorage storage :
-             {VertexStorage::kBTree, VertexStorage::kLsmBTree}) {
-          job_.join = join;
-          job_.groupby = groupby;
-          job_.groupby_connector = conn;
-          job_.storage = storage;
-          ctx_.current_storage = storage;
-          const JobSpec spec = BuildSuperstepJob(&ctx_);
-          const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
-                               ctx_.current_connector};
-          ExpectClean(spec, "superstep " + PlanDecisionString(d) + "/" +
-                                VertexStorageName(storage));
+TEST_F(GeneratedPlansTest, AllTwentyFourStaticPlansVerifyClean) {
+  for (size_t worker_ram : {size_t{16} << 20, size_t{4} << 20}) {
+    config_.worker_ram_bytes = worker_ram;
+    UseCluster(config_);
+    const bool combined = worker_ram == size_t{16} << 20;
+    for (JoinStrategy join :
+         {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
+      for (GroupByStrategy groupby :
+           {GroupByStrategy::kDense, GroupByStrategy::kSort,
+            GroupByStrategy::kHashSort}) {
+        for (GroupByConnector conn :
+             {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
+          for (VertexStorage storage :
+               {VertexStorage::kBTree, VertexStorage::kLsmBTree}) {
+            job_.join = join;
+            job_.groupby = groupby;
+            job_.groupby_connector = conn;
+            job_.storage = storage;
+            ctx_.current_storage = storage;
+            const JobSpec spec = BuildSuperstepJob(&ctx_);
+            const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
+                                 ctx_.current_connector};
+            const std::string what = "superstep " + PlanDecisionString(d) +
+                                     "/" + VertexStorageName(storage) +
+                                     " at " +
+                                     std::to_string(worker_ram >> 20) + " MB";
+            ExpectClean(spec, what);
+            if (groupby != GroupByStrategy::kDense) {
+              EXPECT_EQ(d.groupby, groupby) << what;
+              continue;
+            }
+            // Each partition's receive array fits at both budgets; the
+            // whole-range send array only at 16 MB. An uncombined send
+            // side is unordered, which the merging connector cannot take.
+            if (combined) {
+              EXPECT_EQ(d.groupby, GroupByStrategy::kDense) << what;
+              EXPECT_EQ(ctx_.dense_slots, static_cast<uint64_t>(kVertices))
+                  << what;
+            } else if (conn == GroupByConnector::kUnmerged) {
+              EXPECT_EQ(d.groupby, GroupByStrategy::kDense) << what;
+              EXPECT_EQ(ctx_.dense_slots, 0u) << what;
+            } else {
+              EXPECT_EQ(d.groupby, GroupByStrategy::kSort) << what;
+            }
+          }
         }
       }
     }
@@ -417,32 +463,31 @@ TEST_F(GeneratedPlansTest, AuxiliaryJobsVerifyClean) {
 TEST_F(GeneratedPlansTest, EveryAutoSwitchTargetVerifiesClean) {
   // Whatever plan the optimizer switches to arrives through exactly this
   // path: kAuto knobs + a PlanOptimizer decision. Force each reachable
-  // decision through the override hook and verify the resulting spec — a
-  // false positive here would mean ResolveAndPublishPlan vetoing a healthy
-  // switch at runtime.
+  // join x connector decision through the override hook and verify the
+  // resulting spec — a false positive here would mean ResolveAndPublishPlan
+  // vetoing a healthy switch at runtime. The group-by is not switched: a
+  // kAuto group-by runs dense, which fits here under either connector.
   job_.join = JoinStrategy::kAuto;
   job_.groupby = GroupByStrategy::kAuto;
   job_.groupby_connector = GroupByConnector::kAuto;
   ctx_.optimizer = std::make_shared<PlanOptimizer>();
   for (JoinStrategy join :
        {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
-    for (GroupByStrategy groupby :
-         {GroupByStrategy::kSort, GroupByStrategy::kHashSort}) {
-      for (GroupByConnector conn :
-           {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
-        SetPlanDecisionOverrideForTesting(
-            [join, groupby, conn](int64_t, PlanDecision* d) {
-              d->join = join;
-              d->groupby = groupby;
-              d->connector = conn;
-              return true;
-            });
-        ctx_.current_superstep++;  // Decide() memoizes per superstep
-        const JobSpec spec = BuildSuperstepJob(&ctx_);
-        const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
-                             ctx_.current_connector};
-        ExpectClean(spec, "kAuto switch to " + PlanDecisionString(d));
-      }
+    for (GroupByConnector conn :
+         {GroupByConnector::kUnmerged, GroupByConnector::kMerged}) {
+      SetPlanDecisionOverrideForTesting([join, conn](int64_t,
+                                                     PlanDecision* d) {
+        d->join = join;
+        d->connector = conn;
+        return true;
+      });
+      ctx_.current_superstep++;  // Decide() memoizes per superstep
+      const JobSpec spec = BuildSuperstepJob(&ctx_);
+      const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
+                           ctx_.current_connector};
+      EXPECT_EQ(d, (PlanDecision{join, GroupByStrategy::kDense, conn}))
+          << PlanDecisionString(d);
+      ExpectClean(spec, "kAuto switch to " + PlanDecisionString(d));
     }
   }
   SetPlanDecisionOverrideForTesting(nullptr);
